@@ -11,8 +11,9 @@ Forbidden specs (for `search --forbid`):
   subgraph:<construction-spec>    family:p=4:<construction-spec>
   sigma:r=3                       cancellative
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exhausted before the exact search finished.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
+spec or --sweep range included), 3 budget exhausted before the exact search
+finished.
 """
 
 from __future__ import annotations
@@ -54,8 +55,15 @@ class SpecError(ValueError):
     pass
 
 
+class _Params(dict):
+    """The key=value pairs of a spec; a missing key is a SpecError."""
+
+    def __missing__(self, key):
+        raise SpecError(f"spec is missing parameter {key!r}")
+
+
 def _params(text: str) -> dict:
-    out = {}
+    out = _Params()
     if not text:
         return out
     for item in text.split(","):
@@ -72,34 +80,31 @@ def build_from_spec(spec: str) -> Hypergraph:
     if name == "file":
         return load(rest)
     p = _params(rest)
-    try:
-        if name == "turan":
-            return turan_hypergraph(int(p["n"]), int(p["r"]), int(p["l"])).graph
-        if name == "gentriangle":
-            return generalized_triangle(int(p["r"]))
-        if name == "fan":
-            r = int(p["r"])
-            return expanded_clique_with_embedded(single_edge(r), r + 1).graph
-        if name == "complete":
-            return complete_hypergraph(int(p["n"]), int(p["r"]))
-        if name == "empty":
-            return Hypergraph(int(p["n"]), int(p["r"]), [])
-        if name == "edge":
-            return single_edge(int(p["r"]))
-        if name == "path":
-            return path_graph(int(p["k"]))
-        if name == "star":
-            return star_graph(int(p["k"]))
-        if name == "broom":
-            return broom_graph(int(p["handle"]), int(p["leaves"]))
-        if name == "tree":
-            return random_tree(int(p["k"]), int(p.get("seed", 0)))
-        if name == "expand":
-            return expanded_clique_with_embedded(load(p["F"]), int(p["p"])).graph
-        if name == "enlarge":
-            return enlargement(load(p["T"]), int(p["r"]))
-    except KeyError as exc:
-        raise SpecError(f"spec {spec!r} is missing parameter {exc}") from None
+    if name == "turan":
+        return turan_hypergraph(int(p["n"]), int(p["r"]), int(p["l"])).graph
+    if name == "gentriangle":
+        return generalized_triangle(int(p["r"]))
+    if name == "fan":
+        r = int(p["r"])
+        return expanded_clique_with_embedded(single_edge(r), r + 1).graph
+    if name == "complete":
+        return complete_hypergraph(int(p["n"]), int(p["r"]))
+    if name == "empty":
+        return Hypergraph(int(p["n"]), int(p["r"]), [])
+    if name == "edge":
+        return single_edge(int(p["r"]))
+    if name == "path":
+        return path_graph(int(p["k"]))
+    if name == "star":
+        return star_graph(int(p["k"]))
+    if name == "broom":
+        return broom_graph(int(p["handle"]), int(p["leaves"]))
+    if name == "tree":
+        return random_tree(int(p["k"]), int(p.get("seed", 0)))
+    if name == "expand":
+        return expanded_clique_with_embedded(load(p["F"]), int(p["p"])).graph
+    if name == "enlarge":
+        return enlargement(load(p["T"]), int(p["r"]))
     raise SpecError(f"unknown construction {name!r}")
 
 
@@ -205,9 +210,13 @@ def _cmd_search(args) -> int:
         return 2
     if args.sweep:
         lo, _, hi = args.sweep.partition(":")
+        try:
+            sweep = range(int(lo), int(hi) + 1)
+        except ValueError:
+            raise SpecError(f"--sweep expects LO:HI, got {args.sweep!r}") from None
         print("n,r,value,exact,nodes,elapsed")
         worst_exact = True
-        for n in range(int(lo), int(hi) + 1):
+        for n in sweep:
             if args.heuristic:
                 res = local_search_lower(n, args.r, pred, seed=args.seed,
                                          iters=args.iters)
@@ -300,9 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--forbid", required=True)
     e.add_argument("--sweep", default=None, metavar="LO:HI",
                    help="CSV over a range of n instead of a single run")
-    mode = e.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--heuristic", action="store_true")
+    e.add_argument("--heuristic", action="store_true",
+                   help="randomized lower bound instead of the exact search")
     e.add_argument("--budget-secs", type=float, default=None)
     e.add_argument("--iters", type=int, default=2000)
     e.add_argument("--seed", type=int, default=0)

@@ -76,7 +76,9 @@ class ForbiddenPredicate:
 
 
 class _EdgeSetState:
-    """Shared bookkeeping: current edge tuples and a Hypergraph builder."""
+    """Base of every incremental state: the current edge tuples and a
+    Hypergraph builder.  Subclasses add their index and a ``can_add`` check
+    that inspects only configurations through the new edge."""
 
     def __init__(self, n: int, r: int):
         self.n, self.r = n, r
@@ -109,7 +111,8 @@ class SubgraphPredicate(ForbiddenPredicate):
         t = _complete_two_graph_order(self.pattern)
         if t is not None:
             return _CliqueState(n, t)
-        return _GenericSubgraphState(n, self.pattern)
+        return _RebuildState(n, r, lambda H, e: find_embedding(
+            H, self.pattern, require_edge=e))
 
     def describe(self) -> str:
         return f"subgraph(n={self.pattern.n},r={self.pattern.r},e={len(self.pattern.edges)})"
@@ -164,14 +167,17 @@ class _CliqueState(_EdgeSetState):
         self.adj[v] &= ~(1 << u)
 
 
-class _GenericSubgraphState(_EdgeSetState):
-    def __init__(self, n: int, pattern: Hypergraph):
-        super().__init__(n, pattern.r)
-        self.pattern = pattern
+class _RebuildState(_EdgeSetState):
+    """Generic state: rebuild the graph with the new edge and ask the
+    predicate's finder, ``find(H, e)``, for a violation through e."""
+
+    def __init__(self, n: int, r: int, find):
+        super().__init__(n, r)
+        self.find = find
 
     def can_add(self, e: Edge) -> bool:
         H = Hypergraph(self.n, self.r, list(self.current) + [e])
-        return find_embedding(H, self.pattern, require_edge=e) is None
+        return self.find(H, e) is None
 
 
 class FamilyPredicate(ForbiddenPredicate):
@@ -189,21 +195,11 @@ class FamilyPredicate(ForbiddenPredicate):
     def state(self, n: int, r: int):
         if r != self.pattern.r:
             raise ValueError("predicate uniformity mismatch")
-        return _FamilyState(n, self.pattern, self.p)
+        return _RebuildState(n, r, lambda H, e: contains_family_member(
+            H, self.pattern, self.p))
 
     def describe(self) -> str:
         return f"family(p={self.p},n(F)={self.pattern.n},r={self.pattern.r})"
-
-
-class _FamilyState(_EdgeSetState):
-    def __init__(self, n: int, pattern: Hypergraph, p: int):
-        super().__init__(n, pattern.r)
-        self.pattern = pattern
-        self.p = p
-
-    def can_add(self, e: Edge) -> bool:
-        H = Hypergraph(self.n, self.r, list(self.current) + [e])
-        return contains_family_member(H, self.pattern, self.p) is None
 
 
 class SigmaPredicate(ForbiddenPredicate):
@@ -231,7 +227,7 @@ class SigmaPredicate(ForbiddenPredicate):
         return f"sigma(r={self.r})"
 
 
-class _SigmaState:
+class _SigmaState(_EdgeSetState):
     """Bitmask indices for the incremental sigma check.
 
     A new edge e participates either as one of the (r-1)-sharing pair (scan
@@ -241,8 +237,7 @@ class _SigmaState:
     """
 
     def __init__(self, n: int, r: int):
-        self.n, self.r = n, r
-        self.current: set[Edge] = set()
+        super().__init__(n, r)
         self.mask_set: set[int] = set()
         self.sub_buckets: dict[int, set[int]] = {}
         self.pair_count: dict[int, int] = {}
@@ -308,9 +303,6 @@ class _SigmaState:
         for v in e:
             self.vertex_edges[v].discard(em)
 
-    def graph(self) -> Hypergraph:
-        return Hypergraph(self.n, self.r, self.current)
-
 
 class CancellativePredicate(ForbiddenPredicate):
     """Forbid three distinct edges where one contains the symmetric difference
@@ -334,10 +326,9 @@ class CancellativePredicate(ForbiddenPredicate):
         return "cancellative"
 
 
-class _CancellativeState:
+class _CancellativeState(_EdgeSetState):
     def __init__(self, n: int, r: int):
-        self.n, self.r = n, r
-        self.current: set[Edge] = set()
+        super().__init__(n, r)
         self.masks: list[int] = []
         self.subset_count: dict[int, int] = {}
         self.diff_count: dict[int, int] = {}
@@ -406,9 +397,6 @@ class _CancellativeState:
                 self.diff_count[d] -= 1
         for s in subs:
             self.subset_count[s] -= 1
-
-    def graph(self) -> Hypergraph:
-        return Hypergraph(self.n, self.r, self.current)
 
 
 # -- search results ---------------------------------------------------------
@@ -521,10 +509,9 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
 
     cands = _colex_candidates(n, r)
     state = forbidden.state(n, r)
-    current: set[Edge] = set()
+    current = state.current
     for e in best_graph.edge_list:
         state.add(e)
-        current.add(e)
     best = len(current)
     best_set = set(current)
 
@@ -532,7 +519,6 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
         for e in order:
             if e not in current and state.can_add(e):
                 state.add(e)
-                current.add(e)
 
     for _ in range(iters):
         if current and rng.random() < 0.35:
@@ -540,7 +526,6 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
                                                    len(current)))
             for e in drop:
                 state.remove(e)
-                current.discard(e)
         greedy_fill(rng.sample(cands, len(cands)))
         if len(current) > best:
             best = len(current)

@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .extremal import SubgraphPredicate
 from .hypergraph import Hypergraph, VertexSet, falling_factorial
 
 __all__ = [
@@ -182,23 +183,34 @@ def _grad_np(A: _Arrays, x: np.ndarray) -> np.ndarray:
     return A.rf * lam
 
 
-def _pick_transfer(x: np.ndarray, lam: np.ndarray, cap: Optional[float]):
-    """Donor/receiver pair for the pairwise transfer: min- and max-gradient
-    support vertices (receiver must have cap headroom when constrained)."""
+def _transfer(A: _Arrays, x: np.ndarray, cap: Optional[float],
+              tol: float) -> bool:
+    """One pairwise transfer, in place, from the min-gradient support vertex a
+    to the max-gradient support vertex b (b needs cap headroom when capped):
+    move min(gap / (2 r!), x_a), cut to b's headroom.  False when no such
+    pair exists or the gradient gap is within tol / 4."""
     support = np.nonzero(x > _SUPPORT_EPS)[0]
     if len(support) < 2:
-        return None
-    if cap is None:
-        rec_pool = support
-    else:
-        rec_pool = support[x[support] < cap - 1e-12]
-        if len(rec_pool) == 0:
-            return None
-    b = rec_pool[int(np.argmax(lam[rec_pool]))]
-    a = support[int(np.argmin(lam[support]))]
+        return False
+    rec_pool = support if cap is None else support[x[support] < cap - 1e-12]
+    if len(rec_pool) == 0:
+        return False
+    lam = _grad_np(A, x)
+    b = rec_pool[np.argmax(lam[rec_pool])]
+    a = support[np.argmin(lam[support])]
     if a == b:
-        return None
-    return int(a), int(b)
+        return False
+    gap = lam[b] - lam[a]
+    if gap <= tol * 0.25:
+        return False
+    d = min(gap / (2.0 * A.rf), x[a])
+    if cap is not None:
+        d = min(d, cap - x[b])
+    if d <= 0:
+        return False
+    x[a] -= d
+    x[b] += d
+    return True
 
 
 def _ascend(A: _Arrays, x0: np.ndarray, cap: Optional[float],
@@ -222,25 +234,12 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: Optional[float],
             tt *= 0.5
             if tt < 1e-20:
                 break
-        # pairwise transfer step
-        lam = _grad_np(A, x)
-        pick = _pick_transfer(x, lam, cap)
-        if pick is not None:
-            a, b = pick
-            gap = lam[b] - lam[a]
-            if gap > tol * 0.25:
-                d = gap / (2.0 * A.rf)
-                d = min(d, x[a])
-                if cap is not None:
-                    d = min(d, cap - x[b])
-                if d > 0:
-                    x = x.copy()
-                    x[a] -= d
-                    x[b] += d
-                    nv = _p_np(A, x)
-                    if nv > val:
-                        progressed = True
-                    val = nv
+        # pairwise transfer step, in place: x is a projection owned here
+        if _transfer(A, x, cap, tol):
+            nv = _p_np(A, x)
+            if nv > val:
+                progressed = True
+            val = nv
         iters += 1
         if not progressed:
             break
@@ -254,23 +253,9 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: Optional[float],
         x = x / s
         if cap is not None and x.max() > cap + 1e-15:
             x = _project_capped(x, cap)
-    val = _p_np(A, x)
     for _ in range(300):
-        lam = _grad_np(A, x)
-        pick = _pick_transfer(x, lam, cap)
-        if pick is None:
+        if not _transfer(A, x, cap, tol):
             break
-        a, b = pick
-        gap = lam[b] - lam[a]
-        if gap <= tol * 0.25:
-            break
-        d = min(gap / (2.0 * A.rf), x[a])
-        if cap is not None:
-            d = min(d, cap - x[b])
-        if d <= 0:
-            break
-        x[a] -= d
-        x[b] += d
     val = _p_np(A, x)
     return x, val, iters
 
@@ -556,13 +541,13 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *, seed: int = 0,
     """Lower bound on the Lagrangian density of F: max lambda(G) over F-free
     hosts on at most t_max vertices.
 
-    Hosts with exactly t vertices are searched for each t <= t_max:
-    exhaustively over maximal F-free graphs while C(t, r) <= exhaustive_cap,
-    by seeded add/remove local search beyond.  ``exact`` records whether every
-    host size was exhausted (the value is a lower bound either way).
+    Hosts with exactly t vertices are searched for each t <= t_max on the
+    incremental state of ``SubgraphPredicate(F)``, the one the exact Turan
+    search uses: exhaustively over maximal F-free graphs while
+    C(t, r) <= exhaustive_cap, by seeded add/remove local search beyond.
+    ``exact`` records whether every host size was exhausted (the value is a
+    lower bound either way).
     """
-    from .hypergraph import find_embedding as _fe
-
     if t_max < F.r:
         raise ValueError("t_max must be at least the uniformity")
     r = F.r
@@ -570,6 +555,10 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *, seed: int = 0,
     best_wit = Hypergraph(t_max, r, [])
     evaluated = 0
     exact = True
+    if F.n == 0:
+        # the empty pattern embeds in every host: no F-free host exists
+        return DensitySearchResult(best_val, best_wit, exact, evaluated)
+    pred = SubgraphPredicate(F)
     opts = dict(restarts=restarts, max_iters=2000, tol=1e-9, seed=seed)
 
     def consider(G: Hypergraph) -> None:
@@ -580,71 +569,58 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *, seed: int = 0,
             best_val, best_wit = est.value, G
 
     for t in range(r, t_max + 1):
-        empty = Hypergraph(t, r, [])
-        if _fe(empty, F) is not None:
+        if not pred.is_free(Hypergraph(t, r, [])):
             continue  # F (edgeless or tiny) already embeds in t isolated vertices
         cands = sorted(itertools.combinations(range(t), r),
                        key=lambda e: e[::-1])
+        state = pred.state(t, r)
         if math.comb(t, r) <= exhaustive_cap:
-            _density_dfs(F, t, cands, consider)
+            _density_dfs(state, cands, consider)
         else:
             exact = False
-            _density_local(F, t, cands, consider, seed, iters)
+            _density_local(state, cands, consider,
+                           random.Random(seed * 1000003 + t), iters)
     return DensitySearchResult(best_val, best_wit, exact, evaluated)
 
 
-def _density_dfs(F: Hypergraph, t: int, cands, consider) -> None:
-    from .hypergraph import find_embedding as _fe
-
-    current: list = []
-
-    def creates_copy(edge_set: frozenset, e) -> bool:
-        H = Hypergraph(t, F.r, list(edge_set) + [e])
-        return _fe(H, F, require_edge=e) is not None
+def _density_dfs(state, cands, consider) -> None:
+    """Consider every maximal predicate-free graph, in include-first order."""
+    current = state.current
 
     def rec(i: int) -> None:
         if i == len(cands):
-            es = frozenset(current)
-            for e in cands:
-                if e not in es and not creates_copy(es, e):
-                    return  # not maximal; the superset leaf covers it
-            consider(Hypergraph(t, F.r, current))
+            # a graph that is not maximal is skipped: its superset leaf covers it
+            if not any(e not in current and state.can_add(e) for e in cands):
+                consider(state.graph())
             return
         e = cands[i]
-        if not creates_copy(frozenset(current), e):
-            current.append(e)
+        if state.can_add(e):
+            state.add(e)
             rec(i + 1)
-            current.pop()
+            state.remove(e)
         rec(i + 1)
 
     rec(0)
 
 
-def _density_local(F: Hypergraph, t: int, cands, consider, seed: int,
+def _density_local(state, cands, consider, rng: random.Random,
                    iters: int) -> None:
-    from .hypergraph import find_embedding as _fe
+    """Greedy fill, then perturb-and-refill rounds; considers each result."""
+    current = state.current
 
-    rng = random.Random(seed * 1000003 + t)
-    current: set = set()
+    def greedy_fill() -> None:
+        for e in rng.sample(cands, len(cands)):
+            if e not in current and state.can_add(e):
+                state.add(e)
 
-    def addable(e) -> bool:
-        H = Hypergraph(t, F.r, list(current) + [e])
-        return _fe(H, F, require_edge=e) is None
-
-    def greedy_fill(order) -> None:
-        for e in order:
-            if e not in current and addable(e):
-                current.add(e)
-
-    greedy_fill(rng.sample(cands, len(cands)))
-    consider(Hypergraph(t, F.r, current))
-    # perturb-and-refill rounds
+    greedy_fill()
+    consider(state.graph())
     for _ in range(iters):
         if current and rng.random() < 0.5:
             for e in rng.sample(sorted(current), min(2, len(current))):
-                current.discard(e)
-        greedy_fill(rng.sample(cands, len(cands)))
-        consider(Hypergraph(t, F.r, current))
+                state.remove(e)
+        greedy_fill()
+        consider(state.graph())
 
 
 # -- stability probe ----------------------------------------------------

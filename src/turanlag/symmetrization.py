@@ -1,13 +1,14 @@
-"""Link-equality classes, vertex cloning, and the two symmetrization drivers.
+"""Link-equality classes, vertex cloning, and the symmetrization driver.
 
 Two vertices are equivalent when their links coincide (equivalent vertices are
 automatically nonadjacent).  Symmetrizing v to u replaces v's edges with
-clones of u's link, which merges v's class into u's, so the plain driver
-terminates: the class count strictly decreases each round.  The cleaning
-driver interleaves the same rounds with minimum-degree vertex deletion until
-the graph is dense at the given threshold, with one exception rule: when the
-minimum-degree vertex sits in the class that just received clones, a donor is
-deleted instead (while any remain).
+clones of u's link, which merges v's class into u's, so the driver
+terminates: the class count strictly decreases each round.  One driver
+serves both entry points: it follows every round with minimum-degree vertex
+deletion until the graph is dense at the given threshold, with one exception
+rule: when the minimum-degree vertex sits in the class that just received
+clones, a donor is deleted instead (while any remain).  ``run_plain`` is that
+driver at threshold 0, where no vertex is ever deleted.
 
 Every run returns a replayable trace; replaying a trace against the input
 reproduces the output bit-exactly.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from .hypergraph import Hypergraph, VertexSet, blowup
 
@@ -153,33 +154,16 @@ def is_blowup_of_quotient(G: Hypergraph) -> bool:
 # -- density threshold ---------------------------------------------------
 
 
-def _as_fraction(alpha: Union[Fraction, float, int, str]) -> Fraction:
-    if isinstance(alpha, str):
-        return Fraction(alpha)
-    return Fraction(alpha)
-
-
 def is_alpha_dense(G: Hypergraph, alpha) -> bool:
     """Minimum degree at least alpha * C(n-1, r-1), compared exactly.
 
     Vacuously true when n < r (the threshold is zero) and for n = 0.
     """
-    af = _as_fraction(alpha)
+    af = Fraction(alpha)
     if G.n == 0:
         return True
     dmin = min(G.degrees)
     return Fraction(dmin) >= af * math.comb(G.n - 1, G.r - 1)
-
-
-def _dense(edges: set, alive: set, r: int, af: Fraction) -> bool:
-    n = len(alive)
-    if n == 0:
-        return False  # caller treats empty separately
-    deg = {v: 0 for v in alive}
-    for e in edges:
-        for v in e:
-            deg[v] += 1
-    return Fraction(min(deg.values())) >= af * math.comb(n - 1, r - 1)
 
 
 # -- drivers --------------------------------------------------------------
@@ -223,87 +207,37 @@ def _compact(edges: set, alive: set, n: int, r: int) -> tuple[Hypergraph, tuple[
     return Hypergraph(len(kept), r, remapped), kept
 
 
-def run_plain(G: Hypergraph) -> SymmetrizationOutcome:
-    """Repeat: pick a nonadjacent nonequivalent pair (u, v) with d(u) >= d(v)
-    and clone v's whole class to u, until no such pair remains.
-
-    At the fixed point the representative quotient covers pairs and the graph
-    is a blowup of it; the edge count never decreases.
-    """
-    edges = {frozenset(e) for e in G.edges}
-    alive = set(range(G.n))
-    steps: list[SymmetrizationStep] = []
-    for _ in range(G.n + 1):
-        sel = _select_pair(edges, alive)
-        if sel is None:
-            break
-        u, v, links = sel
-        donors = tuple(sorted(w for w in alive if links[w] == links[v]))
-        before = len(edges)
-        edges = _clone_class(edges, donors, links[u])
-        steps.append(SymmetrizationStep("symmetrize", donors, u, (),
-                                        before, len(edges)))
-    result = Hypergraph(G.n, G.r, [tuple(sorted(e)) for e in edges])
-    return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)),
-                                 tuple(range(G.n)))
-
-
-def run_with_cleaning(G: Hypergraph, alpha) -> SymmetrizationOutcome:
-    """Symmetrization rounds interleaved with minimum-degree cleaning.
-
-    After each cloning round, while the surviving graph is below the density
-    threshold, delete the minimum-degree vertex (ties by label) -- except that
-    when that vertex sits in the class that received the clones, the
-    smallest surviving donor is deleted instead; rounds where the exception
-    fired with no donors left are flagged.  The output is empty or dense at
-    the threshold.  alpha = 0 never cleans and reproduces the plain driver.
-    """
-    af = _as_fraction(alpha)
-    if not 0 <= af <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
+    """The one driver: cloning rounds, each followed by minimum-degree
+    cleaning at threshold af (no degree is below a zero threshold); stops
+    when no pair is left and nothing was cleaned."""
     edges = {frozenset(e) for e in G.edges}
     alive = set(range(G.n))
     steps: list[SymmetrizationStep] = []
     while alive:
         sel = _select_pair(edges, alive)
-        if sel is None:
-            if _dense(edges, alive, G.r, af):
-                break
-            # sparse fixed point (possible only before any round has cleaned):
-            # plain minimum-degree cleaning so the empty-or-dense contract holds
-            removed0: list[int] = []
-            before0 = len(edges)
-            while alive and not _dense(edges, alive, G.r, af):
-                deg = {w: 0 for w in alive}
-                for e in edges:
-                    for w in e:
-                        deg[w] += 1
-                z = min(alive, key=lambda t: (deg[t], t))
-                alive.discard(z)
-                edges = {e for e in edges if z not in e}
-                removed0.append(z)
-            steps.append(SymmetrizationStep("clean", (), -1,
-                                            tuple(sorted(removed0)),
-                                            before0, len(edges)))
-            continue
-        u, v, links = sel
-        donors = tuple(sorted(w for w in alive if links[w] == links[v]))
-        protected = {w for w in alive if links[w] == links[u]}
-        before = len(edges)
-        edges = _clone_class(edges, donors, links[u])
-        steps.append(SymmetrizationStep("symmetrize", donors, u, (),
-                                        before, len(edges)))
+        donors: tuple[int, ...] = ()
+        protected: set[int] = set()
+        if sel is not None:
+            u, v, links = sel
+            donors = tuple(sorted(w for w in alive if links[w] == links[v]))
+            protected = {w for w in alive if links[w] == links[u]}
+            before = len(edges)
+            edges = _clone_class(edges, donors, links[u])
+            steps.append(SymmetrizationStep("symmetrize", donors, u, (),
+                                            before, len(edges)))
         removed: list[int] = []
         flagged = False
-        before_clean = len(edges)
-        while alive and not _dense(edges, alive, G.r, af):
+        before = len(edges)
+        while alive:
             deg = {w: 0 for w in alive}
             for e in edges:
                 for w in e:
                     deg[w] += 1
-            z = min(alive, key=lambda t: (deg[t], t))
-            victim = z
-            if z in protected:
+            victim = min(alive, key=lambda t: (deg[t], t))
+            if deg[victim] >= af * math.comb(len(alive) - 1, G.r - 1):
+                break
+            if victim in protected:
                 live_donors = [w for w in donors if w in alive]
                 if live_donors:
                     victim = live_donors[0]
@@ -315,9 +249,40 @@ def run_with_cleaning(G: Hypergraph, alpha) -> SymmetrizationOutcome:
         if removed:
             steps.append(SymmetrizationStep("clean", (), -1,
                                             tuple(sorted(removed)),
-                                            before_clean, len(edges), flagged))
+                                            before, len(edges), flagged))
+        elif sel is None:
+            break
     result, kept = _compact(edges, alive, G.n, G.r)
     return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)), kept)
+
+
+def run_plain(G: Hypergraph) -> SymmetrizationOutcome:
+    """Repeat: pick a nonadjacent nonequivalent pair (u, v) with d(u) >= d(v)
+    and clone v's whole class to u, until no such pair remains.
+
+    At the fixed point the representative quotient covers pairs and the graph
+    is a blowup of it; the edge count never decreases.  This is the cleaning
+    driver at alpha = 0.
+    """
+    return _run(G, Fraction(0))
+
+
+def run_with_cleaning(G: Hypergraph, alpha) -> SymmetrizationOutcome:
+    """Symmetrization rounds interleaved with minimum-degree cleaning.
+
+    After each cloning round, while the surviving graph is below the density
+    threshold, delete the minimum-degree vertex (ties by label) -- except that
+    when that vertex sits in the class that received the clones, the
+    smallest surviving donor is deleted instead; rounds where the exception
+    fired with no donors left are flagged.  A sparse fixed point (no pair
+    left) is cleaned the same way, without the exception.  The output is
+    empty or dense at the threshold.  alpha = 0 never cleans: that is
+    ``run_plain``.
+    """
+    af = Fraction(alpha)
+    if not 0 <= af <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return _run(G, af)
 
 
 # -- trace replay ----------------------------------------------------------

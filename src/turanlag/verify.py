@@ -150,9 +150,9 @@ def _check_mantel(seed: int):
         expected[n] = (n // 2) * ((n + 1) // 2)
         if not res.exact:
             return False, measured, expected, 0, f"n={n} not exhausted"
+    # timings gate the check but stay out of the report, which is deterministic
     ok = measured == expected and max(times) <= 10.0
-    detail = "per-n seconds: " + ", ".join(f"{t:.2f}" for t in times)
-    return ok, measured, expected, 0, detail
+    return ok, measured, expected, 0, ""
 
 
 def _check_cancellative(seed: int):

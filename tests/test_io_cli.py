@@ -153,3 +153,18 @@ def test_cli_verify_core_deterministic(capsys):
 def test_cli_usage_error():
     assert main(["construct", "nonsense:z=1"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "5", "--r", "3", "--forbid", "sigma"],
+    ["search", "--n", "5", "--r", "3", "--forbid", "family:q=3:edge:r=3"],
+    ["search", "--n", "5", "--r", "3", "--forbid", "subgraph:complete:n=3"],
+    ["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2", "--sweep", "3"],
+    ["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2", "--sweep", "a:4"],
+    ["search", "--n", "5", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2",
+     "--exact"],
+], ids=["sigma-no-r", "family-no-p", "subgraph-no-r", "sweep-no-hi",
+        "sweep-not-int", "exact-flag-removed"])
+def test_cli_malformed_search_exits_2_silently(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""

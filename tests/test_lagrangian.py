@@ -28,7 +28,7 @@ from turanlag import (
     single_edge,
     stability_probe,
 )
-from turanlag.lagrangian import _arrays, _grad_np, _p_np, _pick_transfer
+from turanlag.lagrangian import _arrays, _p_np, _transfer
 
 
 def cycle(n):
@@ -178,19 +178,9 @@ def test_transfer_step_never_decreases():
         x = np.array([rng.random() for _ in range(n)])
         x /= x.sum()
         for _ in range(50):
-            lam = _grad_np(A, x)
-            pick = _pick_transfer(x, lam, None)
-            if pick is None:
-                break
-            a, b = pick
-            gap = lam[b] - lam[a]
-            if gap <= 0:
-                break
             before = _p_np(A, x)
-            d = min(gap / (2 * A.rf), x[a])
-            x = x.copy()
-            x[a] -= d
-            x[b] += d
+            if not _transfer(A, x, None, 0.0):
+                break
             assert _p_np(A, x) >= before - 1e-14
 
 
@@ -333,6 +323,19 @@ def test_density_search_triangle():
 def test_density_search_single_edge():
     res = lagrangian_density_search(single_edge(3), 4, seed=0)
     assert res.best_value == 0.0
+
+
+def test_density_search_k4_runs_on_clique_state():
+    # K_4-free hosts on 5 vertices: the best is a triangle, 1 - 1/3
+    res = lagrangian_density_search(complete_hypergraph(4, 2), 5)
+    assert abs(res.best_value - 2 / 3) <= 1e-9
+    assert res.exact
+
+
+def test_density_search_zero_vertex_pattern():
+    # the empty pattern embeds everywhere, so no host is F-free
+    res = lagrangian_density_search(Hypergraph(0, 2, []), 4)
+    assert res == (0.0, Hypergraph(4, 2, []), True, 0)
 
 
 def test_density_search_enlarged_path():

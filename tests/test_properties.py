@@ -8,14 +8,21 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from turanlag import (
+    CancellativePredicate,
+    FamilyPredicate,
     Hypergraph,
+    SigmaPredicate,
+    SubgraphPredicate,
     blowup,
+    complete_hypergraph,
     contains_family_member,
     contains_subhypergraph,
     equivalence_classes,
+    generalized_triangle,
     kernel_degree,
     max_average_degree,
     max_matching,
@@ -26,7 +33,7 @@ from turanlag import (
     symmetrize,
 )
 
-from conftest import brute_contains, brute_family, brute_matching
+from conftest import brute_contains, brute_family, brute_is_cancellative, brute_matching
 
 
 @st.composite
@@ -183,3 +190,56 @@ def test_run_plain_monotone_and_blowup(g):
 
     assert core_representatives(out.result).quotient.covers_pairs()
     assert is_blowup_of_quotient(out.result)
+
+
+# -- incremental predicate states ------------------------------------------------
+
+K3, K4, F5 = complete_hypergraph(3, 2), complete_hypergraph(4, 2), generalized_triangle(3)
+
+# (predicate, r, state class, brute-force freeness oracle); for r = 3 a sigma
+# member is exactly a cancellative violation
+STATE_CASES = {
+    "K3": (SubgraphPredicate(K3), 2, "_CliqueState", lambda g: not brute_contains(g, K3)),
+    "K4": (SubgraphPredicate(K4), 2, "_CliqueState", lambda g: not brute_contains(g, K4)),
+    "F5": (SubgraphPredicate(F5), 3, "_RebuildState", lambda g: not brute_contains(g, F5)),
+    "family-p4": (FamilyPredicate(single_edge(3), 4), 3, "_RebuildState",
+                  lambda g: not brute_family(g, single_edge(3), 4)),
+    "sigma-r3": (SigmaPredicate(3), 3, "_SigmaState", brute_is_cancellative),
+    "cancellative-r3": (CancellativePredicate(), 3, "_SigmaState", brute_is_cancellative),
+    "cancellative-r4": (CancellativePredicate(), 4, "_CancellativeState",
+                        brute_is_cancellative),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_CASES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_state_can_add_matches_is_free(case, data):
+    pred, r, cls, oracle = STATE_CASES[case]
+    n = data.draw(st.integers(r, 6), label="n")
+    state = pred.state(n, r)
+    assert type(state).__name__ == cls
+    cands = list(itertools.combinations(range(n), r))
+    current: set = set()
+
+    def check() -> None:
+        g = Hypergraph(n, r, current)
+        assert state.graph() == g
+        for f in cands:
+            if f not in current:
+                bigger = g.with_edges([f])
+                assert state.can_add(f) == pred.is_free(bigger) == oracle(bigger)
+
+    check()
+    ops = data.draw(st.lists(st.tuples(st.booleans(), st.sampled_from(cands)),
+                             max_size=20), label="ops")
+    for add, e in ops:
+        if add and e not in current and state.can_add(e):
+            state.add(e)
+            current.add(e)
+        elif not add and e in current:
+            state.remove(e)
+            current.discard(e)
+        else:
+            continue
+        check()

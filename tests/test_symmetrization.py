@@ -150,15 +150,15 @@ def test_is_alpha_dense_exact():
 # -- run_with_cleaning ------------------------------------------------------------------
 
 
-def test_cleaning_alpha_zero_matches_plain():
+def test_cleaning_alpha_zero_never_cleans():
     rng = random.Random(12)
     for _ in range(25):
         g = random_hypergraph(rng.randint(3, 7), rng.choice((2, 3)),
                               density=0.4, rng=rng)
-        a = run_with_cleaning(g, 0)
-        b = run_plain(g)
-        assert a.result == b.result
-        assert a.kept == tuple(range(g.n))
+        out = run_with_cleaning(g, 0)
+        assert all(s.kind == "symmetrize" for s in out.trace.steps)
+        assert out.kept == tuple(range(g.n))
+        assert is_blowup_of_quotient(out.result)
 
 
 def test_cleaning_complete_graph_fixed_point():

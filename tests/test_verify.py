@@ -63,3 +63,9 @@ def test_tampered_turan_fails_size_check(monkeypatch):
     monkeypatch.setattr(verify, "turan_hypergraph", skewed)
     result = run_check("turan-size", seed=0)
     assert result.status == "fail"
+
+
+def test_mantel_report_is_deterministic():
+    first = run_check("mantel-exact").to_dict()
+    assert first["status"] == "pass"
+    assert run_check("mantel-exact").to_dict() == first
