@@ -6,13 +6,14 @@ nonnegative weights.  The gradient coordinates are
 lambda_i = r! * sum over link edges of i of prod(x_j), which satisfy the exact
 identities p_G(x) = (1/r) * sum lambda_i x_i and max_i lambda_i >= r * p_G(x).
 
-The ascent used here is projected gradient with backtracking line search,
+The ascent runs on the capped simplex {x >= 0, sum x = 1, x <= cap}, at
+cap 1 for an uncapped run: projected gradient with backtracking line search,
 polished by a pairwise weight transfer: moving d = (lam_b - lam_a) / (2 r!)
 from the smallest-gradient support vertex a to the largest-gradient support
 vertex b raises p_G by at least (lam_b - lam_a)^2 / (4 r!), so the move never
 decreases the objective.  Reported values are feasible-point evaluations and
-hence certified lower bounds on lambda(G); the convergence flag only asserts
-the first-order residual on the support.
+hence certified lower bounds on lambda(G); the convergence flag asserts the
+KKT residual on the capped simplex (see ``_residual``).
 """
 
 from __future__ import annotations
@@ -120,34 +121,34 @@ def grad(G: Hypergraph, x) -> list[float]:
     return [rf * math.fsum(terms) for terms in acc]
 
 
-# -- simplex projections ------------------------------------------------
+# -- capped-simplex projection -----------------------------------------
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
+def _project(v: np.ndarray, cap: float) -> np.ndarray:
+    """Euclidean projection of v onto {x >= 0, sum x = 1, x <= cap}: the s
+    largest coordinates sit at the cap for the least s at which the sort-based
+    simplex projection of the rest onto total 1 - s*cap stays within it (Wang &
+    Lu 2015); s = 0 at cap 1 is the simplex projection.  The rest is zero when
+    it has no mass left (n*cap <= 1 or s*cap = 1)."""
+    n = len(v)
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = np.nonzero(cond)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
-def _project_capped(v: np.ndarray, cap: float) -> np.ndarray:
-    lo = float(v.min()) - 1.0
-    hi = float(v.max())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        s = np.clip(v - mid, 0.0, cap).sum()
-        if s > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - hi, 0.0, cap)
-
-
-def _project(v: np.ndarray, cap: Optional[float]) -> np.ndarray:
-    return _project_simplex(v) if cap is None else _project_capped(v, cap)
+    for s in range(n + 1):
+        rest = 1.0 - s * cap
+        if s == n or rest <= 0.0:
+            break
+        free = u[s:]
+        css = np.cumsum(free) - rest
+        ks = np.arange(1, n - s + 1)
+        cond = free - css / ks > 0
+        cond[0] = True  # exactly rest > 0, whatever the rounding
+        rho = np.nonzero(cond)[0][-1]
+        tau = css[rho] / (rho + 1.0)
+        if free[0] - tau <= cap:
+            x = np.maximum(v - tau, 0.0)
+            return np.minimum(x, cap, out=x) if s else x  # clips the s largest
+    x = np.zeros(n)
+    x[np.argsort(-v, kind="stable")[:s]] = cap
+    return x
 
 
 # -- ascent engine ------------------------------------------------------
@@ -183,16 +184,15 @@ def _grad_np(A: _Arrays, x: np.ndarray) -> np.ndarray:
     return A.rf * lam
 
 
-def _transfer(A: _Arrays, x: np.ndarray, cap: Optional[float],
-              tol: float) -> bool:
+def _transfer(A: _Arrays, x: np.ndarray, cap: float, tol: float) -> bool:
     """One pairwise transfer, in place, from the min-gradient support vertex a
-    to the max-gradient support vertex b (b needs cap headroom when capped):
-    move min(gap / (2 r!), x_a), cut to b's headroom.  False when no such
-    pair exists or the gradient gap is within tol / 4."""
+    to the max-gradient support vertex b below the cap: move
+    min(gap / (2 r!), x_a), cut to b's headroom.  False when no such pair
+    exists or the gradient gap is within tol / 4."""
     support = np.nonzero(x > _SUPPORT_EPS)[0]
     if len(support) < 2:
         return False
-    rec_pool = support if cap is None else support[x[support] < cap - 1e-12]
+    rec_pool = support[x[support] < cap - 1e-12]
     if len(rec_pool) == 0:
         return False
     lam = _grad_np(A, x)
@@ -203,9 +203,7 @@ def _transfer(A: _Arrays, x: np.ndarray, cap: Optional[float],
     gap = lam[b] - lam[a]
     if gap <= tol * 0.25:
         return False
-    d = min(gap / (2.0 * A.rf), x[a])
-    if cap is not None:
-        d = min(d, cap - x[b])
+    d = min(gap / (2.0 * A.rf), x[a], cap - x[b])
     if d <= 0:
         return False
     x[a] -= d
@@ -213,8 +211,8 @@ def _transfer(A: _Arrays, x: np.ndarray, cap: Optional[float],
     return True
 
 
-def _ascend(A: _Arrays, x0: np.ndarray, cap: Optional[float],
-            max_iters: int, tol: float) -> tuple[np.ndarray, float, int]:
+def _ascend(A: _Arrays, x0: np.ndarray, cap: float, max_iters: int,
+            tol: float) -> tuple[np.ndarray, float, int]:
     x = _project(np.asarray(x0, dtype=float), cap)
     val = _p_np(A, x)
     t = 1.0
@@ -246,13 +244,9 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: Optional[float],
     # support cleanup with reprojection, then a final equalization pass
     x = x.copy()
     x[x < _SUPPORT_EPS] = 0.0
-    s = x.sum()
-    if s <= 0:
-        x = _project(np.full(A.n, 1.0 / A.n), cap)
-    else:
-        x = x / s
-        if cap is not None and x.max() > cap + 1e-15:
-            x = _project_capped(x, cap)
+    x = x / x.sum()
+    if x.max() > cap + 1e-15:
+        x = _project(x, cap)
     for _ in range(300):
         if not _transfer(A, x, cap, tol):
             break
@@ -260,22 +254,22 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: Optional[float],
     return x, val, iters
 
 
-def _residual(G: Hypergraph, x, value: float, cap: Optional[float]) -> float:
-    """Max over relevant support coordinates of |lambda_i - r*value|.
-
-    Unconstrained: over the whole support.  Capped: over interior support
-    only (coordinates strictly below the cap), since capped coordinates carry
-    a multiplier and may legitimately exceed the common gradient value.
-    """
+def _residual(G: Hypergraph, x, value: float, cap: float) -> float:
+    """Largest violation at x of the KKT conditions on the capped simplex for
+    one multiplier mu: lambda_i = mu on the support below the cap, >= mu at the
+    cap, <= mu off the support.  mu = r*value (Euler's identity) when no
+    coordinate is at the cap; else the minimizing mu, halfway between the max
+    lambda over free and off-support and the min over free and at-cap ones."""
     lam = grad(G, x)
-    xs = list(x)
-    idx = [i for i in range(G.n) if xs[i] > _SUPPORT_EPS]
-    if cap is not None:
-        idx = [i for i in idx if xs[i] < cap - 1e-12]
-    if not idx:
-        return 0.0
-    target = G.r * value
-    return max(abs(lam[i] - target) for i in idx)
+    off = [i for i, v in enumerate(x) if v <= _SUPPORT_EPS]
+    at_cap = [i for i, v in enumerate(x) if v >= cap - 1e-12]
+    free = [i for i, v in enumerate(x) if _SUPPORT_EPS < v < cap - 1e-12]
+    if not at_cap:
+        mu = G.r * value
+        return max([abs(lam[i] - mu) for i in free] + [lam[i] - mu for i in off])
+    lo = min(lam[i] for i in free + at_cap)
+    hi = max((lam[i] for i in free + off), default=lo)
+    return max(0.0, (hi - lo) / 2)
 
 
 def _greedy_supports(G: Hypergraph) -> list[tuple[int, ...]]:
@@ -314,7 +308,9 @@ class LagrangianEstimate:
     """Best feasible value found, with its weights and convergence data.
 
     ``value`` is always a certified lower bound on the Lagrangian;
-    ``gradient_residual`` is max over the support of |lambda_i - r*value|.
+    ``gradient_residual`` is the KKT violation at ``weights`` (``_residual``).
+    ``restarts_used`` counts the ascents that ran: the uniform start, the
+    greedy-support starts and the seeded restarts (0 for an edgeless graph).
     For constrained runs ``beta`` echoes the cap and ``cap_binds`` reports
     whether the optimum sits on it.
     """
@@ -332,12 +328,10 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
               max_iters: int, tol: float, seed: int) -> LagrangianEstimate:
     n = G.n
     A = _arrays(G)
-    if A is None or n == 0:
-        w = WeightVector.uniform(n)
-        if cap is not None and n:
-            w = WeightVector(tuple(_project_capped(np.full(n, 1.0 / n), cap)))
-        return LagrangianEstimate(0.0, w, 0, True, 0.0,
+    if A is None:
+        return LagrangianEstimate(0.0, WeightVector.uniform(n), 0, True, 0.0,
                                   beta=cap, cap_binds=None if cap is None else False)
+    box = 1.0 if cap is None else cap
 
     starts: list[np.ndarray] = [np.full(n, 1.0 / n)]
     for sup in _greedy_supports(G):
@@ -351,15 +345,15 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
     best_x: Optional[np.ndarray] = None
     best_val = -1.0
     for x0 in starts:
-        x, val, _ = _ascend(A, x0, cap, max_iters, tol)
+        x, val, _ = _ascend(A, x0, box, max_iters, tol)
         if val > best_val + 1e-15:
             best_val, best_x = val, x
 
     value = poly_value(G, best_x)
-    resid = _residual(G, best_x, value, cap)
+    resid = _residual(G, best_x, value, box)
     wv = WeightVector(tuple(float(v) for v in best_x))
     binds = None if cap is None else bool(best_x.max() >= cap - 1e-9)
-    return LagrangianEstimate(value, wv, restarts, resid <= tol, resid,
+    return LagrangianEstimate(value, wv, len(starts), resid <= tol, resid,
                               beta=cap, cap_binds=binds)
 
 
@@ -369,8 +363,8 @@ def lagrangian(G: Hypergraph, *, restarts: int = 50, max_iters: int = 5000,
 
     Starts: uniform weights, uniform weights on greedily grown pairwise-covered
     supports, and ``restarts`` seeded Dirichlet points.  The returned value is
-    a certified lower bound (it is p_G at a feasible point); it is reported as
-    lambda(G) when the gradient residual on the support is within ``tol``.
+    a certified lower bound (it is p_G at a feasible point); ``converged``
+    reports whether its KKT residual is within ``tol``.
     """
     return _optimize(G, None, restarts, max_iters, tol, seed)
 

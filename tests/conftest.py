@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from turanlag import Hypergraph
@@ -75,6 +76,32 @@ def brute_is_cancellative(G: Hypergraph) -> bool:
         if (set(a) ^ set(b)).issubset(c):
             return False
     return True
+
+
+def sort_simplex_projection(v: np.ndarray) -> np.ndarray:
+    """The plain sort-based simplex projection, with no cap and no corner
+    handling: at cap 1 the capped projection must match it bit for bit."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, len(v) + 1)
+    cond = u - css / ks > 0
+    rho = np.nonzero(cond)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
+def bisection_capped_projection(v: np.ndarray, cap: float) -> np.ndarray:
+    """Capped-simplex projection by 100 halvings of the threshold tau in
+    clip(v - tau, 0, cap), whose sum falls as tau grows."""
+    lo = float(v.min()) - 1.0
+    hi = float(v.max())
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, cap).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - hi, 0.0, cap)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turanlag import (
     Hypergraph,
@@ -28,7 +29,11 @@ from turanlag import (
     single_edge,
     stability_probe,
 )
-from turanlag.lagrangian import _arrays, _p_np, _transfer
+from turanlag.lagrangian import (
+    _arrays, _greedy_supports, _p_np, _project, _residual, _transfer,
+)
+
+from conftest import bisection_capped_projection, sort_simplex_projection
 
 
 def cycle(n):
@@ -163,6 +168,65 @@ def test_lagrangian_monotone_under_edge_addition():
     assert v2 >= v1 - 1e-9
 
 
+def test_restarts_used_counts_the_starts():
+    rng = random.Random(23)
+    graphs = [cycle(5), complete_hypergraph(4, 3),
+              random_hypergraph(7, 3, density=0.4, rng=rng)]
+    for g in graphs:
+        for restarts in (0, 3):
+            est = lagrangian(g, restarts=restarts, seed=0)
+            assert est.restarts_used == 1 + len(_greedy_supports(g)) + restarts
+            capped = lagrangian_constrained(g, 0.4, restarts=restarts, seed=0)
+            assert capped.restarts_used == est.restarts_used
+    assert lagrangian(Hypergraph(4, 3, [])).restarts_used == 0
+
+
+# -- the capped-simplex projection ---------------------------------------------
+
+
+@st.composite
+def projection_inputs(draw):
+    n = draw(st.integers(1, 30))
+    scale = 10.0 ** draw(st.floats(-2, 2))
+    digits = draw(st.integers(0, 3))  # coarse rounding makes ties
+    raw = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    v = np.array([round(a, digits) * scale for a in raw])
+    corners = [c for c in (1 / n, 1 / 2, 1 / 4, 1.0) if c >= 1 / n]
+    cap = draw(st.sampled_from(corners) | st.floats(1 / n, 1.0))
+    return v, cap
+
+
+@given(projection_inputs())
+@settings(max_examples=400, deadline=None)
+def test_project_matches_oracles(inputs):
+    v, cap = inputs
+    x = _project(v, cap)
+    assert (x >= 0).all() and (x <= cap).all()
+    assert abs(x.sum() - 1.0) <= 1e-12
+    assert np.abs(x - bisection_capped_projection(v, cap)).max() <= 1e-12
+    if cap == 1.0:
+        plain = sort_simplex_projection(v)
+        if plain.max() <= 1.0:
+            assert x.tobytes() == plain.tobytes()
+
+
+def test_project_corners():
+    # the plain formula rounds this single coordinate above 1
+    assert sort_simplex_projection(np.array([-1.21147351]))[0] > 1.0
+    assert _project(np.array([-1.21147351]), 1.0).tolist() == [1.0]
+    # n*cap <= 1 (no free coordinate left): every one at the cap, none at 0
+    v = np.array([3.0, -1.0, 0.5, 0.5])
+    assert _project(v, 0.25).tolist() == [0.25] * 4
+    assert _project(v, 0.25 - 1e-13).tolist() == [0.25 - 1e-13] * 4
+    # a tie at the cap 1/2 takes all the mass
+    assert _project(np.array([5.0, 5.0, 1.0, 0.0]), 0.5).tolist() == [0.5, 0.5, 0, 0]
+    # just below 1/2, two coordinates at the cap leave the rest 2^-53 of
+    # mass, too little for the sort condition to see next to 50
+    cap = float(np.nextafter(0.5, 0.0))
+    x = _project(np.array([100.0, 60.0, 50.0, 50.0]), cap)
+    assert x.tolist() == [cap, cap, 0, 0]
+
+
 # -- the pairwise transfer step -----------------------------------------------
 
 
@@ -175,13 +239,14 @@ def test_transfer_step_never_decreases():
         if not g.edges:
             continue
         A = _arrays(g)
-        x = np.array([rng.random() for _ in range(n)])
-        x /= x.sum()
-        for _ in range(50):
-            before = _p_np(A, x)
-            if not _transfer(A, x, None, 0.0):
-                break
-            assert _p_np(A, x) >= before - 1e-14
+        v = np.array([rng.random() for _ in range(n)])
+        for cap, x in ((1.0, v / v.sum()), (0.4, _project(v, 0.4))):
+            for _ in range(50):
+                before = _p_np(A, x)
+                if not _transfer(A, x, cap, 0.0):
+                    break
+                assert _p_np(A, x) >= before - 1e-14
+                assert x.min() >= 0.0 and x.max() <= cap + 1e-15
 
 
 def test_leader_concentration_on_two_graphs():
@@ -218,6 +283,28 @@ def test_constrained_examples():
     k4 = complete_hypergraph(4, 2)
     est3 = lagrangian_constrained(k4, 0.25, restarts=10, seed=0)
     assert abs(est3.value - 0.75) <= 1e-8
+
+
+def test_capped_c5_converges_at_its_optimum():
+    # optimum (beta, beta, 1 - 2 beta) on a path for beta = 0.4, and
+    # (eps, beta, beta, beta, eps) with eps = (1 - 3 beta) / 2 for beta = 0.3
+    for beta, want in ((0.3, 0.425), (0.4, 0.48)):
+        est = lagrangian_constrained(cycle(5), beta, restarts=10, seed=0)
+        assert abs(est.value - want) <= 1e-9 and est.cap_binds
+        assert est.converged and est.gradient_residual <= 1e-9
+
+
+def test_residual_is_the_kkt_violation():
+    c5 = cycle(5)
+    # feasible at cap 0.4, but vertex 1 (between the capped 0 and 2) is free
+    # with gradient 1.6 against 0.4 at the cap: mu cannot serve both
+    x = [0.4, 0.2, 0.4, 0.0, 0.0]
+    assert _residual(c5, x, poly_value(c5, x), 0.4) == pytest.approx(0.6)
+    assert _residual(c5, [0.4, 0.4, 0.2, 0, 0], 0.48, 0.4) <= 1e-12
+    # uncapped: an off-support vertex with gradient above r*value counts
+    k3 = complete_hypergraph(3, 2)
+    x = [0.5, 0.5, 0.0]
+    assert _residual(k3, x, poly_value(k3, x), 1.0) == pytest.approx(1.0)
 
 
 def test_constrained_envelope():
