@@ -38,7 +38,6 @@ from .constructions import (
 )
 from .extremal import (
     CancellativePredicate,
-    ExactSearchRefused,
     FamilyPredicate,
     SigmaPredicate,
     SubgraphPredicate,
@@ -208,6 +207,14 @@ def _cmd_search(args) -> int:
     if not args.sweep and args.n is None:
         print("error: provide --n or --sweep LO:HI", file=sys.stderr)
         return 2
+
+    def solve(n: int):
+        if args.heuristic:
+            return local_search_lower(n, args.r, pred, seed=args.seed,
+                                      iters=args.iters)
+        return brute_force_ex(n, args.r, pred, seed=args.seed,
+                              max_seconds=args.budget_secs)
+
     if args.sweep:
         lo, _, hi = args.sweep.partition(":")
         try:
@@ -215,28 +222,14 @@ def _cmd_search(args) -> int:
         except ValueError:
             raise SpecError(f"--sweep expects LO:HI, got {args.sweep!r}") from None
         print("n,r,value,exact,nodes,elapsed")
-        worst_exact = True
+        all_exact = True
         for n in sweep:
-            if args.heuristic:
-                res = local_search_lower(n, args.r, pred, seed=args.seed,
-                                         iters=args.iters)
-            else:
-                res = brute_force_ex(n, args.r, pred, seed=args.seed,
-                                     max_seconds=args.budget_secs)
-            worst_exact = worst_exact and res.exact
+            res = solve(n)
+            all_exact = all_exact and res.exact
             print(f"{n},{args.r},{res.value},{int(res.exact)},"
                   f"{res.nodes_explored},{res.elapsed:.3f}")
-        return 0 if (worst_exact or args.heuristic) else 3
-    if args.heuristic:
-        res = local_search_lower(args.n, args.r, pred, seed=args.seed,
-                                 iters=args.iters)
-    else:
-        try:
-            res = brute_force_ex(args.n, args.r, pred, seed=args.seed,
-                                 max_seconds=args.budget_secs)
-        except ExactSearchRefused as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return 0 if (all_exact or args.heuristic) else 3
+    res = solve(args.n)
     payload = {
         "n": args.n,
         "r": args.r,
@@ -253,9 +246,7 @@ def _cmd_search(args) -> int:
         mode = "exact" if res.exact else "lower bound"
         print(f"ex({args.n}, {pred.describe()}) {mode}: {res.value}")
         print(f"witness edges: {payload['witness']}")
-    if not args.heuristic and not res.exact:
-        return 3
-    return 0
+    return 0 if (res.exact or args.heuristic) else 3
 
 
 def _cmd_verify(args) -> int:

@@ -10,6 +10,7 @@ as conveniences for the CLI and the test corpora.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -214,19 +215,13 @@ def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Emb
         for pr in itertools.combinations(e, 2):
             first_cover.setdefault(pr, e)
 
-    host_deg = G.degrees
-    found: Optional[Embedding] = None
-
     def attempt(core: list[int]) -> Optional[Embedding]:
-        mapping = _embed_in_core(core)
+        mapping = find_embedding(G, F, allowed=core)
         if mapping is None:
             return None
         cs = tuple(sorted(core))
         covering = {pr: first_cover[pr] for pr in itertools.combinations(cs, 2)}
         return Embedding(mapping, "family-member", core=cs, covering=covering)
-
-    def _embed_in_core(core: list[int]) -> Optional[dict]:
-        return find_embedding(G, F, allowed=core)
 
     def extend(clique: list[int], cand: int) -> Optional[Embedding]:
         if len(clique) == p:
@@ -290,8 +285,6 @@ def random_tree(k: int, seed: int = 0) -> Hypergraph:
     for v in prufer:
         degree[v] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(k) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in prufer:

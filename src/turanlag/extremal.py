@@ -28,7 +28,9 @@ from .hypergraph import (
 )
 from .constructions import (
     contains_family_member,
+    contains_sigma_member,
     expanded_clique_with_embedded,
+    is_cancellative,
     turan_hypergraph,
 )
 
@@ -49,6 +51,8 @@ __all__ = [
 ]
 
 EXACT_EDGE_CAP = 64
+_PRESEARCH_ITERS = 400  # local-search rounds for the exact search's incumbent
+_FAMILY_CHECK_LIMIT = 10  # family_free_subgraph checks outputs up to this order
 
 
 class ExactSearchRefused(ValueError):
@@ -214,8 +218,6 @@ class SigmaPredicate(ForbiddenPredicate):
         self.r = r
 
     def is_free(self, G: Hypergraph) -> bool:
-        from .constructions import contains_sigma_member
-
         return not contains_sigma_member(G)
 
     def state(self, n: int, r: int):
@@ -311,8 +313,6 @@ class CancellativePredicate(ForbiddenPredicate):
     kind = "cancellative"
 
     def is_free(self, G: Hypergraph) -> bool:
-        from .constructions import is_cancellative
-
         return is_cancellative(G)
 
     def state(self, n: int, r: int):
@@ -416,15 +416,14 @@ def _colex_candidates(n: int, r: int) -> list[Edge]:
 
 
 def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
-                   max_nodes: Optional[int] = None,
                    max_seconds: Optional[float] = None,
-                   presearch_iters: int = 400,
                    seed: int = 0) -> SearchResult:
     """Exact maximum edge count of a predicate-free r-graph on n vertices.
 
     Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
-    when C(n, r) exceeds the hard cap.  Node/time budgets make the result a
-    best-so-far bound with exact=False instead of exhausting.
+    when C(n, r) exceeds the hard cap.  A time budget, checked every 4096
+    nodes, makes the result a best-so-far bound with exact=False instead of
+    exhausting.
     """
     m = math.comb(n, r)
     if m > EXACT_EDGE_CAP:
@@ -438,7 +437,7 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
         raise ValueError("no predicate-free graph exists on this vertex count")
 
     # heuristic incumbent so the counting bound prunes from the start
-    inc = local_search_lower(n, r, forbidden, seed=seed, iters=presearch_iters)
+    inc = local_search_lower(n, r, forbidden, seed=seed, iters=_PRESEARCH_ITERS)
     best = inc.value
     best_edges = set(inc.witness.edges)
 
@@ -456,9 +455,6 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
         nonlocal nodes, best, best_edges, aborted
         nodes += 1
         if aborted:
-            return
-        if max_nodes is not None and nodes > max_nodes:
-            aborted = True
             return
         if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
             aborted = True
@@ -568,13 +564,12 @@ class FamilyFreeExtraction:
     checked: bool                   # whether the post-hoc check ran
 
 
-def family_free_subgraph(G: Hypergraph, F: Hypergraph, m: int, *,
-                         check_limit: int = 10) -> FamilyFreeExtraction:
+def family_free_subgraph(G: Hypergraph, F: Hypergraph, m: int) -> FamilyFreeExtraction:
     """Pair cleanup at the expansion threshold: when G contains no copy of the
     expanded clique itself, the output contains no member of its whole family.
 
     Applies kernel_clean with d=2 and p = vertex count of the expanded
-    (m+1)-clique with embedded F; below check_limit vertices the family check
+    (m+1)-clique with embedded F; on at most 10 vertices the family check
     runs post-hoc and a found member (precondition violation upstream) is
     returned as a diagnostic rather than raising.
     """
@@ -584,7 +579,7 @@ def family_free_subgraph(G: Hypergraph, F: Hypergraph, m: int, *,
         raise ValueError("uniformity mismatch")
     p = expanded_clique_with_embedded(F, m + 1).graph.n
     cleaned = kernel_clean(G, p, 2)
-    if cleaned.n <= check_limit:
+    if cleaned.n <= _FAMILY_CHECK_LIMIT:
         violation = contains_family_member(cleaned, F, m + 1)
         return FamilyFreeExtraction(cleaned, violation, True)
     return FamilyFreeExtraction(cleaned, None, False)

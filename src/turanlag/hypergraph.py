@@ -94,12 +94,7 @@ class Hypergraph:
     @cached_property
     def covered_pairs(self) -> frozenset[tuple[int, int]]:
         """All pairs {u, v} contained together in some edge, as sorted tuples."""
-        if self.r < 2:
-            return frozenset()
-        out = set()
-        for e in self.edges:
-            out.update(itertools.combinations(e, 2))
-        return frozenset(out)
+        return self.shadow(2) if self.r >= 2 else frozenset()
 
     def degree(self, S: Iterable[int] = ()) -> int:
         """Number of edges containing the vertex set S (d_G(S))."""
@@ -364,13 +359,12 @@ class DensityResult(NamedTuple):
     witness: VertexSet
 
 
-def max_average_degree(G: Hypergraph, *, enumeration_limit: int = 20) -> DensityResult:
+def max_average_degree(G: Hypergraph) -> DensityResult:
     """Exact d(G) = max over nonempty W of 2 e(G[W]) / |W|, for 2-graphs.
 
-    Subset enumeration (with an incremental edge-count table) up to
-    ``enumeration_limit`` vertices; beyond that, iterated exact max-flow
-    separation with integer capacities.  Returns the value as a Fraction
-    together with a maximizing vertex subset.
+    Iterated exact max-flow separation with integer capacities: each round
+    asks for a vertex set strictly denser than the best so far.  Returns the
+    value as a Fraction together with a maximizing vertex subset.
     """
     if G.r != 2:
         raise ValueError("max_average_degree is defined for 2-graphs")
@@ -378,35 +372,7 @@ def max_average_degree(G: Hypergraph, *, enumeration_limit: int = 20) -> Density
         return DensityResult(Fraction(0), ())
     if not G.edges:
         return DensityResult(Fraction(0), (0,))
-    if G.n <= enumeration_limit:
-        return _mad_enumerate(G)
-    return _mad_flow(G)
-
-
-def _mad_enumerate(G: Hypergraph) -> DensityResult:
-    n = G.n
-    adj = [0] * n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    size = 1 << n
-    ecount = bytearray(size) if math.comb(n, 2) < 256 else [0] * size
-    best_e, best_k, best_w = 0, 1, 1  # subset {0}
-    for w in range(1, size):
-        low = w & -w
-        v = low.bit_length() - 1
-        prev = w ^ low
-        c = ecount[prev] + (adj[v] & prev).bit_count()
-        ecount[w] = c
-        k = w.bit_count()
-        if c * best_k > best_e * k:
-            best_e, best_k, best_w = c, k, w
-    verts = tuple(i for i in range(n) if (best_w >> i) & 1)
-    return DensityResult(Fraction(2 * best_e, best_k), verts)
-
-
-def _mad_flow(G: Hypergraph) -> DensityResult:
-    import networkx as nx
+    import networkx as nx  # lazy: its import time is paid only here
 
     n, m = G.n, len(G.edges)
     deg = G.degrees

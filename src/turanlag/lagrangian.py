@@ -18,7 +18,6 @@ KKT residual on the capped simplex (see ``_residual``).
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .extremal import SubgraphPredicate
+from .extremal import SubgraphPredicate, _colex_candidates
 from .hypergraph import Hypergraph, VertexSet, falling_factorial
 
 __all__ = [
@@ -48,6 +47,13 @@ __all__ = [
 ]
 
 _SUPPORT_EPS = 1e-9
+_TOL = 1e-9  # KKT residual at which an ascent counts as converged
+
+# Lagrangian-density search: ascent restarts per host, perturb-and-refill
+# rounds per host order, and the largest C(t, r) searched exhaustively
+_DENSITY_RESTARTS = 8
+_DENSITY_ITERS = 150
+_DENSITY_EXHAUSTIVE_CAP = 25
 
 
 # -- weight vectors -----------------------------------------------------
@@ -211,13 +217,12 @@ def _transfer(A: _Arrays, x: np.ndarray, cap: float, tol: float) -> bool:
     return True
 
 
-def _ascend(A: _Arrays, x0: np.ndarray, cap: float, max_iters: int,
-            tol: float) -> tuple[np.ndarray, float, int]:
+def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
+            max_iters: int) -> tuple[np.ndarray, float]:
     x = _project(np.asarray(x0, dtype=float), cap)
     val = _p_np(A, x)
     t = 1.0
-    iters = 0
-    while iters < max_iters:
+    for _ in range(max_iters):
         progressed = False
         lam = _grad_np(A, x)
         # gradient step with backtracking
@@ -233,12 +238,11 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: float, max_iters: int,
             if tt < 1e-20:
                 break
         # pairwise transfer step, in place: x is a projection owned here
-        if _transfer(A, x, cap, tol):
+        if _transfer(A, x, cap, _TOL):
             nv = _p_np(A, x)
             if nv > val:
                 progressed = True
             val = nv
-        iters += 1
         if not progressed:
             break
     # support cleanup with reprojection, then a final equalization pass
@@ -248,10 +252,10 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: float, max_iters: int,
     if x.max() > cap + 1e-15:
         x = _project(x, cap)
     for _ in range(300):
-        if not _transfer(A, x, cap, tol):
+        if not _transfer(A, x, cap, _TOL):
             break
     val = _p_np(A, x)
-    return x, val, iters
+    return x, val
 
 
 def _residual(G: Hypergraph, x, value: float, cap: float) -> float:
@@ -307,8 +311,9 @@ def _greedy_supports(G: Hypergraph) -> list[tuple[int, ...]]:
 class LagrangianEstimate:
     """Best feasible value found, with its weights and convergence data.
 
-    ``value`` is always a certified lower bound on the Lagrangian;
-    ``gradient_residual`` is the KKT violation at ``weights`` (``_residual``).
+    ``value`` is p_G at ``weights``, so always a certified lower bound on the
+    Lagrangian; ``gradient_residual`` is the KKT violation at ``weights``
+    (``_residual``).
     ``restarts_used`` counts the ascents that ran: the uniform start, the
     greedy-support starts and the seeded restarts (0 for an edgeless graph).
     For constrained runs ``beta`` echoes the cap and ``cap_binds`` reports
@@ -325,7 +330,7 @@ class LagrangianEstimate:
 
 
 def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
-              max_iters: int, tol: float, seed: int) -> LagrangianEstimate:
+              max_iters: int, seed: int) -> LagrangianEstimate:
     n = G.n
     A = _arrays(G)
     if A is None:
@@ -345,33 +350,33 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
     best_x: Optional[np.ndarray] = None
     best_val = -1.0
     for x0 in starts:
-        x, val, _ = _ascend(A, x0, box, max_iters, tol)
+        x, val = _ascend(A, x0, box, max_iters)
         if val > best_val + 1e-15:
             best_val, best_x = val, x
 
-    value = poly_value(G, best_x)
-    resid = _residual(G, best_x, value, box)
+    # value and residual at the weights reported, after any renormalization
     wv = WeightVector(tuple(float(v) for v in best_x))
-    binds = None if cap is None else bool(best_x.max() >= cap - 1e-9)
-    return LagrangianEstimate(value, wv, len(starts), resid <= tol, resid,
+    value = poly_value(G, wv.weights)
+    resid = _residual(G, wv.weights, value, box)
+    binds = None if cap is None else max(wv.weights) >= cap - 1e-9
+    return LagrangianEstimate(value, wv, len(starts), resid <= _TOL, resid,
                               beta=cap, cap_binds=binds)
 
 
 def lagrangian(G: Hypergraph, *, restarts: int = 50, max_iters: int = 5000,
-               tol: float = 1e-9, seed: int = 0) -> LagrangianEstimate:
+               seed: int = 0) -> LagrangianEstimate:
     """Multistart estimate of lambda(G).
 
     Starts: uniform weights, uniform weights on greedily grown pairwise-covered
     supports, and ``restarts`` seeded Dirichlet points.  The returned value is
     a certified lower bound (it is p_G at a feasible point); ``converged``
-    reports whether its KKT residual is within ``tol``.
+    reports whether its KKT residual is within 1e-9.
     """
-    return _optimize(G, None, restarts, max_iters, tol, seed)
+    return _optimize(G, None, restarts, max_iters, seed)
 
 
 def lagrangian_constrained(G: Hypergraph, beta: float, *, restarts: int = 50,
-                           max_iters: int = 5000, tol: float = 1e-9,
-                           seed: int = 0) -> LagrangianEstimate:
+                           max_iters: int = 5000, seed: int = 0) -> LagrangianEstimate:
     """Estimate of the Lagrangian restricted to max_i x_i <= beta.
 
     The feasible region is the capped simplex; ``cap_binds`` reports whether
@@ -382,7 +387,7 @@ def lagrangian_constrained(G: Hypergraph, beta: float, *, restarts: int = 50,
         raise ValueError("constrained Lagrangian needs at least one vertex")
     if not (1.0 / G.n - 1e-12 <= beta <= 1.0 + 1e-12):
         raise ValueError(f"beta must lie in [1/n, 1], got {beta}")
-    return _optimize(G, float(beta), restarts, max_iters, tol, seed)
+    return _optimize(G, float(beta), restarts, max_iters, seed)
 
 
 # -- closed forms -------------------------------------------------------
@@ -529,16 +534,16 @@ class DensitySearchResult(NamedTuple):
     evaluated: int
 
 
-def lagrangian_density_search(F: Hypergraph, t_max: int, *, seed: int = 0,
-                              restarts: int = 8, iters: int = 150,
-                              exhaustive_cap: int = 25) -> DensitySearchResult:
+def lagrangian_density_search(F: Hypergraph, t_max: int, *,
+                              seed: int = 0) -> DensitySearchResult:
     """Lower bound on the Lagrangian density of F: max lambda(G) over F-free
     hosts on at most t_max vertices.
 
     Hosts with exactly t vertices are searched for each t <= t_max on the
     incremental state of ``SubgraphPredicate(F)``, the one the exact Turan
-    search uses: exhaustively over maximal F-free graphs while
-    C(t, r) <= exhaustive_cap, by seeded add/remove local search beyond.
+    search uses: exhaustively over maximal F-free graphs while C(t, r) <= 25,
+    by 150 rounds of seeded add/remove local search beyond.  Each host gets
+    an 8-restart ``lagrangian``.
     ``exact`` records whether every host size was exhausted (the value is a
     lower bound either way).
     """
@@ -553,27 +558,25 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *, seed: int = 0,
         # the empty pattern embeds in every host: no F-free host exists
         return DensitySearchResult(best_val, best_wit, exact, evaluated)
     pred = SubgraphPredicate(F)
-    opts = dict(restarts=restarts, max_iters=2000, tol=1e-9, seed=seed)
 
     def consider(G: Hypergraph) -> None:
         nonlocal best_val, best_wit, evaluated
         evaluated += 1
-        est = lagrangian(G, **opts)
+        est = lagrangian(G, restarts=_DENSITY_RESTARTS, max_iters=2000, seed=seed)
         if est.value > best_val + 1e-12:
             best_val, best_wit = est.value, G
 
     for t in range(r, t_max + 1):
         if not pred.is_free(Hypergraph(t, r, [])):
             continue  # F (edgeless or tiny) already embeds in t isolated vertices
-        cands = sorted(itertools.combinations(range(t), r),
-                       key=lambda e: e[::-1])
+        cands = _colex_candidates(t, r)
         state = pred.state(t, r)
-        if math.comb(t, r) <= exhaustive_cap:
+        if math.comb(t, r) <= _DENSITY_EXHAUSTIVE_CAP:
             _density_dfs(state, cands, consider)
         else:
             exact = False
             _density_local(state, cands, consider,
-                           random.Random(seed * 1000003 + t), iters)
+                           random.Random(seed * 1000003 + t), _DENSITY_ITERS)
     return DensitySearchResult(best_val, best_wit, exact, evaluated)
 
 

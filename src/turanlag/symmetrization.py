@@ -112,10 +112,9 @@ def symmetrize(G: Hypergraph, v: int, u: int) -> Hypergraph:
             raise ValueError(f"vertex {w} out of range")
     if (min(u, v), max(u, v)) in G.covered_pairs:
         raise ValueError(f"cannot symmetrize covered pair {{{u}, {v}}}")
-    edges = {frozenset(e) for e in G.edges if v not in e}
-    link_u = [frozenset(e) - {u} for e in G.edges if u in e]
-    for d in link_u:
-        edges.add(d | {v})
+    edges = {frozenset(e) for e in G.edges}
+    link_u = frozenset(e - {u} for e in edges if u in e)
+    edges = _clone_class(edges, (v,), link_u)
     return Hypergraph(G.n, G.r, [tuple(sorted(e)) for e in edges])
 
 
@@ -130,10 +129,7 @@ def core_representatives(G: Hypergraph) -> CoreRepresentatives:
     relabeled 0..|S|-1, and the class sizes aligned with S."""
     classes = equivalence_classes(G)
     S = tuple(c[0] for c in classes)
-    pos = {s: i for i, s in enumerate(S)}
-    sset = set(S)
-    q_edges = [tuple(sorted(pos[v] for v in e)) for e in G.edges if sset.issuperset(e)]
-    return CoreRepresentatives(S, Hypergraph(len(S), G.r, q_edges),
+    return CoreRepresentatives(S, G.induced(S, relabel=True),
                                tuple(len(c) for c in classes))
 
 
@@ -200,7 +196,7 @@ def _clone_class(edges: set, donors: Iterable[int], link_u: frozenset) -> set:
     return out
 
 
-def _compact(edges: set, alive: set, n: int, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
+def _compact(edges: set, alive: set, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
     kept = tuple(sorted(alive))
     pos = {v: i for i, v in enumerate(kept)}
     remapped = [tuple(sorted(pos[v] for v in e)) for e in edges]
@@ -252,7 +248,7 @@ def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
                                             before, len(edges), flagged))
         elif sel is None:
             break
-    result, kept = _compact(edges, alive, G.n, G.r)
+    result, kept = _compact(edges, alive, G.r)
     return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)), kept)
 
 
@@ -305,7 +301,7 @@ def replay_trace(G: Hypergraph, trace: SymmetrizationTrace) -> SymmetrizationOut
     alive = set(range(G.n))
     for step in trace.steps:
         edges = _apply_step(edges, alive, step)
-    result, kept = _compact(edges, alive, G.n, G.r)
+    result, kept = _compact(edges, alive, G.r)
     return SymmetrizationOutcome(result, trace, kept)
 
 

@@ -29,6 +29,7 @@ from .constructions import (
     contains_family_member,
     contains_sigma_member,
     enlargement,
+    expanded_clique_with_embedded,
     path_graph,
     random_hypergraph,
     single_edge,
@@ -340,8 +341,6 @@ def _check_kernel_cleanup(seed: int):
 def _fan_free_corpus(seed: int, count: int = 50):
     """Random 3-graphs built edge-by-edge while staying free of the expanded
     4-clique with an embedded single edge (no full copy of it)."""
-    from .constructions import expanded_clique_with_embedded
-
     pattern = expanded_clique_with_embedded(single_edge(3), 4).graph
     pred = SubgraphPredicate(pattern)
     rng = random.Random(seed * 33391 + 41)

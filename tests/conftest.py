@@ -7,11 +7,13 @@ the library's search strategies, so the two routes cross-check each other.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from turanlag import Hypergraph
+from turanlag import DensityResult, Hypergraph
 
 
 def brute_contains(G: Hypergraph, F: Hypergraph) -> bool:
@@ -76,6 +78,31 @@ def brute_is_cancellative(G: Hypergraph) -> bool:
         if (set(a) ^ set(b)).issubset(c):
             return False
     return True
+
+
+def enumerate_mad(G: Hypergraph) -> DensityResult:
+    """Maximum average degree of a 2-graph with edges by enumerating every
+    vertex subset, with an incremental edge-count table; the witness is the
+    first densest subset in bitmask order."""
+    n = G.n
+    adj = [0] * n
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    size = 1 << n
+    ecount = bytearray(size) if math.comb(n, 2) < 256 else [0] * size
+    best_e, best_k, best_w = 0, 1, 1  # subset {0}
+    for w in range(1, size):
+        low = w & -w
+        v = low.bit_length() - 1
+        prev = w ^ low
+        c = ecount[prev] + (adj[v] & prev).bit_count()
+        ecount[w] = c
+        k = w.bit_count()
+        if c * best_k > best_e * k:
+            best_e, best_k, best_w = c, k, w
+    verts = tuple(i for i in range(n) if (best_w >> i) & 1)
+    return DensityResult(Fraction(2 * best_e, best_k), verts)
 
 
 def sort_simplex_projection(v: np.ndarray) -> np.ndarray:

@@ -102,7 +102,8 @@ def test_exact_search_cap():
 
 
 def test_budget_abort():
-    res = brute_force_ex(7, 2, SubgraphPredicate(k3()), max_nodes=20)
+    # the full tree has 12,895 nodes; a zero budget stops at node 4096
+    res = brute_force_ex(7, 2, SubgraphPredicate(k3()), max_seconds=0)
     assert not res.exact
     assert res.value <= 12
     assert SubgraphPredicate(k3()).is_free(res.witness)

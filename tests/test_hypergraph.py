@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,9 +18,7 @@ from turanlag import (
     max_matching,
     turan_hypergraph,
 )
-from turanlag.hypergraph import _mad_enumerate, _mad_flow
-
-from conftest import brute_contains, brute_matching
+from conftest import brute_contains, brute_matching, enumerate_mad
 
 
 # -- construction and validation ----------------------------------------
@@ -240,9 +241,27 @@ def test_mad_flow_agrees_with_enumeration():
         g = random_hypergraph(n, 2, density=rng.uniform(0.2, 0.8), rng=rng)
         if not g.edges:
             continue
-        a = _mad_enumerate(g)
-        b = _mad_flow(g)
-        assert a.value == b.value
+        want = enumerate_mad(g)
+        got = max_average_degree(g)
+        assert got.value == want.value
+        # witnesses may differ on ties, but each must attain the value
+        inside = set(got.witness)
+        e_in = sum(1 for u, v in g.edges if u in inside and v in inside)
+        assert Fraction(2 * e_in, len(inside)) == got.value
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is imported only by max_average_degree, so it adds nothing to
+    # the import time of the package
+    import turanlag
+
+    src = os.path.dirname(os.path.dirname(turanlag.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, turanlag; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_mad_requires_two_graph():

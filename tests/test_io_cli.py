@@ -128,6 +128,24 @@ def test_cli_search_exact(capsys):
 def test_cli_search_refuses_big_exact(capsys):
     code = main(["search", "--n", "9", "--r", "3", "--forbid", "sigma:r=3"])
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: C(9,3) = 84")
+
+
+@pytest.mark.parametrize("mode", [["--n", "7"], ["--sweep", "7:7"]],
+                         ids=["single", "sweep"])
+def test_cli_search_budget_exhausted_exits_3(mode, capsys):
+    # the n=7 tree has 12,895 nodes; a zero budget stops at node 4096
+    code = main(["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2",
+                 "--budget-secs", "0", "--json", *mode])
+    assert code == 3
+    out = capsys.readouterr().out
+    if mode[0] == "--n":
+        payload = json.loads(out)
+        assert not payload["exact"] and payload["nodes"] == 4096
+    else:
+        header, row = out.splitlines()
+        assert row.split(",")[:5] == ["7", "2", "12", "0", "4096"]
 
 
 def test_cli_search_heuristic(capsys):

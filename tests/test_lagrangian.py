@@ -29,11 +29,15 @@ from turanlag import (
     single_edge,
     stability_probe,
 )
+from turanlag.extremal import SubgraphPredicate, _colex_candidates
 from turanlag.lagrangian import (
-    _arrays, _greedy_supports, _p_np, _project, _residual, _transfer,
+    _arrays, _density_local, _greedy_supports, _p_np, _project, _residual,
+    _transfer,
 )
 
-from conftest import bisection_capped_projection, sort_simplex_projection
+from conftest import (
+    bisection_capped_projection, brute_contains, sort_simplex_projection,
+)
 
 
 def cycle(n):
@@ -285,6 +289,15 @@ def test_constrained_examples():
     assert abs(est3.value - 0.75) <= 1e-8
 
 
+def test_constrained_reports_value_at_its_weights():
+    # below 1/n every weight sits at the cap and WeightVector renormalizes them
+    k3 = complete_hypergraph(3, 2)
+    beta = 1 / 3 - 1e-12
+    est = lagrangian_constrained(k3, beta, restarts=2, seed=0)
+    assert est.value == poly_value(k3, est.weights)
+    assert est.gradient_residual == _residual(k3, est.weights, est.value, beta)
+
+
 def test_capped_c5_converges_at_its_optimum():
     # optimum (beta, beta, 1 - 2 beta) on a path for beta = 0.4, and
     # (eps, beta, beta, beta, eps) with eps = (1 - 3 beta) / 2 for beta = 0.3
@@ -417,6 +430,19 @@ def test_density_search_k4_runs_on_clique_state():
     res = lagrangian_density_search(complete_hypergraph(4, 2), 5)
     assert abs(res.best_value - 2 / 3) <= 1e-9
     assert res.exact
+
+
+def test_density_local_considers_maximal_free_graphs():
+    k3 = complete_hypergraph(3, 2)
+    cands = _colex_candidates(8, 2)
+    seen = []
+    _density_local(SubgraphPredicate(k3).state(8, 2), cands, seen.append,
+                   random.Random(0), 20)
+    assert len(seen) == 21
+    for G in seen:
+        assert not brute_contains(G, k3)
+        assert all(brute_contains(G.with_edges([e]), k3)
+                   for e in cands if e not in G.edges)
 
 
 def test_density_search_zero_vertex_pattern():
