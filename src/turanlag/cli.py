@@ -220,7 +220,10 @@ def _cmd_search(args) -> int:
         try:
             sweep = range(int(lo), int(hi) + 1)
         except ValueError:
-            raise SpecError(f"--sweep expects LO:HI, got {args.sweep!r}") from None
+            sweep = None
+        if not sweep or sweep.start < 0:
+            raise SpecError(f"--sweep expects LO:HI with 0 <= LO <= HI, "
+                            f"got {args.sweep!r}")
         print("n,r,value,exact,nodes,elapsed")
         all_exact = True
         for n in sweep:

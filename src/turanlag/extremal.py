@@ -19,13 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .hypergraph import (
-    Edge,
-    Embedding,
-    Hypergraph,
-    find_embedding,
-    kernel_degree,
-)
+from .hypergraph import Edge, Embedding, Hypergraph, find_embedding
 from .constructions import (
     contains_family_member,
     contains_sigma_member,
@@ -223,87 +217,10 @@ class SigmaPredicate(ForbiddenPredicate):
     def state(self, n: int, r: int):
         if r != self.r:
             raise ValueError("predicate uniformity mismatch")
-        return _SigmaState(n, r)
+        return _ThreeEdgeState(n, r, 2)
 
     def describe(self) -> str:
         return f"sigma(r={self.r})"
-
-
-class _SigmaState(_EdgeSetState):
-    """Bitmask indices for the incremental sigma check.
-
-    A new edge e participates either as one of the (r-1)-sharing pair (scan
-    the (r-1)-subset buckets, then ask whether the symmetric-difference pair
-    is covered) or as the containing third edge (for each pair {a, b} in e,
-    look for an edge A through a avoiding b with (A - a) + b also present).
-    """
-
-    def __init__(self, n: int, r: int):
-        super().__init__(n, r)
-        self.mask_set: set[int] = set()
-        self.sub_buckets: dict[int, set[int]] = {}
-        self.pair_count: dict[int, int] = {}
-        self.vertex_edges: dict[int, set[int]] = {v: set() for v in range(n)}
-        self._prep: dict[Edge, tuple] = {}
-
-    def _prepare(self, e: Edge):
-        got = self._prep.get(e)
-        if got is None:
-            em = 0
-            for v in e:
-                em |= 1 << v
-            subs = tuple(em & ~(1 << v) for v in e)  # the r (r-1)-subset masks
-            pairs = tuple(
-                (1 << a, 1 << b, (1 << a) | (1 << b))
-                for a, b in itertools.combinations(e, 2)
-            )
-            got = (em, subs, pairs)
-            self._prep[e] = got
-        return got
-
-    def can_add(self, e: Edge) -> bool:
-        em, subs, pairs = self._prepare(e)
-        pair_count = self.pair_count
-        # e as one of the sharing pair
-        for s in subs:
-            bucket = self.sub_buckets.get(s)
-            if not bucket:
-                continue
-            for bm in bucket:
-                if pair_count.get(em ^ bm, 0):
-                    return False
-        # e as the containing edge
-        mask_set = self.mask_set
-        for abit, bbit, _ in pairs:
-            a = abit.bit_length() - 1
-            for am in self.vertex_edges[a]:
-                if am & bbit:
-                    continue
-                if (am ^ abit) | bbit in mask_set:
-                    return False
-        return True
-
-    def add(self, e: Edge) -> None:
-        em, subs, pairs = self._prepare(e)
-        self.current.add(e)
-        self.mask_set.add(em)
-        for s in subs:
-            self.sub_buckets.setdefault(s, set()).add(em)
-        for _, _, pm in pairs:
-            self.pair_count[pm] = self.pair_count.get(pm, 0) + 1
-        for v in e:
-            self.vertex_edges[v].add(em)
-
-    def remove(self, e: Edge) -> None:
-        em, subs, pairs = self._prepare(e)
-        self.current.discard(e)
-        self.mask_set.discard(em)
-        for s in subs:
-            self.sub_buckets[s].discard(em)
-        for _, _, pm in pairs:
-            self.pair_count[pm] -= 1
-        for v in e:
-            self.vertex_edges[v].discard(em)
 
 
 class CancellativePredicate(ForbiddenPredicate):
@@ -316,20 +233,38 @@ class CancellativePredicate(ForbiddenPredicate):
         return is_cancellative(G)
 
     def state(self, n: int, r: int):
-        # for r <= 3 a violation forces |A ^ B| = 2, i.e. an (r-1)-sharing
-        # pair, so the sigma index decides exactly the same predicate
-        if r <= 3:
-            return _SigmaState(n, r)
-        return _CancellativeState(n, r)
+        return _ThreeEdgeState(n, r, r)
 
     def describe(self) -> str:
         return "cancellative"
 
 
-class _CancellativeState(_EdgeSetState):
-    def __init__(self, n: int, r: int):
+def _bits(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+class _ThreeEdgeState(_EdgeSetState):
+    """Bitmask index for three distinct edges A, B, C with A ^ B inside C and
+    |A ^ B| <= max_diff: sigma is max_diff = 2, cancellative max_diff = r.
+
+    |A ^ B| is even, so A and B share at least share = r - max_diff // 2
+    vertices and meet in the bucket of a shared subset of that size.  A new
+    edge e is rejected as the containing edge when a stored pairwise
+    difference is an even subset of e (``diff_count``), and as one of the
+    pair when, for some B in its buckets, a stored edge contains e ^ B
+    (``subset_count`` of the even subsets up to max_diff).  A pair sharing j
+    vertices meets in C(j, share) buckets, on add and on remove alike, so
+    ``diff_count`` holds each difference with that multiplicity.
+    """
+
+    def __init__(self, n: int, r: int, max_diff: int):
         super().__init__(n, r)
-        self.masks: list[int] = []
+        self.share = r - max_diff // 2
+        self.max_diff = max_diff
+        self.buckets: dict[int, set[int]] = {}
         self.subset_count: dict[int, int] = {}
         self.diff_count: dict[int, int] = {}
         self._prep: dict[Edge, tuple] = {}
@@ -337,66 +272,50 @@ class _CancellativeState(_EdgeSetState):
     def _prepare(self, e: Edge):
         got = self._prep.get(e)
         if got is None:
-            em = 0
-            for v in e:
-                em |= 1 << v
-            subs = []
-            for k in range(2, self.r + 1):
-                for sub in itertools.combinations(e, k):
-                    m = 0
-                    for v in sub:
-                        m |= 1 << v
-                    subs.append(m)
-            diff_sizes = [k for k in range(2, self.r + 1, 2)]
-            diffs = []
-            for k in diff_sizes:
-                for sub in itertools.combinations(e, k):
-                    m = 0
-                    for v in sub:
-                        m |= 1 << v
-                    diffs.append(m)
-            got = (em, tuple(subs), tuple(diffs))
+            shares = tuple(_bits(s) for s in itertools.combinations(e, self.share))
+            evens = tuple(_bits(s) for k in range(2, self.max_diff + 1, 2)
+                          for s in itertools.combinations(e, k))
+            got = (_bits(e), shares, evens)
             self._prep[e] = got
         return got
 
     def can_add(self, e: Edge) -> bool:
-        em, _, diffs = self._prepare(e)
-        r = self.r
-        subset_count = self.subset_count
-        # e as one of the differing pair: some third edge contains e ^ B
-        for bm in self.masks:
-            d = em ^ bm
-            if d.bit_count() <= r and subset_count.get(d, 0):
-                return False
-        # e as the containing edge: some stored pairwise difference sits in e
+        em, shares, evens = self._prepare(e)
         diff_count = self.diff_count
-        for d in diffs:
+        for d in evens:
             if diff_count.get(d, 0):
                 return False
+        subset_count, buckets = self.subset_count, self.buckets
+        for s in shares:
+            for bm in buckets.get(s, ()):
+                if subset_count.get(em ^ bm, 0):
+                    return False
         return True
 
     def add(self, e: Edge) -> None:
-        em, subs, _ = self._prepare(e)
-        r = self.r
-        for bm in self.masks:
-            d = em ^ bm
-            if d.bit_count() <= r:
-                self.diff_count[d] = self.diff_count.get(d, 0) + 1
+        em, shares, evens = self._prepare(e)
         self.current.add(e)
-        self.masks.append(em)
-        for s in subs:
-            self.subset_count[s] = self.subset_count.get(s, 0) + 1
+        diff_count = self.diff_count
+        for s in shares:
+            bucket = self.buckets.setdefault(s, set())
+            for bm in bucket:
+                d = em ^ bm
+                diff_count[d] = diff_count.get(d, 0) + 1
+            bucket.add(em)
+        for d in evens:
+            self.subset_count[d] = self.subset_count.get(d, 0) + 1
 
     def remove(self, e: Edge) -> None:
-        em, subs, _ = self._prepare(e)
+        em, shares, evens = self._prepare(e)
         self.current.discard(e)
-        self.masks.remove(em)
-        for bm in self.masks:
-            d = em ^ bm
-            if d.bit_count() <= self.r:
-                self.diff_count[d] -= 1
-        for s in subs:
-            self.subset_count[s] -= 1
+        diff_count = self.diff_count
+        for s in shares:
+            bucket = self.buckets[s]
+            bucket.discard(em)
+            for bm in bucket:
+                diff_count[em ^ bm] -= 1
+        for d in evens:
+            self.subset_count[d] -= 1
 
 
 # -- search results ---------------------------------------------------------

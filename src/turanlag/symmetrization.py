@@ -137,14 +137,10 @@ def is_blowup_of_quotient(G: Hypergraph) -> bool:
     """Check the fixed-point contract: relabeling classes onto consecutive
     blocks turns G into exactly the blowup of its representative quotient."""
     classes = equivalence_classes(G)
-    reps = core_representatives(G)
-    mapping = {}
-    nxt = 0
-    for cls in classes:
-        for v in cls:
-            mapping[v] = nxt
-            nxt += 1
-    return blowup(reps.quotient, reps.sizes).edges == G.relabel(mapping).edges
+    quotient = G.induced(tuple(c[0] for c in classes), relabel=True)
+    mapping = {v: i for i, v in enumerate(v for c in classes for v in c)}
+    return (blowup(quotient, tuple(len(c) for c in classes)).edges
+            == G.relabel(mapping).edges)
 
 
 # -- density threshold ---------------------------------------------------
@@ -170,17 +166,10 @@ def _select_pair(edges: set, alive: set):
     d(u) >= d(v): maximize d(u), then smallest u, then smallest v."""
     links = _links(edges, alive)
     deg = {v: len(links[v]) for v in alive}
-    covered = set()
-    for e in edges:
-        es = sorted(e)
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                covered.add((es[i], es[j]))
     for u in sorted(alive, key=lambda t: (-deg[t], t)):
+        neighbours = frozenset().union(*links[u])  # v with {u, v} covered
         for v in sorted(alive):
-            if v == u or deg[v] > deg[u]:
-                continue
-            if (min(u, v), max(u, v)) in covered:
+            if v == u or deg[v] > deg[u] or v in neighbours:
                 continue
             if links[u] == links[v]:
                 continue

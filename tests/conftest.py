@@ -80,6 +80,15 @@ def brute_is_cancellative(G: Hypergraph) -> bool:
     return True
 
 
+def brute_sigma(G: Hypergraph) -> bool:
+    """Some two edges share r-1 vertices and a third contains their
+    symmetric difference."""
+    for a, b, c in itertools.permutations(G.edge_list, 3):
+        if len(set(a) & set(b)) == G.r - 1 and (set(a) ^ set(b)).issubset(c):
+            return True
+    return False
+
+
 def enumerate_mad(G: Hypergraph) -> DensityResult:
     """Maximum average degree of a 2-graph with edges by enumerating every
     vertex subset, with an incremental edge-count table; the witness is the

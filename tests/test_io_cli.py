@@ -179,10 +179,12 @@ def test_cli_usage_error():
     ["search", "--n", "5", "--r", "3", "--forbid", "subgraph:complete:n=3"],
     ["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2", "--sweep", "3"],
     ["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2", "--sweep", "a:4"],
+    ["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2", "--sweep", "7:3"],
+    ["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2", "--sweep=-1:2"],
     ["search", "--n", "5", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2",
      "--exact"],
 ], ids=["sigma-no-r", "family-no-p", "subgraph-no-r", "sweep-no-hi",
-        "sweep-not-int", "exact-flag-removed"])
+        "sweep-not-int", "sweep-reversed", "sweep-negative", "exact-flag-removed"])
 def test_cli_malformed_search_exits_2_silently(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""

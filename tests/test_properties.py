@@ -33,7 +33,8 @@ from turanlag import (
     symmetrize,
 )
 
-from conftest import brute_contains, brute_family, brute_is_cancellative, brute_matching
+from conftest import (brute_contains, brute_family, brute_is_cancellative, brute_matching,
+                      brute_sigma)
 
 
 @st.composite
@@ -196,17 +197,26 @@ def test_run_plain_monotone_and_blowup(g):
 
 K3, K4, F5 = complete_hypergraph(3, 2), complete_hypergraph(4, 2), generalized_triangle(3)
 
-# (predicate, r, state class, brute-force freeness oracle); for r = 3 a sigma
-# member is exactly a cancellative violation
+# (predicate, r, largest n, state class, brute-force freeness oracle); for
+# r = 3 a sigma member is exactly a cancellative violation, and for r = 5 two
+# edges can differ in 4 vertices from n = 7 on
 STATE_CASES = {
-    "K3": (SubgraphPredicate(K3), 2, "_CliqueState", lambda g: not brute_contains(g, K3)),
-    "K4": (SubgraphPredicate(K4), 2, "_CliqueState", lambda g: not brute_contains(g, K4)),
-    "F5": (SubgraphPredicate(F5), 3, "_RebuildState", lambda g: not brute_contains(g, F5)),
-    "family-p4": (FamilyPredicate(single_edge(3), 4), 3, "_RebuildState",
+    "K3": (SubgraphPredicate(K3), 2, 6, "_CliqueState",
+           lambda g: not brute_contains(g, K3)),
+    "K4": (SubgraphPredicate(K4), 2, 6, "_CliqueState",
+           lambda g: not brute_contains(g, K4)),
+    "F5": (SubgraphPredicate(F5), 3, 6, "_RebuildState",
+           lambda g: not brute_contains(g, F5)),
+    "family-p4": (FamilyPredicate(single_edge(3), 4), 3, 6, "_RebuildState",
                   lambda g: not brute_family(g, single_edge(3), 4)),
-    "sigma-r3": (SigmaPredicate(3), 3, "_SigmaState", brute_is_cancellative),
-    "cancellative-r3": (CancellativePredicate(), 3, "_SigmaState", brute_is_cancellative),
-    "cancellative-r4": (CancellativePredicate(), 4, "_CancellativeState",
+    "sigma-r3": (SigmaPredicate(3), 3, 6, "_ThreeEdgeState", brute_is_cancellative),
+    "sigma-r4": (SigmaPredicate(4), 4, 6, "_ThreeEdgeState",
+                 lambda g: not brute_sigma(g)),
+    "cancellative-r3": (CancellativePredicate(), 3, 6, "_ThreeEdgeState",
+                        brute_is_cancellative),
+    "cancellative-r4": (CancellativePredicate(), 4, 6, "_ThreeEdgeState",
+                        brute_is_cancellative),
+    "cancellative-r5": (CancellativePredicate(), 5, 7, "_ThreeEdgeState",
                         brute_is_cancellative),
 }
 
@@ -215,8 +225,8 @@ STATE_CASES = {
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_state_can_add_matches_is_free(case, data):
-    pred, r, cls, oracle = STATE_CASES[case]
-    n = data.draw(st.integers(r, 6), label="n")
+    pred, r, max_n, cls, oracle = STATE_CASES[case]
+    n = data.draw(st.integers(r, max_n), label="n")
     state = pred.state(n, r)
     assert type(state).__name__ == cls
     cands = list(itertools.combinations(range(n), r))
