@@ -11,9 +11,30 @@ cap 1 for an uncapped run: projected gradient with backtracking line search,
 polished by a pairwise weight transfer: moving d = (lam_b - lam_a) / (2 r!)
 from the smallest-gradient support vertex a to the largest-gradient support
 vertex b raises p_G by at least (lam_b - lam_a)^2 / (4 r!), so the move never
-decreases the objective.  Reported values are feasible-point evaluations and
-hence certified lower bounds on lambda(G); the convergence flag asserts the
-KKT residual on the capped simplex (see ``_residual``).
+decreases the objective.
+
+A line search accepts a step that raises p_G by more than 1e-16, halves it
+otherwise (at most 60 times, down to 1e-20), and ends early once a failed
+candidate moved x by d with
+
+    (lambda - r p_G(x)).d + r! |E| C(r,2) |d|^2 (1 + |d|)^(r-2) <= 1e-16,
+
+|d| the 2-norm.  No shorter step can then gain more than 1e-16.  The first
+term is lambda.d, as d sums to 0.  The projection onto the capped simplex is
+firmly nonexpansive, so neither lambda.d nor |d| grows as the step shrinks
+(Calamai & More 1987).  Beyond lambda.d, each edge adds to
+p_G(x + d) - p_G(x) at most r! sum_{k>=2} C(r,k) |d|^k, as weights lie in
+[0, 1] and each |d_i| <= |d|; the second term covers that sum because
+C(r,k) <= C(r,2) C(r-2,k-2).  The shift by r p_G(x), the common gradient
+value on the support at an uncapped stationary point, keeps the rounding of
+the candidate's sum (about n ulps of t*lambda at step t) out of the slope;
+without it a long failed step can stop the search while a shorter one gains.
+At a stationary x rounding also keeps the first candidate off x, so the test
+"candidate equals x" would rarely fire.
+
+Reported values are feasible-point evaluations and hence certified lower
+bounds on lambda(G); the convergence flag asserts the KKT residual on the
+capped simplex (see ``_residual``).
 """
 
 from __future__ import annotations
@@ -179,15 +200,16 @@ def _p_np(A: _Arrays, x: np.ndarray) -> float:
 
 
 def _grad_np(A: _Arrays, x: np.ndarray) -> np.ndarray:
-    lam = np.zeros(A.n)
-    cols = x[A.edges]
-    for j in range(A.r):
-        if A.r == 1:
-            others = np.ones(len(A.edges))
-        else:
-            others = np.prod(np.delete(cols, j, axis=1), axis=1)
-        np.add.at(lam, A.edges[:, j], others)
-    return A.rf * lam
+    """others[j] is the product of the other columns of each edge, folded from
+    the left in column order, summed per vertex in j-major order."""
+    idx = A.edges.T.ravel()
+    cols = x[idx].reshape(A.r, -1)
+    others = np.empty_like(cols)
+    others[0] = 1.0
+    np.cumprod(cols[:-1], axis=0, out=others[1:])
+    for k in range(1, A.r):
+        others[:k] *= cols[k]
+    return A.rf * np.bincount(idx, weights=others.ravel(), minlength=A.n)
 
 
 def _transfer(A: _Arrays, x: np.ndarray, cap: float, tol: float) -> bool:
@@ -217,6 +239,15 @@ def _transfer(A: _Arrays, x: np.ndarray, cap: float, tol: float) -> bool:
     return True
 
 
+def _cannot_gain(A: _Arrays, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
+    """True when no step shorter than the one that moved x by d, along the
+    gradient lam at x where p_G(x) = val, can raise p_G by more than 1e-16
+    (the stop rule of the module docstring)."""
+    dd = float(d @ d)
+    higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * (1.0 + math.sqrt(dd)) ** (A.r - 2)
+    return float((lam - A.r * val) @ d) + higher <= 1e-16
+
+
 def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
             max_iters: int) -> tuple[np.ndarray, float]:
     x = _project(np.asarray(x0, dtype=float), cap)
@@ -233,6 +264,8 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
             if pv > val + 1e-16:
                 x, val, t = cand, pv, tt * 2.0
                 progressed = True
+                break
+            if _cannot_gain(A, lam, val, cand - x):
                 break
             tt *= 0.5
             if tt < 1e-20:

@@ -140,6 +140,28 @@ def bisection_capped_projection(v: np.ndarray, cap: float) -> np.ndarray:
     return np.clip(v - hi, 0.0, cap)
 
 
+def add_at_gradient(A, x: np.ndarray) -> np.ndarray:
+    """Gradient of p_G on the library's edge arrays, one column at a time:
+    the product of the other columns by np.delete and np.prod, accumulated
+    per vertex by np.add.at.  The vectorized gradient must match it bit for
+    bit."""
+    lam = np.zeros(A.n)
+    cols = x[A.edges]
+    for j in range(A.r):
+        if A.r == 1:
+            others = np.ones(len(A.edges))
+        else:
+            others = np.prod(np.delete(cols, j, axis=1), axis=1)
+        np.add.at(lam, A.edges[:, j], others)
+    return A.rf * lam
+
+
+def exact_poly_value(G: Hypergraph, x) -> Fraction:
+    """p_G at the float weights x, in exact rational arithmetic."""
+    xs = [Fraction(float(v)) for v in x]
+    return math.factorial(G.r) * sum(math.prod(xs[v] for v in e) for e in G.edge_list)
+
+
 @pytest.fixture
 def t363() -> Hypergraph:
     """T_3(6,3) built directly from its parts, bypassing the library builder."""

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -31,13 +32,16 @@ from turanlag import (
 )
 from turanlag.extremal import SubgraphPredicate, _colex_candidates
 from turanlag.lagrangian import (
-    _arrays, _density_local, _greedy_supports, _p_np, _project, _residual,
-    _transfer,
+    _arrays, _ascend, _cannot_gain, _density_local, _grad_np, _greedy_supports,
+    _p_np, _project, _residual, _transfer,
 )
 
 from conftest import (
-    bisection_capped_projection, brute_contains, sort_simplex_projection,
+    add_at_gradient, bisection_capped_projection, brute_contains,
+    exact_poly_value, sort_simplex_projection,
 )
+
+LAGRANGIAN = importlib.import_module("turanlag.lagrangian")
 
 
 def cycle(n):
@@ -99,6 +103,24 @@ def test_gradient_identity_tight():
         assert abs(p - math.fsum(l * v for l, v in zip(lam, x)) / r) <= 1e-12
         if g.edges:
             assert max(lam) >= r * p - 1e-12
+
+
+@st.composite
+def gradient_inputs(draw):
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 10))
+    pool = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    x = draw(st.lists(st.just(0.0) | st.floats(0, 1), min_size=n, max_size=n))
+    return Hypergraph(n, r, edges), np.array(x)
+
+
+@given(gradient_inputs())
+@settings(max_examples=200, deadline=None)
+def test_grad_np_matches_add_at_oracle(inputs):
+    g, x = inputs
+    A = _arrays(g)
+    assert _grad_np(A, x).tobytes() == add_at_gradient(A, x).tobytes()
 
 
 # -- weight vectors -----------------------------------------------------------
@@ -229,6 +251,76 @@ def test_project_corners():
     cap = float(np.nextafter(0.5, 0.0))
     x = _project(np.array([100.0, 60.0, 50.0, 50.0]), cap)
     assert x.tolist() == [cap, cap, 0, 0]
+
+
+# -- the line-search stop rule ------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [complete_hypergraph(5, 3), cycle(5)],
+                         ids=["K5(3)", "C5"])
+def test_line_search_stops_at_a_stationary_start(g, monkeypatch):
+    # uniform weights are stationary here: every candidate fails, and the
+    # search ends at the first one instead of halving 60 times
+    calls = []
+
+    def counting(v, cap):
+        calls.append(cap)
+        return _project(v, cap)
+
+    monkeypatch.setattr(LAGRANGIAN, "_project", counting)
+    A = _arrays(g)
+    x0 = np.full(g.n, 1 / g.n)
+    x, val = _ascend(A, x0, 1.0, 5000)
+    assert len(calls) <= 4
+    assert np.abs(x - x0).max() <= 1e-15 and val == pytest.approx(_p_np(A, x0))
+
+
+@st.composite
+def line_search_inputs(draw):
+    r = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(r, 7))
+    pool = list(itertools.combinations(range(n), r))
+    g = Hypergraph(n, r, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
+    cap = draw(st.sampled_from([1 / n, 1.0]) | st.floats(1 / n, 1.0))
+    floats = st.lists(st.floats(0, 1), min_size=n, max_size=n)
+    x = _project(np.array(draw(floats)), cap)
+    if draw(st.booleans()):
+        # near a stationary point, where the rule fires, at distances down
+        # to rounding, where a too-eager rule would stop a gaining search
+        x = _ascend(_arrays(g), x, cap, draw(st.integers(1, 50)))[0]
+        x = _project(x + 10.0 ** -draw(st.integers(3, 16)) * np.array(draw(floats)), cap)
+    return g, cap, x, 2.0 ** draw(st.integers(-20, 10))
+
+
+@given(line_search_inputs())
+@settings(max_examples=300, deadline=None)
+def test_line_search_stop_is_sound(inputs):
+    # the line search of _ascend: once the rule fires at a failed step tt, no
+    # candidate at tt or any shorter step down to the 1e-20 guard gains more
+    # than 1e-16, counted exactly.  A rounded candidate is off the simplex:
+    # its sum is off that of x, and each coordinate by up to an ulp of the
+    # projected vector's largest entry, so the gain that mass can make at
+    # the largest gradient does not count.
+    g, cap, x, tt = inputs
+    A = _arrays(g)
+    lam = _grad_np(A, x)
+    val = _p_np(A, x)
+    while tt >= 1e-20:
+        cand = _project(x + tt * lam, cap)
+        if _p_np(A, cand) > val + 1e-16:
+            return  # accepted: the rule is not consulted
+        if _cannot_gain(A, lam, val, cand - x):
+            break
+        tt *= 0.5
+    base, mass = exact_poly_value(g, x), sum(map(Fraction, x))
+    top = Fraction(float(lam.max()))
+    while tt >= 1e-20:
+        v = x + tt * lam
+        cand = _project(v, cap)
+        drift = abs(sum(map(Fraction, cand)) - mass)
+        ulps = Fraction(g.n * float(np.abs(v).max())) * Fraction(2.0 ** -52)
+        assert exact_poly_value(g, cand) - base <= Fraction(1e-16) + top * (drift + ulps)
+        tt *= 0.5
 
 
 # -- the pairwise transfer step -----------------------------------------------
