@@ -21,6 +21,9 @@ from .hypergraph import (
     Embedding,
     Hypergraph,
     VertexSet,
+    _bits,
+    _cliques,
+    _pair_masks,
     find_embedding,
 )
 
@@ -89,54 +92,36 @@ def generalized_triangle(r: int) -> Hypergraph:
     return Hypergraph(2 * r - 1, r, [e1, e2, e3])
 
 
-def _pair_index(G: Hypergraph) -> dict:
-    idx: dict[tuple[int, int], list[Edge]] = {}
-    for e in G.edge_list:
-        for p in itertools.combinations(e, 2):
-            idx.setdefault(p, []).append(e)
-    return idx
+def _three_edge_member(G: Hypergraph, max_diff: int) -> bool:
+    """True iff G has edges A != B and C with A ^ B inside C and
+    |A ^ B| <= max_diff (C is neither A nor B: A ^ B meets both).  As |A ^ B|
+    is even, A and B meet in a bucket of shared (r - max_diff // 2)-subsets;
+    A ^ B is looked up among the even subsets, up to max_diff, of the edges.
+    This is the keying of the exact search's ``_ThreeEdgeState``."""
+    edges = G.edge_list
+    inside = {_bits(s) for e in edges for k in range(2, max_diff + 1, 2)
+              for s in itertools.combinations(e, k)}
+    buckets: dict[Edge, list[int]] = {}
+    for e in edges:
+        em = _bits(e)
+        for s in itertools.combinations(e, G.r - max_diff // 2):
+            group = buckets.setdefault(s, [])
+            if any(em ^ bm in inside for bm in group):
+                return True
+            group.append(em)
+    return False
 
 
 def is_cancellative(G: Hypergraph) -> bool:
     """No three distinct edges where one contains the symmetric difference of
     the other two (equivalently: A u B = A u C forces B = C)."""
-    if G.r < 2 or len(G.edges) < 3:
-        return True
-    pair_idx = _pair_index(G)
-    edges = G.edge_list
-    sets = [frozenset(e) for e in edges]
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            diff = sets[i] ^ sets[j]
-            if len(diff) > G.r:
-                continue
-            d = sorted(diff)
-            for c in pair_idx.get((d[0], d[1]), ()):
-                if c != edges[i] and c != edges[j] and diff.issubset(c):
-                    return False
-    return True
+    return not _three_edge_member(G, G.r)
 
 
 def contains_sigma_member(G: Hypergraph) -> bool:
     """True iff some two edges share r-1 vertices and a third edge contains
     their symmetric difference (the three-edge triangle-like family)."""
-    if G.r < 2:
-        return False
-    covered = G.covered_pairs
-    buckets: dict[Edge, list[Edge]] = {}
-    for e in G.edge_list:
-        for s in itertools.combinations(e, G.r - 1):
-            buckets.setdefault(s, []).append(e)
-    for s, group in buckets.items():
-        if len(group) < 2:
-            continue
-        ss = set(s)
-        for a, b in itertools.combinations(group, 2):
-            (x,) = set(a) - ss
-            (y,) = set(b) - ss
-            if (min(x, y), max(x, y)) in covered:
-                return True
-    return False
+    return _three_edge_member(G, 2)
 
 
 @dataclass(frozen=True)
@@ -205,44 +190,16 @@ def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Emb
     if p > G.n:
         return None
 
-    n = G.n
-    adj = [0] * n
-    for u, v in G.covered_pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     first_cover: dict[tuple[int, int], Edge] = {}
     for e in G.edge_list:
         for pr in itertools.combinations(e, 2):
             first_cover.setdefault(pr, e)
-
-    def attempt(core: list[int]) -> Optional[Embedding]:
+    for core in _cliques(_pair_masks(G), (1 << G.n) - 1, p):
         mapping = find_embedding(G, F, allowed=core)
-        if mapping is None:
-            return None
-        cs = tuple(sorted(core))
-        covering = {pr: first_cover[pr] for pr in itertools.combinations(cs, 2)}
-        return Embedding(mapping, "family-member", core=cs, covering=covering)
-
-    def extend(clique: list[int], cand: int) -> Optional[Embedding]:
-        if len(clique) == p:
-            return attempt(clique)
-        need = p - len(clique)
-        m = cand
-        while m:
-            if m.bit_count() < need:
-                return None
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            res = extend(clique + [v], m & adj[v])
-            if res is not None:
-                return res
-        return None
-
-    full = (1 << n) - 1
-    if p == 0:
-        return attempt([])
-    return extend([], full)
+        if mapping is not None:
+            covering = {pr: first_cover[pr] for pr in itertools.combinations(core, 2)}
+            return Embedding(mapping, "family-member", core=core, covering=covering)
+    return None
 
 
 # -- small-graph generators (CLI and corpus conveniences) ---------------

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .hypergraph import Edge, Embedding, Hypergraph, find_embedding
+from .hypergraph import Edge, Embedding, Hypergraph, _bits, _cliques, find_embedding
 from .constructions import (
     contains_family_member,
     contains_sigma_member,
@@ -97,7 +97,8 @@ class SubgraphPredicate(ForbiddenPredicate):
 
     def __init__(self, pattern: Hypergraph):
         if len(pattern.edges) == 0 and pattern.n == 0:
-            raise ValueError("empty pattern forbids nothing")
+            raise ValueError("a pattern with no vertices is contained in every "
+                             "graph, so it forbids everything")
         self.pattern = pattern
 
     def is_free(self, G: Hypergraph) -> bool:
@@ -138,19 +139,7 @@ class _CliqueState(_EdgeSetState):
         common = self.adj[u] & self.adj[v]
         if self.t == 3:
             return common == 0
-        return not self._has_clique(common, self.t - 2)
-
-    def _has_clique(self, mask: int, size: int) -> bool:
-        if size == 0:
-            return True
-        m = mask
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if self._has_clique(m & self.adj[w], size - 1):
-                return True
-        return False
+        return next(_cliques(self.adj, common, self.t - 2), None) is None
 
     def add(self, e: Edge) -> None:
         super().add(e)
@@ -237,13 +226,6 @@ class CancellativePredicate(ForbiddenPredicate):
 
     def describe(self) -> str:
         return "cancellative"
-
-
-def _bits(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 class _ThreeEdgeState(_EdgeSetState):
@@ -352,10 +334,8 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
         )
     t0 = time.perf_counter()
     cands = _colex_candidates(n, r)
-    if not forbidden.is_free(Hypergraph(n, r, [])):
-        raise ValueError("no predicate-free graph exists on this vertex count")
-
-    # heuristic incumbent so the counting bound prunes from the start
+    # heuristic incumbent so the counting bound prunes from the start; it
+    # raises ValueError when not even the empty graph is predicate-free
     inc = local_search_lower(n, r, forbidden, seed=seed, iters=_PRESEARCH_ITERS)
     best = inc.value
     best_edges = set(inc.witness.edges)
@@ -401,6 +381,15 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
                         nodes, elapsed)
 
 
+def _greedy_fill(state, order) -> None:
+    """Add, in order, each edge that is not yet in the state and keeps it
+    predicate-free."""
+    current = state.current
+    for e in order:
+        if e not in current and state.can_add(e):
+            state.add(e)
+
+
 def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
                        seed: int = 0, iters: int = 2000) -> SearchResult:
     """Randomized add/remove/refill hill climb; value <= ex(n, predicate).
@@ -408,6 +397,8 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
     Seeds: the empty graph and every predicate-free balanced multipartite
     graph with between r and n parts.  iters=0 returns the best seed as-is.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     best_graph = Hypergraph(n, r, [])
@@ -429,19 +420,13 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
         state.add(e)
     best = len(current)
     best_set = set(current)
-
-    def greedy_fill(order) -> None:
-        for e in order:
-            if e not in current and state.can_add(e):
-                state.add(e)
-
     for _ in range(iters):
         if current and rng.random() < 0.35:
             drop = rng.sample(sorted(current), min(1 + (rng.random() < 0.3),
                                                    len(current)))
             for e in drop:
                 state.remove(e)
-        greedy_fill(rng.sample(cands, len(cands)))
+        _greedy_fill(state, rng.sample(cands, len(cands)))
         if len(current) > best:
             best = len(current)
             best_set = set(current)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 Edge = tuple[int, ...]
 VertexSet = tuple[int, ...]
@@ -185,6 +185,42 @@ def blowup(L: Hypergraph, sizes: Iterable[int]) -> Hypergraph:
     return Hypergraph(offsets[-1], L.r, edges)
 
 
+# -- vertex bitmasks ---------------------------------------------------
+
+
+def _bits(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for each v in vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _pair_masks(G: Hypergraph) -> list[int]:
+    """Adjacency bitmasks of the covered-pair graph: bit v of entry u is set
+    when u and v lie together in some edge."""
+    adj = [0] * G.n
+    for u, v in G.covered_pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _cliques(adj: list[int], cand: int, size: int) -> Iterator[VertexSet]:
+    """The size-cliques of the graph with adjacency bitmasks adj whose
+    vertices lie in the bitmask cand, as ascending tuples in lexicographic
+    order; a branch stops once too few candidates are left."""
+    if size == 0:
+        yield ()
+        return
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        for rest in _cliques(adj, cand & adj[v], size - 1):
+            yield (v,) + rest
+
+
 # -- containment -------------------------------------------------------
 
 
@@ -307,12 +343,7 @@ def contains_subhypergraph(G: Hypergraph, F: Hypergraph) -> Optional[Embedding]:
 
 def max_matching(G: Hypergraph) -> int:
     """Exact maximum number of pairwise disjoint edges, by branch and bound."""
-    masks = []
-    for e in G.edge_list:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        masks.append(m)
+    masks = [_bits(e) for e in G.edge_list]
     E = len(masks)
     if E == 0:
         return 0

@@ -47,8 +47,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .extremal import SubgraphPredicate, _colex_candidates
-from .hypergraph import Hypergraph, VertexSet, falling_factorial
+from .extremal import SubgraphPredicate, _colex_candidates, _greedy_fill
+from .hypergraph import Hypergraph, VertexSet, _bits, _pair_masks, falling_factorial
 
 __all__ = [
     "WeightVector",
@@ -69,6 +69,7 @@ __all__ = [
 
 _SUPPORT_EPS = 1e-9
 _TOL = 1e-9  # KKT residual at which an ascent counts as converged
+_MAX_ITERS = 5000  # gradient iterations per ascent
 
 # Lagrangian-density search: ascent restarts per host, perturb-and-refill
 # rounds per host order, and the largest C(t, r) searched exhaustively
@@ -212,10 +213,11 @@ def _grad_np(A: _Arrays, x: np.ndarray) -> np.ndarray:
     return A.rf * np.bincount(idx, weights=others.ravel(), minlength=A.n)
 
 
-def _transfer(A: _Arrays, x: np.ndarray, cap: float, tol: float) -> bool:
+def _transfer(A: _Arrays, x: np.ndarray, lam: np.ndarray, cap: float,
+              tol: float) -> bool:
     """One pairwise transfer, in place, from the min-gradient support vertex a
-    to the max-gradient support vertex b below the cap: move
-    min(gap / (2 r!), x_a), cut to b's headroom.  False when no such pair
+    to the max-gradient support vertex b below the cap, lam the gradient at x:
+    move min(gap / (2 r!), x_a), cut to b's headroom.  False when no such pair
     exists or the gradient gap is within tol / 4."""
     support = np.nonzero(x > _SUPPORT_EPS)[0]
     if len(support) < 2:
@@ -223,7 +225,6 @@ def _transfer(A: _Arrays, x: np.ndarray, cap: float, tol: float) -> bool:
     rec_pool = support[x[support] < cap - 1e-12]
     if len(rec_pool) == 0:
         return False
-    lam = _grad_np(A, x)
     b = rec_pool[np.argmax(lam[rec_pool])]
     a = support[np.argmin(lam[support])]
     if a == b:
@@ -252,10 +253,10 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
             max_iters: int) -> tuple[np.ndarray, float]:
     x = _project(np.asarray(x0, dtype=float), cap)
     val = _p_np(A, x)
+    lam = _grad_np(A, x)  # the gradient at x, recomputed whenever x moves
     t = 1.0
     for _ in range(max_iters):
         progressed = False
-        lam = _grad_np(A, x)
         # gradient step with backtracking
         tt = t
         for _ in range(60):
@@ -263,6 +264,7 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
             pv = _p_np(A, cand)
             if pv > val + 1e-16:
                 x, val, t = cand, pv, tt * 2.0
+                lam = _grad_np(A, x)
                 progressed = True
                 break
             if _cannot_gain(A, lam, val, cand - x):
@@ -271,7 +273,8 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
             if tt < 1e-20:
                 break
         # pairwise transfer step, in place: x is a projection owned here
-        if _transfer(A, x, cap, _TOL):
+        if _transfer(A, x, lam, cap, _TOL):
+            lam = _grad_np(A, x)
             nv = _p_np(A, x)
             if nv > val:
                 progressed = True
@@ -279,14 +282,17 @@ def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
         if not progressed:
             break
     # support cleanup with reprojection, then a final equalization pass
-    x = x.copy()
-    x[x < _SUPPORT_EPS] = 0.0
-    x = x / x.sum()
-    if x.max() > cap + 1e-15:
-        x = _project(x, cap)
+    y = x.copy()
+    y[y < _SUPPORT_EPS] = 0.0
+    y = y / y.sum()
+    if y.max() > cap + 1e-15:
+        y = _project(y, cap)
+    if not np.array_equal(x, y):
+        x, lam = y, _grad_np(A, y)
     for _ in range(300):
-        if not _transfer(A, x, cap, _TOL):
+        if not _transfer(A, x, lam, cap, _TOL):
             break
+        lam = _grad_np(A, x)
     val = _p_np(A, x)
     return x, val
 
@@ -313,10 +319,7 @@ def _greedy_supports(G: Hypergraph) -> list[tuple[int, ...]]:
     """Maximal pairwise-covered vertex sets, grown greedily from every vertex
     and every covered pair, in degree-descending and label orders."""
     n = G.n
-    adj = [0] * n
-    for u, v in G.covered_pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _pair_masks(G)
     deg = G.degrees
     by_degree = sorted(range(n), key=lambda v: (-deg[v], v))
     by_label = list(range(n))
@@ -324,9 +327,7 @@ def _greedy_supports(G: Hypergraph) -> list[tuple[int, ...]]:
     seeds += [[u, v] for u, v in sorted(G.covered_pairs)]
     out = set()
     for seed in seeds:
-        mask = 0
-        for v in seed:
-            mask |= 1 << v
+        mask = _bits(seed)
         for order in (by_degree, by_label):
             members = list(seed)
             mm = mask
@@ -363,7 +364,9 @@ class LagrangianEstimate:
 
 
 def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
-              max_iters: int, seed: int) -> LagrangianEstimate:
+              seed: int) -> LagrangianEstimate:
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
     n = G.n
     A = _arrays(G)
     if A is None:
@@ -383,7 +386,7 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
     best_x: Optional[np.ndarray] = None
     best_val = -1.0
     for x0 in starts:
-        x, val = _ascend(A, x0, box, max_iters)
+        x, val = _ascend(A, x0, box, _MAX_ITERS)
         if val > best_val + 1e-15:
             best_val, best_x = val, x
 
@@ -396,8 +399,7 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
                               beta=cap, cap_binds=binds)
 
 
-def lagrangian(G: Hypergraph, *, restarts: int = 50, max_iters: int = 5000,
-               seed: int = 0) -> LagrangianEstimate:
+def lagrangian(G: Hypergraph, *, restarts: int = 50, seed: int = 0) -> LagrangianEstimate:
     """Multistart estimate of lambda(G).
 
     Starts: uniform weights, uniform weights on greedily grown pairwise-covered
@@ -405,11 +407,11 @@ def lagrangian(G: Hypergraph, *, restarts: int = 50, max_iters: int = 5000,
     a certified lower bound (it is p_G at a feasible point); ``converged``
     reports whether its KKT residual is within 1e-9.
     """
-    return _optimize(G, None, restarts, max_iters, seed)
+    return _optimize(G, None, restarts, seed)
 
 
 def lagrangian_constrained(G: Hypergraph, beta: float, *, restarts: int = 50,
-                           max_iters: int = 5000, seed: int = 0) -> LagrangianEstimate:
+                           seed: int = 0) -> LagrangianEstimate:
     """Estimate of the Lagrangian restricted to max_i x_i <= beta.
 
     The feasible region is the capped simplex; ``cap_binds`` reports whether
@@ -420,7 +422,7 @@ def lagrangian_constrained(G: Hypergraph, beta: float, *, restarts: int = 50,
         raise ValueError("constrained Lagrangian needs at least one vertex")
     if not (1.0 / G.n - 1e-12 <= beta <= 1.0 + 1e-12):
         raise ValueError(f"beta must lie in [1/n, 1], got {beta}")
-    return _optimize(G, float(beta), restarts, max_iters, seed)
+    return _optimize(G, float(beta), restarts, seed)
 
 
 # -- closed forms -------------------------------------------------------
@@ -522,10 +524,7 @@ def clique_number(G: Hypergraph) -> int:
     n = G.n
     if n == 0:
         return 0
-    adj = [0] * n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _pair_masks(G)
     best = 1
 
     def expand(size: int, cand: int) -> None:
@@ -595,7 +594,7 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
     def consider(G: Hypergraph) -> None:
         nonlocal best_val, best_wit, evaluated
         evaluated += 1
-        est = lagrangian(G, restarts=_DENSITY_RESTARTS, max_iters=2000, seed=seed)
+        est = lagrangian(G, restarts=_DENSITY_RESTARTS, seed=seed)
         if est.value > best_val + 1e-12:
             best_val, best_wit = est.value, G
 
@@ -637,19 +636,13 @@ def _density_local(state, cands, consider, rng: random.Random,
                    iters: int) -> None:
     """Greedy fill, then perturb-and-refill rounds; considers each result."""
     current = state.current
-
-    def greedy_fill() -> None:
-        for e in rng.sample(cands, len(cands)):
-            if e not in current and state.can_add(e):
-                state.add(e)
-
-    greedy_fill()
+    _greedy_fill(state, rng.sample(cands, len(cands)))
     consider(state.graph())
     for _ in range(iters):
         if current and rng.random() < 0.5:
             for e in rng.sample(sorted(current), min(2, len(current))):
                 state.remove(e)
-        greedy_fill()
+        _greedy_fill(state, rng.sample(cands, len(cands)))
         consider(state.graph())
 
 

@@ -96,6 +96,11 @@ def test_cancellative_r4_differs_from_sigma_state():
     assert not st.can_add((0, 1, 4, 5))
 
 
+def test_vertexless_pattern_forbids_everything():
+    with pytest.raises(ValueError, match="contained in every graph, so it forbids everything"):
+        SubgraphPredicate(Hypergraph(0, 2, []))
+
+
 def test_exact_search_cap():
     with pytest.raises(ExactSearchRefused):
         brute_force_ex(9, 3, SigmaPredicate(3))

@@ -183,8 +183,20 @@ def test_cli_usage_error():
     ["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2", "--sweep=-1:2"],
     ["search", "--n", "5", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2",
      "--exact"],
+    ["search", "--n", "5", "--r", "3", "--forbid", "cancellative", "--heuristic",
+     "--iters", "-3", "--json"],
 ], ids=["sigma-no-r", "family-no-p", "subgraph-no-r", "sweep-no-hi",
-        "sweep-not-int", "sweep-reversed", "sweep-negative", "exact-flag-removed"])
+        "sweep-not-int", "sweep-reversed", "sweep-negative", "exact-flag-removed",
+        "iters-negative"])
 def test_cli_malformed_search_exits_2_silently(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--beta", "1/2"]], ids=["plain", "capped"])
+def test_cli_lagrangian_negative_restarts_exits_2_silently(extra, tmp_path, capsys):
+    p = tmp_path / "c3.hg"
+    p.write_text("3 2\n0 1\n1 2\n0 2\n")
+    assert main(["lagrangian", "--graph", str(p), "--restarts", "-2", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "restarts must be nonnegative" in captured.err

@@ -292,6 +292,42 @@ def line_search_inputs(draw):
     return g, cap, x, 2.0 ** draw(st.integers(-20, 10))
 
 
+def _counting_gradients(monkeypatch) -> list:
+    calls = []
+
+    def counting(A, x):
+        calls.append(x.copy())
+        return _grad_np(A, x)
+
+    monkeypatch.setattr(LAGRANGIAN, "_grad_np", counting)
+    return calls
+
+
+@pytest.mark.parametrize("g, points", [(complete_hypergraph(5, 3), 3), (cycle(5), 1)],
+                         ids=["K5(3)", "C5"])
+def test_ascent_at_a_stationary_start_takes_a_gradient_per_point(g, points, monkeypatch):
+    # uniform weights are stationary.  On C5 x never moves, so one gradient
+    # serves the whole ascent.  On K5(3) the first line search accepts a
+    # candidate whose sum rounds above 1 and the final renormalization moves
+    # x back, so three points are visited
+    calls = _counting_gradients(monkeypatch)
+    _ascend(_arrays(g), np.full(g.n, 1 / g.n), 1.0, LAGRANGIAN._MAX_ITERS)
+    assert len(calls) <= points
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_ascent_takes_one_gradient_per_point(data):
+    # every move of x is larger than rounding (an accepted step gains over
+    # 1e-16, a transfer moves more than 1e-12), so a gradient taken at the
+    # point of the previous one is a repeat
+    g, cap, x, _ = data.draw(line_search_inputs())
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_gradients(mp)
+        _ascend(_arrays(g), x, cap, LAGRANGIAN._MAX_ITERS)
+    assert calls and not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+
+
 @given(line_search_inputs())
 @settings(max_examples=300, deadline=None)
 def test_line_search_stop_is_sound(inputs):
@@ -339,7 +375,7 @@ def test_transfer_step_never_decreases():
         for cap, x in ((1.0, v / v.sum()), (0.4, _project(v, 0.4))):
             for _ in range(50):
                 before = _p_np(A, x)
-                if not _transfer(A, x, cap, 0.0):
+                if not _transfer(A, x, _grad_np(A, x), cap, 0.0):
                     break
                 assert _p_np(A, x) >= before - 1e-14
                 assert x.min() >= 0.0 and x.max() <= cap + 1e-15

@@ -20,6 +20,7 @@ from turanlag import (
     blowup,
     complete_hypergraph,
     contains_family_member,
+    contains_sigma_member,
     contains_subhypergraph,
     equivalence_classes,
     generalized_triangle,
@@ -28,6 +29,7 @@ from turanlag import (
     max_matching,
     poly_value,
     grad,
+    is_cancellative,
     run_plain,
     single_edge,
     symmetrize,
@@ -191,6 +193,13 @@ def test_run_plain_monotone_and_blowup(g):
 
     assert core_representatives(out.result).quotient.covers_pairs()
     assert is_blowup_of_quotient(out.result)
+
+
+@given(hypergraphs(rs=(1, 2, 3, 4, 5)))
+@settings(max_examples=150, deadline=None)
+def test_three_edge_recognizers_match_brute(g):
+    assert is_cancellative(g) == brute_is_cancellative(g)
+    assert contains_sigma_member(g) == brute_sigma(g)
 
 
 # -- incremental predicate states ------------------------------------------------
