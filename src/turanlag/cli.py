@@ -224,10 +224,11 @@ def _cmd_search(args) -> int:
         if not sweep or sweep.start < 0:
             raise SpecError(f"--sweep expects LO:HI with 0 <= LO <= HI, "
                             f"got {args.sweep!r}")
-        print("n,r,value,exact,nodes,elapsed")
         all_exact = True
         for n in sweep:
             res = solve(n)
+            if n == sweep.start:
+                print("n,r,value,exact,nodes,elapsed")
             all_exact = all_exact and res.exact
             print(f"{n},{args.r},{res.value},{int(res.exact)},"
                   f"{res.nodes_explored},{res.elapsed:.3f}")

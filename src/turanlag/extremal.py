@@ -444,20 +444,39 @@ def kernel_clean(G: Hypergraph, p: int, d: int) -> Hypergraph:
     Afterwards every d-set with nonzero degree supports more than p pairwise
     disjoint petals (its kernel degree exceeds p), and the total loss is at
     most p * C(n, d) * C(n, r-d-1) edges.  Idempotent.
+
+    The result does not depend on the order of removals.  Call a subgraph
+    clean when each of its d-sets has degree 0 or above the threshold.  The
+    union of two clean subgraphs is clean (a d-set's degree in the union is
+    at least its degree in either part), so G has a unique largest clean
+    subgraph H.  A removal never takes an edge of H: a d-set whose degree is
+    at most the threshold has at most that many H-edges through it, hence
+    none.  The loop stops only on a clean subgraph containing H, which is H.
+
+    So the loop runs on a live index: through[D] holds the edges through
+    each d-set D, and a stack holds the d-sets whose count is at most the
+    threshold.  Counts only fall, so a d-set is pushed at most once: at the
+    start, or when its count falls to exactly the threshold.  Popping one
+    drops its remaining edges (none, if others took them meanwhile), so the
+    stack empties only when every count is 0 or above the threshold.
     """
     if not 0 < d < G.r:
         raise ValueError(f"need 0 < d < r, got d={d}, r={G.r}")
     threshold = p * math.comb(G.n, G.r - d - 1)
     edges = set(G.edges)
-    changed = True
-    while changed:
-        changed = False
-        for D in itertools.combinations(range(G.n), d):
-            ds = set(D)
-            hits = [e for e in edges if ds.issubset(e)]
-            if hits and len(hits) <= threshold:
-                edges.difference_update(hits)
-                changed = True
+    through: dict[Edge, set] = {}
+    for e in edges:
+        for D in itertools.combinations(e, d):
+            through.setdefault(D, set()).add(e)
+    stack = [D for D, es in through.items() if len(es) <= threshold]
+    while stack:
+        for e in tuple(through[stack.pop()]):
+            edges.discard(e)
+            for D in itertools.combinations(e, d):
+                es = through[D]
+                es.discard(e)
+                if len(es) == threshold:
+                    stack.append(D)
     return Hypergraph(G.n, G.r, edges)
 
 

@@ -10,6 +10,13 @@ rule: when the minimum-degree vertex sits in the class that just received
 clones, a donor is deleted instead (while any remain).  ``run_plain`` is that
 driver at threshold 0, where no vertex is ever deleted.
 
+The driver keeps links[v], the set of e - {v} over the live edges through v,
+next to the edge set, and updates both as edges go and come; a degree is
+len(links[v]).  Equivalent vertices are nonadjacent, so an edge holds at most
+one donor, and u is adjacent to no donor: walking the donors' links removes
+exactly the edges through the donor class, and u's link is unchanged by the
+clone.
+
 Every run returns a replayable trace; replaying a trace against the input
 reproduces the output bit-exactly.
 """
@@ -80,22 +87,29 @@ class SymmetrizationOutcome:
 # -- equivalence classes -------------------------------------------------
 
 
-def _links(edges: set, alive: Iterable[int]) -> dict:
-    lk: dict[int, set] = {v: set() for v in alive}
-    for e in edges:
-        for v in e:
-            lk[v].add(e - {v})
-    return {v: frozenset(s) for v, s in lk.items()}
+def _add_edge(edges: set, links: dict, e: frozenset) -> None:
+    edges.add(e)
+    for x in e:
+        links[x].add(e - {x})
+
+
+def _link_index(G: Hypergraph) -> tuple[set, dict]:
+    """The edges of G as frozensets, and links[v], the set of e - {v} over
+    the edges e through v, for every vertex."""
+    edges: set = set()
+    links: dict[int, set] = {v: set() for v in range(G.n)}
+    for e in G.edges:
+        _add_edge(edges, links, frozenset(e))
+    return edges, links
 
 
 def equivalence_classes(G: Hypergraph) -> list[VertexSet]:
     """Partition of the vertices into classes of identical links, sorted by
     smallest member."""
-    edges = {frozenset(e) for e in G.edges}
-    links = _links(edges, range(G.n))
+    _, links = _link_index(G)
     groups: dict = {}
     for v in range(G.n):
-        groups.setdefault(links[v], []).append(v)
+        groups.setdefault(frozenset(links[v]), []).append(v)
     return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
 
 
@@ -161,75 +175,92 @@ def is_alpha_dense(G: Hypergraph, alpha) -> bool:
 # -- drivers --------------------------------------------------------------
 
 
-def _select_pair(edges: set, alive: set):
+def _select_pair(links: dict):
     """Deterministic choice of a nonadjacent nonequivalent pair (u, v) with
-    d(u) >= d(v): maximize d(u), then smallest u, then smallest v."""
-    links = _links(edges, alive)
-    deg = {v: len(links[v]) for v in alive}
-    for u in sorted(alive, key=lambda t: (-deg[t], t)):
-        neighbours = frozenset().union(*links[u])  # v with {u, v} covered
-        for v in sorted(alive):
+    d(u) >= d(v) among the live vertices (the keys of links): maximize d(u),
+    then smallest u, then smallest v."""
+    deg = {v: len(lk) for v, lk in links.items()}
+    order = sorted(links)
+    unpaired: set[int] = set()  # equivalent to a u that found no v
+    for u in sorted(order, key=lambda t: -deg[t]):
+        if u in unpaired:
+            continue
+        neighbours = set().union(*links[u])  # v with {u, v} covered
+        for v in order:
             if v == u or deg[v] > deg[u] or v in neighbours:
                 continue
             if links[u] == links[v]:
+                unpaired.add(v)
                 continue
-            return u, v, links
+            return u, v
     return None
 
 
 def _clone_class(edges: set, donors: Iterable[int], link_u: frozenset) -> set:
-    out = {e for e in edges if not any(w in e for w in donors)}
+    donors = frozenset(donors)
+    out = {e for e in edges if e.isdisjoint(donors)}
     for w in donors:
         for d in link_u:
             out.add(d | {w})
     return out
 
 
-def _compact(edges: set, alive: set, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
+def _compact(edges: set, alive: Iterable[int], r: int) -> tuple[Hypergraph, tuple[int, ...]]:
     kept = tuple(sorted(alive))
     pos = {v: i for i, v in enumerate(kept)}
     remapped = [tuple(sorted(pos[v] for v in e)) for e in edges]
     return Hypergraph(len(kept), r, remapped), kept
 
 
+def _drop_vertex_edges(edges: set, links: dict, w: int) -> None:
+    """Remove every edge through w from edges and from the links."""
+    for D in links[w]:
+        e = D | {w}
+        edges.discard(e)
+        for x in D:
+            links[x].discard(e - {x})
+    links[w].clear()
+
+
 def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
     """The one driver: cloning rounds, each followed by minimum-degree
     cleaning at threshold af (no degree is below a zero threshold); stops
-    when no pair is left and nothing was cleaned."""
-    edges = {frozenset(e) for e in G.edges}
-    alive = set(range(G.n))
+    when no pair is left and nothing was cleaned.  The live vertices are the
+    keys of links."""
+    edges, links = _link_index(G)
     steps: list[SymmetrizationStep] = []
-    while alive:
-        sel = _select_pair(edges, alive)
+    while links:
+        sel = _select_pair(links)
         donors: tuple[int, ...] = ()
         protected: set[int] = set()
         if sel is not None:
-            u, v, links = sel
-            donors = tuple(sorted(w for w in alive if links[w] == links[v]))
-            protected = {w for w in alive if links[w] == links[u]}
+            u, v = sel
+            donors = tuple(sorted(w for w in links if links[w] == links[v]))
+            protected = {w for w in links if links[w] == links[u]}
+            link_u = tuple(links[u])
             before = len(edges)
-            edges = _clone_class(edges, donors, links[u])
+            for w in donors:
+                _drop_vertex_edges(edges, links, w)
+            for w in donors:
+                for D in link_u:
+                    _add_edge(edges, links, D | {w})
             steps.append(SymmetrizationStep("symmetrize", donors, u, (),
                                             before, len(edges)))
         removed: list[int] = []
         flagged = False
         before = len(edges)
-        while alive:
-            deg = {w: 0 for w in alive}
-            for e in edges:
-                for w in e:
-                    deg[w] += 1
-            victim = min(alive, key=lambda t: (deg[t], t))
-            if deg[victim] >= af * math.comb(len(alive) - 1, G.r - 1):
+        while links:
+            victim = min(links, key=lambda t: (len(links[t]), t))
+            if len(links[victim]) >= af * math.comb(len(links) - 1, G.r - 1):
                 break
             if victim in protected:
-                live_donors = [w for w in donors if w in alive]
+                live_donors = [w for w in donors if w in links]
                 if live_donors:
                     victim = live_donors[0]
                 else:
                     flagged = True
-            alive.discard(victim)
-            edges = {e for e in edges if victim not in e}
+            _drop_vertex_edges(edges, links, victim)
+            del links[victim]
             removed.append(victim)
         if removed:
             steps.append(SymmetrizationStep("clean", (), -1,
@@ -237,7 +268,7 @@ def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
                                             before, len(edges), flagged))
         elif sel is None:
             break
-    result, kept = _compact(edges, alive, G.r)
+    result, kept = _compact(edges, links, G.r)
     return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)), kept)
 
 

@@ -13,7 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turanlag import DensityResult, Hypergraph
+from turanlag import (
+    DensityResult,
+    Hypergraph,
+    SymmetrizationOutcome,
+    SymmetrizationStep,
+    SymmetrizationTrace,
+)
 
 
 def brute_contains(G: Hypergraph, F: Hypergraph) -> bool:
@@ -160,6 +166,86 @@ def exact_poly_value(G: Hypergraph, x) -> Fraction:
     """p_G at the float weights x, in exact rational arithmetic."""
     xs = [Fraction(float(v)) for v in x]
     return math.factorial(G.r) * sum(math.prod(xs[v] for v in e) for e in G.edge_list)
+
+
+def rescanning_kernel_clean(G: Hypergraph, p: int, d: int) -> Hypergraph:
+    """Kernel cleanup by full passes: every pass scans all edges for each
+    d-set in lexicographic order, until a pass removes nothing."""
+    threshold = p * math.comb(G.n, G.r - d - 1)
+    edges = set(G.edges)
+    changed = True
+    while changed:
+        changed = False
+        for D in itertools.combinations(range(G.n), d):
+            ds = set(D)
+            hits = [e for e in edges if ds.issubset(e)]
+            if hits and len(hits) <= threshold:
+                edges.difference_update(hits)
+                changed = True
+    return Hypergraph(G.n, G.r, edges)
+
+
+def _rebuilt_links(edges: set, alive) -> dict:
+    lk: dict[int, set] = {v: set() for v in alive}
+    for e in edges:
+        for v in e:
+            lk[v].add(e - {v})
+    return {v: frozenset(s) for v, s in lk.items()}
+
+
+def rebuilding_symmetrization(G: Hypergraph, alpha) -> SymmetrizationOutcome:
+    """The symmetrization driver with every link and degree rebuilt from the
+    edge set at each step: pick the pair, clone the donor class, then delete
+    minimum-degree vertices while below alpha * C(|alive| - 1, r - 1)."""
+    af = Fraction(alpha)
+    edges = {frozenset(e) for e in G.edges}
+    alive = set(range(G.n))
+    steps = []
+    while alive:
+        links = _rebuilt_links(edges, alive)
+        deg = {v: len(links[v]) for v in alive}
+        sel = None
+        for u in sorted(alive, key=lambda t: (-deg[t], t)):
+            neighbours = frozenset().union(*links[u])
+            sel = next(((u, v) for v in sorted(alive)
+                        if v != u and deg[v] <= deg[u] and v not in neighbours
+                        and links[u] != links[v]), None)
+            if sel is not None:
+                break
+        donors, protected = (), set()
+        if sel is not None:
+            u, v = sel
+            donors = tuple(sorted(w for w in alive if links[w] == links[v]))
+            protected = {w for w in alive if links[w] == links[u]}
+            before = len(edges)
+            edges = {e for e in edges if not any(w in e for w in donors)}
+            edges |= {D | {w} for w in donors for D in links[u]}
+            steps.append(SymmetrizationStep("symmetrize", donors, u, (),
+                                            before, len(edges)))
+        removed, flagged, before = [], False, len(edges)
+        while alive:
+            deg = {w: sum(w in e for e in edges) for w in alive}
+            victim = min(alive, key=lambda t: (deg[t], t))
+            if deg[victim] >= af * math.comb(len(alive) - 1, G.r - 1):
+                break
+            if victim in protected:
+                live_donors = [w for w in donors if w in alive]
+                if live_donors:
+                    victim = live_donors[0]
+                else:
+                    flagged = True
+            alive.discard(victim)
+            edges = {e for e in edges if victim not in e}
+            removed.append(victim)
+        if removed:
+            steps.append(SymmetrizationStep("clean", (), -1, tuple(sorted(removed)),
+                                            before, len(edges), flagged))
+        elif sel is None:
+            break
+    kept = tuple(sorted(alive))
+    pos = {v: i for i, v in enumerate(kept)}
+    result = Hypergraph(len(kept), G.r, [tuple(sorted(pos[v] for v in e)) for e in edges])
+    return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)), kept)
 
 
 @pytest.fixture

@@ -185,9 +185,11 @@ def test_cli_usage_error():
      "--exact"],
     ["search", "--n", "5", "--r", "3", "--forbid", "cancellative", "--heuristic",
      "--iters", "-3", "--json"],
+    ["search", "--r", "3", "--sweep", "4:5", "--forbid", "cancellative", "--heuristic",
+     "--iters", "-3"],
 ], ids=["sigma-no-r", "family-no-p", "subgraph-no-r", "sweep-no-hi",
         "sweep-not-int", "sweep-reversed", "sweep-negative", "exact-flag-removed",
-        "iters-negative"])
+        "iters-negative", "sweep-iters-negative"])
 def test_cli_malformed_search_exits_2_silently(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""

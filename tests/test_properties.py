@@ -30,13 +30,15 @@ from turanlag import (
     poly_value,
     grad,
     is_cancellative,
+    kernel_clean,
     run_plain,
+    run_with_cleaning,
     single_edge,
     symmetrize,
 )
 
 from conftest import (brute_contains, brute_family, brute_is_cancellative, brute_matching,
-                      brute_sigma)
+                      brute_sigma, rebuilding_symmetrization, rescanning_kernel_clean)
 
 
 @st.composite
@@ -46,6 +48,21 @@ def hypergraphs(draw, max_n=7, rs=(2, 3)):
     cands = list(itertools.combinations(range(n), r))
     edges = draw(st.lists(st.sampled_from(cands), max_size=len(cands)))
     return Hypergraph(n, r, edges)
+
+
+@st.composite
+def dense_hypergraphs(draw, max_n=7, rs=(2, 3)):
+    """Each candidate edge kept with probability 1/2, so cleanups have
+    d-sets on both sides of their thresholds."""
+    r = draw(st.sampled_from(rs))
+    n = draw(st.integers(min_value=r, max_value=max_n))
+    cands = list(itertools.combinations(range(n), r))
+    keep = draw(st.lists(st.booleans(), min_size=len(cands), max_size=len(cands)))
+    return Hypergraph(n, r, [e for e, k in zip(cands, keep) if k])
+
+
+def sparse_or_dense(max_n, rs):
+    return st.one_of(hypergraphs(max_n, rs), dense_hypergraphs(max_n, rs))
 
 
 @st.composite
@@ -193,6 +210,32 @@ def test_run_plain_monotone_and_blowup(g):
 
     assert core_representatives(out.result).quotient.covers_pairs()
     assert is_blowup_of_quotient(out.result)
+
+
+@given(sparse_or_dense(12, (2, 3, 4)))
+@settings(max_examples=60, deadline=None)
+def test_symmetrization_driver_matches_rebuilding_oracle(g):
+    assert run_plain(g) == rebuilding_symmetrization(g, 0)
+    for alpha in (0, Fraction(1, 100), Fraction(1, 20), Fraction(1, 10),
+                  Fraction(1, 2), 1):
+        assert run_with_cleaning(g, alpha) == rebuilding_symmetrization(g, alpha)
+
+
+@given(sparse_or_dense(9, (2, 3, 4, 5)))
+@settings(max_examples=80, deadline=None)
+def test_kernel_clean_matches_rescanning_oracle(g):
+    for d in range(1, g.r):
+        for p in range(4):
+            assert kernel_clean(g, p, d) == rescanning_kernel_clean(g, p, d)
+
+
+@given(sparse_or_dense(9, (2, 3, 4, 5)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_clean_commutes_with_relabelling(g, data):
+    perm = data.draw(st.permutations(range(g.n)), label="perm")
+    for d in range(1, g.r):
+        for p in range(4):
+            assert kernel_clean(g.relabel(perm), p, d) == kernel_clean(g, p, d).relabel(perm)
 
 
 @given(hypergraphs(rs=(1, 2, 3, 4, 5)))
