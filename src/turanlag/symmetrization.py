@@ -10,12 +10,12 @@ rule: when the minimum-degree vertex sits in the class that just received
 clones, a donor is deleted instead (while any remain).  ``run_plain`` is that
 driver at threshold 0, where no vertex is ever deleted.
 
-The driver keeps links[v], the set of e - {v} over the live edges through v,
-next to the edge set, and updates both as edges go and come; a degree is
-len(links[v]).  Equivalent vertices are nonadjacent, so an edge holds at most
-one donor, and u is adjacent to no donor: walking the donors' links removes
-exactly the edges through the donor class, and u's link is unchanged by the
-clone.
+The driver, ``symmetrize`` and the trace replay keep links[v], the set of
+e - {v} over the live edges through v, next to the edge set, and update both
+as edges go and come; a degree is len(links[v]), and the live vertices are
+the keys of links.  One helper clones (walking the donors' links drops every
+edge through a donor, then each donor gains {w} + D for D in u's link) and
+one deletes a vertex, so the driver and its replay share both.
 
 Every run returns a replayable trace; replaying a trace against the input
 reproduces the output bit-exactly.
@@ -126,10 +126,9 @@ def symmetrize(G: Hypergraph, v: int, u: int) -> Hypergraph:
             raise ValueError(f"vertex {w} out of range")
     if (min(u, v), max(u, v)) in G.covered_pairs:
         raise ValueError(f"cannot symmetrize covered pair {{{u}, {v}}}")
-    edges = {frozenset(e) for e in G.edges}
-    link_u = frozenset(e - {u} for e in edges if u in e)
-    edges = _clone_class(edges, (v,), link_u)
-    return Hypergraph(G.n, G.r, [tuple(sorted(e)) for e in edges])
+    edges, links = _link_index(G)
+    _clone(edges, links, (v,), u)
+    return Hypergraph(G.n, G.r, edges)
 
 
 class CoreRepresentatives(NamedTuple):
@@ -196,30 +195,42 @@ def _select_pair(links: dict):
     return None
 
 
-def _clone_class(edges: set, donors: Iterable[int], link_u: frozenset) -> set:
-    donors = frozenset(donors)
-    out = {e for e in edges if e.isdisjoint(donors)}
-    for w in donors:
-        for d in link_u:
-            out.add(d | {w})
-    return out
-
-
 def _compact(edges: set, alive: Iterable[int], r: int) -> tuple[Hypergraph, tuple[int, ...]]:
     kept = tuple(sorted(alive))
     pos = {v: i for i, v in enumerate(kept)}
-    remapped = [tuple(sorted(pos[v] for v in e)) for e in edges]
-    return Hypergraph(len(kept), r, remapped), kept
+    return Hypergraph(len(kept), r, [[pos[v] for v in e] for e in edges]), kept
 
 
 def _drop_vertex_edges(edges: set, links: dict, w: int) -> None:
     """Remove every edge through w from edges and from the links."""
+    ws = frozenset((w,))
     for D in links[w]:
-        e = D | {w}
+        e = D | ws
         edges.discard(e)
         for x in D:
             links[x].discard(e - {x})
     links[w].clear()
+
+
+def _clone(edges: set, links: dict, donors: Iterable[int], u: int) -> None:
+    """Replace the edges through each donor w by {w} + D for D in the link
+    of u (taken before any edge goes), in edges and in the links."""
+    link_u = tuple(links[u])
+    for w in donors:
+        _drop_vertex_edges(edges, links, w)
+    for w in donors:
+        links[w].update(link_u)
+        ws = frozenset((w,))
+        for D in link_u:
+            e = D | ws
+            edges.add(e)
+            for x in D:
+                links[x].add(e - {x})
+
+
+def _delete_vertex(edges: set, links: dict, w: int) -> None:
+    _drop_vertex_edges(edges, links, w)
+    del links[w]
 
 
 def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
@@ -237,13 +248,8 @@ def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
             u, v = sel
             donors = tuple(sorted(w for w in links if links[w] == links[v]))
             protected = {w for w in links if links[w] == links[u]}
-            link_u = tuple(links[u])
             before = len(edges)
-            for w in donors:
-                _drop_vertex_edges(edges, links, w)
-            for w in donors:
-                for D in link_u:
-                    _add_edge(edges, links, D | {w})
+            _clone(edges, links, donors, u)
             steps.append(SymmetrizationStep("symmetrize", donors, u, (),
                                             before, len(edges)))
         removed: list[int] = []
@@ -259,8 +265,7 @@ def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
                     victim = live_donors[0]
                 else:
                     flagged = True
-            _drop_vertex_edges(edges, links, victim)
-            del links[victim]
+            _delete_vertex(edges, links, victim)
             removed.append(victim)
         if removed:
             steps.append(SymmetrizationStep("clean", (), -1,
@@ -304,32 +309,28 @@ def run_with_cleaning(G: Hypergraph, alpha) -> SymmetrizationOutcome:
 # -- trace replay ----------------------------------------------------------
 
 
-def _apply_step(edges: set, alive: set, step: SymmetrizationStep) -> set:
+def _apply_step(edges: set, links: dict, step: SymmetrizationStep) -> None:
     if step.kind == "symmetrize":
-        link_u = frozenset(e - {step.target} for e in edges if step.target in e)
-        return _clone_class(edges, step.donor_class, link_u)
-    for z in step.removed:
-        alive.discard(z)
-    zs = set(step.removed)
-    return {e for e in edges if not (e & zs)}
+        _clone(edges, links, step.donor_class, step.target)
+    else:
+        for z in step.removed:
+            _delete_vertex(edges, links, z)
 
 
 def replay_trace(G: Hypergraph, trace: SymmetrizationTrace) -> SymmetrizationOutcome:
     """Mechanically apply recorded steps to the input; reproduces the original
     run's output exactly."""
-    edges = {frozenset(e) for e in G.edges}
-    alive = set(range(G.n))
+    edges, links = _link_index(G)
     for step in trace.steps:
-        edges = _apply_step(edges, alive, step)
-    result, kept = _compact(edges, alive, G.r)
+        _apply_step(edges, links, step)
+    result, kept = _compact(edges, links, G.r)
     return SymmetrizationOutcome(result, trace, kept)
 
 
 def intermediate_graphs(G: Hypergraph, trace: SymmetrizationTrace):
     """Yield the graph after each recorded step, on the original label space
     (deleted vertices simply lose their edges)."""
-    edges = {frozenset(e) for e in G.edges}
-    alive = set(range(G.n))
+    edges, links = _link_index(G)
     for step in trace.steps:
-        edges = _apply_step(edges, alive, step)
-        yield Hypergraph(G.n, G.r, [tuple(sorted(e)) for e in edges])
+        _apply_step(edges, links, step)
+        yield Hypergraph(G.n, G.r, edges)
