@@ -21,10 +21,12 @@ from .hypergraph import (
     Embedding,
     Hypergraph,
     VertexSet,
+    _base_plan,
     _bits,
     _cliques,
+    _edge_masks,
+    _embed,
     _pair_masks,
-    find_embedding,
 )
 
 __all__ = [
@@ -179,9 +181,10 @@ def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Emb
     G[C].  Returns None when no member exists.
 
     Search: p-cliques of the covered-pair graph are enumerated in ascending
-    vertex order (that is the binding constraint), then F-embeddability inside
-    the clique is tested.  The certificate records one covering edge per core
-    pair, so coverage is auditable even though it is checked in the host.
+    vertex order (that is the binding constraint), then the embedding engine
+    looks for F inside the clique.  The certificate records the first edge,
+    in edge_list order, covering each core pair, so coverage is auditable
+    even though it is checked in the host.
     """
     if F.r != G.r:
         raise ValueError(f"uniformity mismatch: pattern r={F.r}, host r={G.r}")
@@ -189,15 +192,12 @@ def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Emb
         raise ValueError(f"core size p={p} must be at least n(F)={F.n}")
     if p > G.n:
         return None
-
-    first_cover: dict[tuple[int, int], Edge] = {}
-    for e in G.edge_list:
-        for pr in itertools.combinations(e, 2):
-            first_cover.setdefault(pr, e)
-    for core in _cliques(_pair_masks(G), (1 << G.n) - 1, p):
-        mapping = find_embedding(G, F, allowed=core)
+    plan, edges, adj = _base_plan(F), _edge_masks(G), _pair_masks(G)
+    for core in _cliques(adj, (1 << G.n) - 1, p):
+        mapping = _embed(plan, edges, G.degrees, adj, _bits(core))
         if mapping is not None:
-            covering = {pr: first_cover[pr] for pr in itertools.combinations(core, 2)}
+            covering = {pr: next(e for e in G.edge_list if pr[0] in e and pr[1] in e)
+                        for pr in itertools.combinations(core, 2)}
             return Embedding(mapping, "family-member", core=core, covering=covering)
     return None
 

@@ -1,13 +1,23 @@
 """Exact small-n Turan search, heuristic lower bounds, and cleanup procedures.
 
 The exact search is a DFS over the C(n, r) candidate edges in colex order,
-include-branch first, keeping freeness incrementally: each predicate exposes a
-can_add check that inspects only configurations through the new edge.  Pruning
-is the plain counting bound (included + remaining <= best) plus one symmetry
-pin: subtrees whose completions all leave vertex 0 isolated are skipped, since
-any nonempty such graph is isomorphic to one with vertex 0 covered that the
-search visits anyway.  The DFS is seeded with a heuristic incumbent so the
-bound bites immediately.
+include-branch first, keeping freeness incrementally.  Each predicate's
+``state(n, r)`` holds the current edge set and an index kept up to date by
+``add`` and ``remove``; ``can_add(e)`` inspects only configurations through
+the new edge, so it assumes that e is not in the state and that the current
+edge set is predicate-free (every search adds only edges that passed it).
+The subgraph and family states keep the embedding engine's indexes live (the
+edge bitmasks, the degrees and the covered-pair adjacency with pair counts):
+the subgraph state searches only copies with a pattern edge on e, the family
+state only the cores through a pair of e.  K_t in 2-graphs and the sigma and
+cancellative families have their own bitmask states.
+
+Pruning is the plain counting bound (included + remaining <= best), applied
+to an exclude child before the call, plus one symmetry pin: subtrees whose
+completions all leave vertex 0 isolated are skipped, since any nonempty such
+graph is isomorphic to one with vertex 0 covered that the search visits
+anyway.  The DFS is seeded with a heuristic incumbent so the bound bites
+immediately.
 """
 
 from __future__ import annotations
@@ -19,7 +29,19 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .hypergraph import Edge, Embedding, Hypergraph, _bits, _cliques, find_embedding
+from .hypergraph import (
+    Edge,
+    Embedding,
+    Hypergraph,
+    _anchored_plans,
+    _base_plan,
+    _bits,
+    _cliques,
+    _embed,
+    _embed_through,
+    _seeds,
+    find_embedding,
+)
 from .constructions import (
     contains_family_member,
     contains_sigma_member,
@@ -75,8 +97,9 @@ class ForbiddenPredicate:
 
 class _EdgeSetState:
     """Base of every incremental state: the current edge tuples and a
-    Hypergraph builder.  Subclasses add their index and a ``can_add`` check
-    that inspects only configurations through the new edge."""
+    Hypergraph builder.  Subclasses keep their index next to ``current`` in
+    ``add`` and ``remove``, and add a ``can_add`` check that inspects only
+    configurations through the new edge."""
 
     def __init__(self, n: int, r: int):
         self.n, self.r = n, r
@@ -84,12 +107,6 @@ class _EdgeSetState:
 
     def graph(self) -> Hypergraph:
         return Hypergraph(self.n, self.r, self.current)
-
-    def add(self, e: Edge) -> None:
-        self.current.add(e)
-
-    def remove(self, e: Edge) -> None:
-        self.current.discard(e)
 
 
 class SubgraphPredicate(ForbiddenPredicate):
@@ -110,8 +127,7 @@ class SubgraphPredicate(ForbiddenPredicate):
         t = _complete_two_graph_order(self.pattern)
         if t is not None:
             return _CliqueState(n, t)
-        return _RebuildState(n, r, lambda H, e: find_embedding(
-            H, self.pattern, require_edge=e))
+        return _SubgraphState(n, r, self.pattern)
 
     def describe(self) -> str:
         return f"subgraph(n={self.pattern.n},r={self.pattern.r},e={len(self.pattern.edges)})"
@@ -142,29 +158,133 @@ class _CliqueState(_EdgeSetState):
         return next(_cliques(self.adj, common, self.t - 2), None) is None
 
     def add(self, e: Edge) -> None:
-        super().add(e)
+        self.current.add(e)
         u, v = e
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
 
     def remove(self, e: Edge) -> None:
-        super().remove(e)
+        self.current.discard(e)
         u, v = e
         self.adj[u] &= ~(1 << v)
         self.adj[v] &= ~(1 << u)
 
 
-class _RebuildState(_EdgeSetState):
-    """Generic state: rebuild the graph with the new edge and ask the
-    predicate's finder, ``find(H, e)``, for a violation through e."""
+class _EmbedState(_EdgeSetState):
+    """The embedding engine's indexes, kept as edges come and go: the edge
+    bitmasks, the degrees, and the covered-pair adjacency bitmasks with the
+    number of edges covering each pair."""
 
-    def __init__(self, n: int, r: int, find):
+    def __init__(self, n: int, r: int):
         super().__init__(n, r)
-        self.find = find
+        self.masks: set[int] = set()
+        self.deg = [0] * n
+        self.adj = [0] * n
+        self.cover = [0] * (n * n)
+        self._prep: dict[Edge, tuple] = {}
+
+    def _prepare(self, e: Edge):
+        got = self._prep.get(e)
+        if got is None:
+            pairs = tuple((u * self.n + v, u, v, 1 << u, 1 << v)
+                          for u, v in itertools.combinations(e, 2))
+            got = self._prep[e] = (_bits(e), pairs)
+        return got
+
+    def _update(self, e: Edge, step: int) -> None:
+        """Index (step 1) or unindex (step -1) the edge e."""
+        em, pairs = self._prepare(e)
+        if step > 0:
+            self.masks.add(em)
+        else:
+            self.masks.discard(em)
+        deg, adj, cover = self.deg, self.adj, self.cover
+        for v in e:
+            deg[v] += step
+        for k, u, v, bu, bv in pairs:
+            cover[k] += step
+            if cover[k]:
+                adj[u] |= bv
+                adj[v] |= bu
+            else:
+                adj[u] &= ~bv
+                adj[v] &= ~bu
+
+    def add(self, e: Edge) -> None:
+        self.current.add(e)
+        self._update(e, 1)
+
+    def remove(self, e: Edge) -> None:
+        self.current.discard(e)
+        self._update(e, -1)
+
+
+class _SubgraphState(_EmbedState):
+    """Copies of F through the new edge: with the current edge set F-free,
+    adding e creates a copy only if some pattern edge maps onto e."""
+
+    def __init__(self, n: int, r: int, F: Hypergraph):
+        super().__init__(n, r)
+        self.plans = _anchored_plans(F)
+        self.hosts = (1 << n) - 1
+        self._orderings: dict[Edge, tuple] = {}
 
     def can_add(self, e: Edge) -> bool:
-        H = Hypergraph(self.n, self.r, list(self.current) + [e])
-        return self.find(H, e) is None
+        seeds = self._orderings.get(e)
+        if seeds is None:
+            seeds = self._orderings[e] = _seeds(e)
+        return _embed_through(self.plans, seeds, self.masks, self.deg, self.adj,
+                              self.hosts) is None
+
+
+class _FamilyState(_EmbedState):
+    """Family members through the new edge, on the cores that hold a pair
+    of it.
+
+    Let the current edge set be free and adding e create a member: a p-core
+    C, every pair of it covered, with a copy of F inside C.  If the copy
+    uses e, then e lies inside C.  If it does not, some pair of C was not
+    covered before, as otherwise the member was there already; that pair is
+    covered only by e.  Either way C holds a pair of e (for r >= 2; for
+    r = 1 the same argument puts e itself in C).  So can_add enumerates
+    the cliques of the covered-pair graph, with e indexed, through each
+    pair {a, b} of e, and runs the engine inside each.  A core is taken at
+    its two smallest vertices in e only: the pair's other vertices avoid
+    the vertices of e below b other than a.
+    """
+
+    def __init__(self, n: int, r: int, F: Hypergraph, p: int):
+        super().__init__(n, r)
+        self.plan = _base_plan(F)
+        self.anchor = min(2, r)
+        self.rest = p - self.anchor  # core vertices besides the pair of e
+        self._anchors: dict[Edge, tuple] = {}
+
+    def _pairs(self, e: Edge):
+        """(pair, its bitmask, the vertices the rest of its cores may use)."""
+        got = self._anchors.get(e)
+        if got is None:
+            full = (1 << self.n) - 1
+            got = self._anchors[e] = tuple(
+                (S, _bits(S), full & ~_bits(v for v in e if v < S[-1] and v not in S))
+                for S in itertools.combinations(e, self.anchor))
+        return got
+
+    def can_add(self, e: Edge) -> bool:
+        if self.rest < 0:
+            return True  # no core holds a pair
+        self._update(e, 1)
+        try:
+            masks, deg, adj, plan = self.masks, self.deg, self.adj, self.plan
+            for S, core, cand in self._pairs(e):
+                for v in S:
+                    cand &= adj[v]
+                for rest in _cliques(adj, cand, self.rest):
+                    if _embed(plan, masks, deg, adj, core | _bits(rest)) is not None:
+                        return False
+            return True
+        finally:
+            self._update(e, -1)
 
 
 class FamilyPredicate(ForbiddenPredicate):
@@ -182,8 +302,7 @@ class FamilyPredicate(ForbiddenPredicate):
     def state(self, n: int, r: int):
         if r != self.pattern.r:
             raise ValueError("predicate uniformity mismatch")
-        return _RebuildState(n, r, lambda H, e: contains_family_member(
-            H, self.pattern, self.p))
+        return _FamilyState(n, r, self.pattern, self.p)
 
     def describe(self) -> str:
         return f"family(p={self.p},n(F)={self.pattern.n},r={self.pattern.r})"
@@ -322,9 +441,11 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     """Exact maximum edge count of a predicate-free r-graph on n vertices.
 
     Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
-    when C(n, r) exceeds the hard cap.  A time budget, checked every 4096
-    nodes, makes the result a best-so-far bound with exact=False instead of
-    exhausting.
+    when C(n, r) exceeds the hard cap.  A time budget, read at the first
+    call once 4096 nodes have passed since the last reading, makes the
+    result a best-so-far bound with exact=False instead of exhausting.  An
+    exclude child that fails the counting bound is counted as a node
+    without a call.
     """
     m = math.comb(n, r)
     if m > EXACT_EDGE_CAP:
@@ -346,18 +467,21 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
         zero_suffix[i] = zero_suffix[i + 1] + (0 in cands[i])
 
     nodes = 0
+    next_check = 4096  # the node count at which the deadline is next read
     aborted = False
     deadline = None if max_seconds is None else t0 + max_seconds
     can_add, s_add, s_remove = state.can_add, state.add, state.remove
 
     def dfs(i: int, count: int, has_zero: bool) -> None:
-        nonlocal nodes, best, best_edges, aborted
+        nonlocal nodes, next_check, best, best_edges, aborted
         nodes += 1
         if aborted:
             return
-        if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
-            aborted = True
-            return
+        if deadline is not None and nodes >= next_check:
+            next_check = nodes + 4096
+            if time.perf_counter() > deadline:
+                aborted = True
+                return
         if count > best:
             best = count
             best_edges = set(state.current)
@@ -372,7 +496,11 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
             s_add(e)
             dfs(i + 1, count + 1, has_zero or e[0] == 0)
             s_remove(e)
-        if not aborted:
+        if aborted:
+            return
+        if count + (m - i - 1) <= best:
+            nodes += 1  # the exclude child fails the counting bound on entry
+        else:
             dfs(i + 1, count, has_zero)
 
     dfs(0, 0, False)

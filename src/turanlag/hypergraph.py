@@ -240,79 +240,107 @@ class Embedding:
     covering: Optional[dict] = None
 
 
-def _embed_engine(
-    n_host: int,
-    host_edges: frozenset,
-    host_deg,
-    F: Hypergraph,
-    allowed: Optional[Iterable[int]] = None,
-    require_edge: Optional[Edge] = None,
-) -> Optional[dict]:
-    """Backtracking search for a (not necessarily induced) copy of F.
+# The embedding engine.  A pattern F is compiled once into plans: a vertex
+# order and, for each position, the degree its image needs, the pattern edges
+# whose last vertex it is (as tuples of positions) and its earlier
+# covered-pair neighbours.  The base order is by decreasing degree, then
+# label; the plan anchored at a pattern edge puts that edge's vertices first.
+# The search runs on plain indexed data: a set of edge bitmasks, a degree
+# array and the adjacency bitmasks of the covered-pair graph.  A position's
+# candidates are the unused allowed hosts adjacent to the images of its
+# placed neighbours, visited in ascending order.  A candidate outside that
+# set, or of too small a degree, cannot extend to a copy, so the first copy
+# found is the first in the plain backtracking order over all hosts.
 
-    Pattern vertices are explored in decreasing-degree-then-label order and
-    host candidates in ascending order, so the first embedding found is
-    deterministic.  ``allowed`` restricts host vertices; ``require_edge``
-    forces some pattern edge to map onto exactly that host edge.
-    """
-    hosts = sorted(allowed) if allowed is not None else list(range(n_host))
-    if F.n > len(hosts):
-        return None
-    degF = F.degrees
-    fedges = F.edge_list
 
-    def solve(order: list[int], seed: dict) -> Optional[dict]:
-        # pattern edges checkable as soon as their last vertex (in order) is placed
-        rank = {v: i for i, v in enumerate(order)}
-        check_at: list[list[Edge]] = [[] for _ in order]
-        for fe in fedges:
-            check_at[max(rank[v] for v in fe)].append(fe)
-        assign = dict(seed)
-        used = set(seed.values())
+def _plan(F: Hypergraph, order: list[int]) -> tuple:
+    """(order, steps) with steps[i] = (need, checks, neighbours) for order[i]."""
+    rank = {v: i for i, v in enumerate(order)}
+    checks: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for fe in F.edge_list:
+        pos = tuple(sorted(rank[v] for v in fe))
+        checks[pos[-1]].append(pos)
+    covered = F.covered_pairs
+    steps = tuple(
+        (F.degrees[v], tuple(checks[i]),
+         tuple(j for j in range(i) if (min(v, order[j]), max(v, order[j])) in covered))
+        for i, v in enumerate(order))
+    return tuple(order), steps
 
-        def ok_at(i: int) -> bool:
-            for fe in check_at[i]:
-                if tuple(sorted(assign[v] for v in fe)) not in host_edges:
-                    return False
-            return True
 
-        start = len(seed)
-        for i in range(start):
-            if not ok_at(i):
-                return None
+def _base_plan(F: Hypergraph) -> tuple:
+    return _plan(F, sorted(range(F.n), key=lambda v: (-F.degrees[v], v)))
 
-        def rec(i: int) -> bool:
-            if i == len(order):
+
+def _anchored_plans(F: Hypergraph) -> tuple:
+    """One plan per pattern edge, in edge_list order, placing its vertices first."""
+    base = _base_plan(F)[0]
+    return tuple(_plan(F, list(fe) + [v for v in base if v not in fe])
+                 for fe in F.edge_list)
+
+
+def _place(steps, i, img, bit, used, edges, deg, adj, allowed) -> bool:
+    """Extend the images img[:i] (bit[j] = 1 << img[j]) to every position."""
+    if i == len(steps):
+        return True
+    need, checks, nbrs = steps[i]
+    cand = allowed & ~used
+    for j in nbrs:
+        cand &= adj[img[j]]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        h = low.bit_length() - 1
+        if deg[h] < need:
+            continue
+        img[i], bit[i] = h, low
+        for c in checks:
+            m = 0
+            for j in c:
+                m |= bit[j]
+            if m not in edges:
+                break
+        else:
+            if _place(steps, i + 1, img, bit, used | low, edges, deg, adj, allowed):
                 return True
-            v = order[i]
-            dv = degF[v]
-            for h in hosts:
-                if h in used or host_deg[h] < dv:
-                    continue
-                assign[v] = h
-                used.add(h)
-                if ok_at(i) and rec(i + 1):
-                    return True
-                used.discard(h)
-                del assign[v]
-            return False
+    return False
 
-        return dict(assign) if rec(start) else None
 
-    base_order = sorted(range(F.n), key=lambda v: (-degF[v], v))
-    if require_edge is None:
-        return solve(base_order, {})
-    req = tuple(sorted(require_edge))
-    if req not in host_edges or len(req) != F.r:
-        return None
-    for fe in fedges:
-        for perm in itertools.permutations(req):
-            seed = dict(zip(fe, perm))
-            order = list(fe) + [v for v in base_order if v not in seed]
-            res = solve(order, seed)
-            if res is not None:
-                return res
+def _embed(plan, edges, deg, adj, allowed) -> Optional[dict]:
+    """First copy under the plan, or None."""
+    order, steps = plan
+    img = [0] * len(order)
+    if _place(steps, 0, img, img[:], 0, edges, deg, adj, allowed):
+        return dict(zip(order, img))
     return None
+
+
+def _seeds(e: Edge) -> tuple:
+    """The bitmask of the host edge e and its orderings, each with the
+    bitmasks of its vertices: the seeds of ``_embed_through``."""
+    return _bits(e), tuple((seed, tuple(1 << h for h in seed))
+                           for seed in itertools.permutations(e))
+
+
+def _embed_through(plans, seeds, edges, deg, adj, allowed) -> Optional[dict]:
+    """First copy with a pattern edge mapped onto the host edge e, given as
+    ``_seeds(e)``: pattern edges in order, then the orderings of e.  Other
+    pattern edges map onto edges that meet a vertex outside e, so neither
+    the presence of e in ``edges`` nor the pairs only e covers change the
+    answer."""
+    used, orderings = seeds
+    r = used.bit_count()
+    for order, steps in plans:
+        img, bit = [0] * len(order), [0] * len(order)
+        for seed, seed_bits in orderings:
+            img[:r], bit[:r] = seed, seed_bits
+            if _place(steps, r, img, bit, used, edges, deg, adj, allowed):
+                return dict(zip(order, img))
+    return None
+
+
+def _edge_masks(G: Hypergraph) -> set[int]:
+    return {_bits(e) for e in G.edges}
 
 
 def find_embedding(
@@ -322,10 +350,27 @@ def find_embedding(
     allowed: Optional[Iterable[int]] = None,
     require_edge: Optional[Edge] = None,
 ) -> Optional[dict]:
-    """Raw mapping form of contains_subhypergraph (None when no copy exists)."""
+    """First copy of F in G as a pattern-to-host vertex map, or None.
+
+    ``allowed`` restricts the host vertices; ``require_edge`` forces some
+    pattern edge onto exactly that host edge, whose vertices then need not
+    be allowed.  The copy is the first in backtracking order: pattern
+    vertices by decreasing degree, then label (with require_edge: the
+    pattern edges in order, each placed first in every ordering of the
+    host edge), host vertices in ascending order.
+    """
     if F.r != G.r:
         raise ValueError(f"uniformity mismatch: pattern r={F.r}, host r={G.r}")
-    return _embed_engine(G.n, G.edges, G.degrees, F, allowed, require_edge)
+    hosts = sorted(allowed) if allowed is not None else range(G.n)
+    if F.n > len(hosts):
+        return None
+    args = (_edge_masks(G), G.degrees, _pair_masks(G), _bits(hosts))
+    if require_edge is None:
+        return _embed(_base_plan(F), *args)
+    req = tuple(sorted(require_edge))
+    if req not in G.edges:
+        return None
+    return _embed_through(_anchored_plans(F), _seeds(req), *args)
 
 
 def contains_subhypergraph(G: Hypergraph, F: Hypergraph) -> Optional[Embedding]:

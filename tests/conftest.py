@@ -58,6 +58,70 @@ def brute_contains_in(G: Hypergraph, F: Hypergraph, allowed) -> bool:
     return False
 
 
+def backtracking_embedding(G: Hypergraph, F: Hypergraph, allowed=None,
+                           require_edge=None):
+    """The plain backtracking embedding search, tried host by host with no
+    adjacency or edge-mask index: pattern vertices by decreasing degree, then
+    label, host candidates ascending, each pattern edge checked once its last
+    vertex is placed.  With require_edge, every pattern edge in turn is
+    seeded onto each ordering of that host edge.  find_embedding must return
+    the same first mapping."""
+    hosts = sorted(allowed) if allowed is not None else list(range(G.n))
+    if F.n > len(hosts):
+        return None
+    host_edges, host_deg = G.edges, G.degrees
+    degF = F.degrees
+    fedges = F.edge_list
+
+    def solve(order: list[int], seed: dict):
+        rank = {v: i for i, v in enumerate(order)}
+        check_at: list[list] = [[] for _ in order]
+        for fe in fedges:
+            check_at[max(rank[v] for v in fe)].append(fe)
+        assign = dict(seed)
+        used = set(seed.values())
+
+        def ok_at(i: int) -> bool:
+            return all(tuple(sorted(assign[v] for v in fe)) in host_edges
+                       for fe in check_at[i])
+
+        start = len(seed)
+        if not all(ok_at(i) for i in range(start)):
+            return None
+
+        def rec(i: int) -> bool:
+            if i == len(order):
+                return True
+            v = order[i]
+            for h in hosts:
+                if h in used or host_deg[h] < degF[v]:
+                    continue
+                assign[v] = h
+                used.add(h)
+                if ok_at(i) and rec(i + 1):
+                    return True
+                used.discard(h)
+                del assign[v]
+            return False
+
+        return dict(assign) if rec(start) else None
+
+    base_order = sorted(range(F.n), key=lambda v: (-degF[v], v))
+    if require_edge is None:
+        return solve(base_order, {})
+    req = tuple(sorted(require_edge))
+    if req not in host_edges or len(req) != F.r:
+        return None
+    for fe in fedges:
+        for perm in itertools.permutations(req):
+            seed = dict(zip(fe, perm))
+            order = list(fe) + [v for v in base_order if v not in seed]
+            res = solve(order, seed)
+            if res is not None:
+                return res
+    return None
+
+
 def brute_matching(G: Hypergraph) -> int:
     """Maximum matching by checking all edge subsets."""
     edges = G.edge_list

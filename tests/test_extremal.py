@@ -16,6 +16,7 @@ from turanlag import (
     contains_family_member,
     expanded_clique_with_embedded,
     family_free_subgraph,
+    generalized_triangle,
     is_cancellative,
     kernel_clean,
     kernel_degree,
@@ -107,11 +108,25 @@ def test_exact_search_cap():
 
 
 def test_budget_abort():
-    # the full tree has 12,895 nodes; a zero budget stops at node 4096
+    # the full tree has 12,895 nodes; a zero budget stops at the first call
+    # once 4096 nodes are counted, at most one pruned child per level later
     res = brute_force_ex(7, 2, SubgraphPredicate(k3()), max_seconds=0)
     assert not res.exact
+    assert 4096 <= res.nodes_explored <= 4096 + math.comb(7, 2)
     assert res.value <= 12
     assert SubgraphPredicate(k3()).is_free(res.witness)
+
+
+@pytest.mark.parametrize("n, r, pred, value, nodes", [
+    (7, 2, SubgraphPredicate(complete_hypergraph(3, 2)), 12, 12_895),
+    (6, 3, SigmaPredicate(3), 8, 5_630),
+    (6, 3, SubgraphPredicate(generalized_triangle(3)), 10, 5_556),
+])
+def test_nodes_explored_pinned(n, r, pred, value, nodes):
+    # the values and node counts of the DFS that called every child, pruned
+    # ones included; counting pruned children inline must not move them
+    res = brute_force_ex(n, r, pred)
+    assert res.exact and (res.value, res.nodes_explored) == (value, nodes)
 
 
 def test_family_predicate_exact_small():

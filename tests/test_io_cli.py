@@ -135,7 +135,7 @@ def test_cli_search_refuses_big_exact(capsys):
 @pytest.mark.parametrize("mode", [["--n", "7"], ["--sweep", "7:7"]],
                          ids=["single", "sweep"])
 def test_cli_search_budget_exhausted_exits_3(mode, capsys):
-    # the n=7 tree has 12,895 nodes; a zero budget stops at node 4096
+    # the n=7 tree has 12,895 nodes; a zero budget stops once 4096 are counted
     code = main(["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2",
                  "--budget-secs", "0", "--json", *mode])
     assert code == 3

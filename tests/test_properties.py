@@ -22,11 +22,14 @@ from turanlag import (
     contains_family_member,
     contains_sigma_member,
     contains_subhypergraph,
+    enlargement,
     equivalence_classes,
+    find_embedding,
     generalized_triangle,
     kernel_degree,
     max_average_degree,
     max_matching,
+    path_graph,
     poly_value,
     grad,
     is_cancellative,
@@ -37,8 +40,9 @@ from turanlag import (
     symmetrize,
 )
 
-from conftest import (brute_contains, brute_family, brute_is_cancellative, brute_matching,
-                      brute_sigma, rebuilding_symmetrization, rescanning_kernel_clean)
+from conftest import (backtracking_embedding, brute_contains, brute_family,
+                      brute_is_cancellative, brute_matching, brute_sigma,
+                      rebuilding_symmetrization, rescanning_kernel_clean)
 
 
 @st.composite
@@ -128,6 +132,36 @@ def test_containment_matches_brute_force(g, f):
     if f.r != g.r:
         return
     assert (contains_subhypergraph(g, f) is not None) == brute_contains(g, f)
+
+
+@st.composite
+def patterns(draw, r, max_n=5):
+    """An r-graph on its edges' support and up to two isolated vertices,
+    labels shuffled."""
+    k = draw(st.integers(min_value=r, max_value=max_n))
+    cands = list(itertools.combinations(range(k), r))
+    edges = draw(st.lists(st.sampled_from(cands), max_size=4))
+    used = sorted({v for e in edges for v in e})
+    n = len(used) + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    pos = {v: perm[i] for i, v in enumerate(used)}
+    return Hypergraph(n, r, [tuple(pos[v] for v in e) for e in edges])
+
+
+@given(st.sampled_from((2, 3, 4)).flatmap(
+    lambda r: st.tuples(hypergraphs(max_n=7, rs=(r,)), patterns(r))), st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_embedding_matches_backtracking_oracle(gf, data):
+    g, f = gf
+    assert find_embedding(g, f) == backtracking_embedding(g, f)
+    allowed = data.draw(st.lists(st.integers(0, g.n - 1), unique=True), label="allowed")
+    assert (find_embedding(g, f, allowed=allowed)
+            == backtracking_embedding(g, f, allowed=allowed))
+    if g.edges:
+        e = data.draw(st.sampled_from(g.edge_list), label="require_edge")
+        for a in (None, allowed):
+            assert (find_embedding(g, f, allowed=a, require_edge=e)
+                    == backtracking_embedding(g, f, allowed=a, require_edge=e))
 
 
 @given(hypergraphs(max_n=6, rs=(3,)), st.integers(2, 4))
@@ -248,6 +282,8 @@ def test_three_edge_recognizers_match_brute(g):
 # -- incremental predicate states ------------------------------------------------
 
 K3, K4, F5 = complete_hypergraph(3, 2), complete_hypergraph(4, 2), generalized_triangle(3)
+P3_PLUS = enlargement(path_graph(3), 3)  # two 3-edges sharing a pair
+EDGE_AND_ISOLATED = Hypergraph(4, 3, [(0, 1, 2)])
 
 # (predicate, r, largest n, state class, brute-force freeness oracle); for
 # r = 3 a sigma member is exactly a cancellative violation, and for r = 5 two
@@ -257,10 +293,16 @@ STATE_CASES = {
            lambda g: not brute_contains(g, K3)),
     "K4": (SubgraphPredicate(K4), 2, 6, "_CliqueState",
            lambda g: not brute_contains(g, K4)),
-    "F5": (SubgraphPredicate(F5), 3, 6, "_RebuildState",
+    "F5": (SubgraphPredicate(F5), 3, 6, "_SubgraphState",
            lambda g: not brute_contains(g, F5)),
-    "family-p4": (FamilyPredicate(single_edge(3), 4), 3, 6, "_RebuildState",
+    "P3+": (SubgraphPredicate(P3_PLUS), 3, 6, "_SubgraphState",
+            lambda g: not brute_contains(g, P3_PLUS)),
+    "edge-and-isolated": (SubgraphPredicate(EDGE_AND_ISOLATED), 3, 6, "_SubgraphState",
+                          lambda g: not brute_contains(g, EDGE_AND_ISOLATED)),
+    "family-p4": (FamilyPredicate(single_edge(3), 4), 3, 6, "_FamilyState",
                   lambda g: not brute_family(g, single_edge(3), 4)),
+    "family-P3+-p5": (FamilyPredicate(P3_PLUS, 5), 3, 6, "_FamilyState",
+                      lambda g: not brute_family(g, P3_PLUS, 5)),
     "sigma-r3": (SigmaPredicate(3), 3, 6, "_ThreeEdgeState", brute_is_cancellative),
     "sigma-r4": (SigmaPredicate(4), 4, 6, "_ThreeEdgeState",
                  lambda g: not brute_sigma(g)),
