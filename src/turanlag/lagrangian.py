@@ -32,6 +32,16 @@ without it a long failed step can stop the search while a shorter one gains.
 At a stationary x rounding also keeps the first candidate off x, so the test
 "candidate equals x" would rarely fire.
 
+All starts of one call run together, each as one row of an array, in
+blocks of at most ``_BLOCK_ELEMS`` elements of (rows, r, |E|) temporaries.
+The rows run in lockstep and never interact: each keeps its own step,
+halving count, iteration count and progress flag, so it takes the steps of
+an ascent run on it alone, bit for bit.  Two numpy forms would break that.
+``X[:, edges]`` is strided, and numpy folds its edge sums from the left
+instead of summing pairwise as for one vector, so ``_p_np`` gathers with
+``X.take``.  An einsum or ``(D * D).sum(axis=1)`` rounds dot products apart
+from ``d @ d``, so ``_dots`` uses a stacked matmul, which matches it.
+
 Reported values are feasible-point evaluations and hence certified lower
 bounds on lambda(G); the convergence flag asserts the KKT residual on the
 capped simplex (see ``_residual``).
@@ -39,11 +49,12 @@ capped simplex (see ``_residual``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -152,38 +163,49 @@ def grad(G: Hypergraph, x) -> list[float]:
 # -- capped-simplex projection -----------------------------------------
 
 
-def _project(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum x = 1, x <= cap}: the s
-    largest coordinates sit at the cap for the least s at which the sort-based
-    simplex projection of the rest onto total 1 - s*cap stays within it (Wang &
-    Lu 2015); s = 0 at cap 1 is the simplex projection.  The rest is zero when
-    it has no mass left (n*cap <= 1 or s*cap = 1)."""
-    n = len(v)
-    u = np.sort(v)[::-1]
+def _project(V: np.ndarray, cap: float) -> np.ndarray:
+    """Euclidean projection of each row of V onto {x >= 0, sum x = 1, x <= cap}:
+    the s largest coordinates sit at the cap for the least s at which the
+    sort-based simplex projection of the rest onto total 1 - s*cap stays within
+    it (Wang & Lu 2015); s = 0 at cap 1 is the simplex projection.  The rest is
+    zero when it has no mass left (n*cap <= 1 or s*cap = 1).  Each pass of the
+    s loop runs over the rows not yet resolved."""
+    m, n = V.shape
+    U = np.sort(V, axis=1)[:, ::-1]
+    X = np.empty_like(V)
+    todo = np.arange(m)
     for s in range(n + 1):
         rest = 1.0 - s * cap
         if s == n or rest <= 0.0:
             break
-        free = u[s:]
-        css = np.cumsum(free) - rest
-        ks = np.arange(1, n - s + 1)
-        cond = free - css / ks > 0
-        cond[0] = True  # exactly rest > 0, whatever the rounding
-        rho = np.nonzero(cond)[0][-1]
-        tau = css[rho] / (rho + 1.0)
-        if free[0] - tau <= cap:
-            x = np.maximum(v - tau, 0.0)
-            return np.minimum(x, cap, out=x) if s else x  # clips the s largest
-    x = np.zeros(n)
-    x[np.argsort(-v, kind="stable")[:s]] = cap
-    return x
+        free = U[todo, s:]
+        css = np.cumsum(free, axis=1) - rest
+        cond = free - css / np.arange(1, n - s + 1) > 0
+        cond[:, 0] = True  # exactly rest > 0, whatever the rounding
+        rho = n - s - 1 - np.argmax(cond[:, ::-1], axis=1)  # the last True
+        tau = css[np.arange(len(todo)), rho] / (rho + 1.0)
+        fits = free[:, 0] - tau <= cap
+        rows = todo[fits]
+        x = np.maximum(V[rows] - tau[fits, None], 0.0)
+        X[rows] = np.minimum(x, cap, out=x) if s else x  # clips the s largest
+        todo = todo[~fits]
+        if not len(todo):
+            return X
+    X[todo] = 0.0
+    X[todo[:, None], np.argsort(-V[todo], axis=1, kind="stable")[:, :s]] = cap
+    return X
 
 
 # -- ascent engine ------------------------------------------------------
 
+# Largest number of elements in a block's (rows, r, |E|) temporaries: the
+# starts of one call run in blocks of rows, one block after another.
+_BLOCK_ELEMS = 1 << 16
+
 
 class _Arrays(NamedTuple):
     edges: np.ndarray  # (E, r) vertex indices
+    idx: np.ndarray  # edges.T.ravel(): the vertices column by column
     n: int
     r: int
     rf: int
@@ -193,108 +215,148 @@ def _arrays(G: Hypergraph) -> Optional[_Arrays]:
     if not G.edges:
         return None
     edges = np.array(G.edge_list, dtype=np.int64)
-    return _Arrays(edges, G.n, G.r, math.factorial(G.r))
+    return _Arrays(edges, edges.T.ravel(), G.n, G.r, math.factorial(G.r))
 
 
-def _p_np(A: _Arrays, x: np.ndarray) -> float:
-    return float(A.rf * x[A.edges].prod(axis=1).sum())
+def _p_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
+    """p_G at each row of X.  X.take is C-contiguous, so each row's edge terms
+    are summed by numpy's pairwise sum, as for one vector; the strided
+    X[:, edges] would fold them from the left instead."""
+    return A.rf * X.take(A.edges, axis=1).prod(axis=2).sum(axis=1)
 
 
-def _grad_np(A: _Arrays, x: np.ndarray) -> np.ndarray:
-    """others[j] is the product of the other columns of each edge, folded from
-    the left in column order, summed per vertex in j-major order."""
-    idx = A.edges.T.ravel()
-    cols = x[idx].reshape(A.r, -1)
+def _grad_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
+    """The gradient at each row of X.  others[:, j] is the product of the
+    other columns of each edge, folded from the left in column order, summed
+    per vertex in j-major order by one np.bincount, with the vertices of row k
+    offset by k*n."""
+    m = len(X)
+    cols = X.take(A.idx, axis=1).reshape(m, A.r, len(A.edges))
     others = np.empty_like(cols)
-    others[0] = 1.0
-    np.cumprod(cols[:-1], axis=0, out=others[1:])
+    others[:, 0] = 1.0
+    np.cumprod(cols[:, :-1], axis=1, out=others[:, 1:])
     for k in range(1, A.r):
-        others[:k] *= cols[k]
-    return A.rf * np.bincount(idx, weights=others.ravel(), minlength=A.n)
+        others[:, :k] *= cols[:, k, None]
+    bins = (A.idx + A.n * np.arange(m)[:, None]).ravel()
+    lam = np.bincount(bins, weights=others.ravel(), minlength=m * A.n)
+    return A.rf * lam.reshape(m, A.n)
 
 
-def _transfer(A: _Arrays, x: np.ndarray, lam: np.ndarray, cap: float,
-              tol: float) -> bool:
-    """One pairwise transfer, in place, from the min-gradient support vertex a
-    to the max-gradient support vertex b below the cap, lam the gradient at x:
-    move min(gap / (2 r!), x_a), cut to b's headroom.  False when no such pair
-    exists or the gradient gap is within tol / 4."""
-    support = np.nonzero(x > _SUPPORT_EPS)[0]
-    if len(support) < 2:
-        return False
-    rec_pool = support[x[support] < cap - 1e-12]
-    if len(rec_pool) == 0:
-        return False
-    b = rec_pool[np.argmax(lam[rec_pool])]
-    a = support[np.argmin(lam[support])]
-    if a == b:
-        return False
-    gap = lam[b] - lam[a]
-    if gap <= tol * 0.25:
-        return False
-    d = min(gap / (2.0 * A.rf), x[a], cap - x[b])
-    if d <= 0:
-        return False
-    x[a] -= d
-    x[b] += d
-    return True
+def _transfer(A: _Arrays, X: np.ndarray, lam: np.ndarray, cap: float,
+              tol: float) -> np.ndarray:
+    """One pairwise transfer in each row of X, in place, lam the gradient at
+    X: from the min-gradient support vertex a to the max-gradient support
+    vertex b below the cap, move min(gap / (2 r!), x_a), cut to b's headroom.
+    Returns the mask of rows that moved; a row does not when it has no such
+    pair or its gradient gap is within tol / 4."""
+    rows = np.arange(len(X))
+    support = X > _SUPPORT_EPS
+    pool = support & (X < cap - 1e-12)
+    b = np.where(pool, lam, -np.inf).argmax(axis=1)
+    a = np.where(support, lam, np.inf).argmin(axis=1)
+    gap = lam[rows, b] - lam[rows, a]
+    d = np.minimum(np.minimum(gap / (2.0 * A.rf), X[rows, a]), cap - X[rows, b])
+    moved = ((support.sum(axis=1) >= 2) & pool.any(axis=1) & (a != b)
+             & (gap > tol * 0.25) & (d > 0))
+    rows, d = rows[moved], d[moved]
+    X[rows, a[moved]] -= d
+    X[rows, b[moved]] += d
+    return moved
 
 
-def _cannot_gain(A: _Arrays, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
-    """True when no step shorter than the one that moved x by d, along the
-    gradient lam at x where p_G(x) = val, can raise p_G by more than 1e-16
-    (the stop rule of the module docstring)."""
-    dd = float(d @ d)
-    higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * (1.0 + math.sqrt(dd)) ** (A.r - 2)
-    return float((lam - A.r * val) @ d) + higher <= 1e-16
+def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """p @ q for each pair of rows, rounded as for one pair of vectors (an
+    einsum or (P * Q).sum(axis=1) rounds differently)."""
+    return (P[:, None, :] @ Q[:, :, None]).ravel()
 
 
-def _ascend(A: _Arrays, x0: np.ndarray, cap: float,
-            max_iters: int) -> tuple[np.ndarray, float]:
-    x = _project(np.asarray(x0, dtype=float), cap)
-    val = _p_np(A, x)
-    lam = _grad_np(A, x)  # the gradient at x, recomputed whenever x moves
-    t = 1.0
-    for _ in range(max_iters):
-        progressed = False
-        # gradient step with backtracking
-        tt = t
-        for _ in range(60):
-            cand = _project(x + tt * lam, cap)
-            pv = _p_np(A, cand)
-            if pv > val + 1e-16:
-                x, val, t = cand, pv, tt * 2.0
-                lam = _grad_np(A, x)
-                progressed = True
-                break
-            if _cannot_gain(A, lam, val, cand - x):
-                break
-            tt *= 0.5
-            if tt < 1e-20:
-                break
-        # pairwise transfer step, in place: x is a projection owned here
-        if _transfer(A, x, lam, cap, _TOL):
-            lam = _grad_np(A, x)
-            nv = _p_np(A, x)
-            if nv > val:
-                progressed = True
-            val = nv
-        if not progressed:
-            break
-    # support cleanup with reprojection, then a final equalization pass
-    y = x.copy()
-    y[y < _SUPPORT_EPS] = 0.0
-    y = y / y.sum()
-    if y.max() > cap + 1e-15:
-        y = _project(y, cap)
-    if not np.array_equal(x, y):
-        x, lam = y, _grad_np(A, y)
+def _cannot_gain(A: _Arrays, lam: np.ndarray, val: np.ndarray,
+                 D: np.ndarray) -> np.ndarray:
+    """For each row: True when no step shorter than the one that moved x by
+    d, along the gradient lam at x where p_G(x) = val, can raise p_G by more
+    than 1e-16 (the stop rule of the module docstring)."""
+    dd = _dots(D, D)
+    # the power by the C library, as for one float: numpy's may round apart
+    grow = np.array([(1.0 + math.sqrt(v)) ** (A.r - 2) for v in dd.tolist()])
+    higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * grow
+    return _dots(lam - A.r * val[:, None], D) + higher <= 1e-16
+
+
+def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
+            max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascent from each row of X0; returns the final rows and their values.
+
+    The rows run in lockstep and never interact.  Each keeps its own step t,
+    trial step tt, halving count, iteration count and progress flag, and so
+    takes the steps it would take alone.  In one tick every row still in a
+    line search evaluates one candidate; the rows whose search ends then take
+    their transfer step, and those that progressed below max_iters iterations
+    start the next search."""
+    X = _project(X0, cap)
+    m = len(X)
+    val = _p_np(A, X)
+    lam = _grad_np(A, X)  # the gradient at X, recomputed for each row that moves
+    t = np.ones(m)
+    tt = np.ones(m)
+    halvings = np.zeros(m, dtype=np.int64)
+    iters = np.zeros(m, dtype=np.int64)
+    progressed = np.zeros(m, dtype=bool)
+    live = np.arange(m if max_iters > 0 else 0)  # the rows in a line search
+    while len(live):
+        # gradient step with backtracking: one candidate per live row
+        cand = _project(X[live] + tt[live, None] * lam[live], cap)
+        pv = _p_np(A, cand)
+        up = pv > val[live] + 1e-16
+        won, failed = live[up], live[~up]
+        if len(won):
+            X[won], val[won], t[won] = cand[up], pv[up], tt[won] * 2.0
+            lam[won] = _grad_np(A, cand[up])
+            progressed[won] = True
+        stop = _cannot_gain(A, lam[failed], val[failed], cand[~up] - X[failed])
+        halve = failed[~stop]
+        tt[halve] *= 0.5
+        halvings[halve] += 1
+        more = (tt[halve] >= 1e-20) & (halvings[halve] < 60)
+        # pairwise transfer step for the rows whose search ended
+        ended = np.concatenate([won, failed[stop], halve[~more]])
+        live = halve[more]
+        if not len(ended):
+            continue
+        Xe = X[ended]
+        moved = _transfer(A, Xe, lam[ended], cap, _TOL)
+        mv = ended[moved]
+        if len(mv):
+            X[mv] = Xe[moved]
+            lam[mv] = _grad_np(A, Xe[moved])
+            nv = _p_np(A, Xe[moved])
+            progressed[mv] |= nv > val[mv]
+            val[mv] = nv
+        iters[ended] += 1
+        again = ended[progressed[ended] & (iters[ended] < max_iters)]
+        tt[again] = t[again]
+        halvings[again] = 0
+        progressed[again] = False
+        live = np.concatenate([live, again])
+    # support cleanup with reprojection, then the final equalization passes
+    Y = X.copy()
+    Y[Y < _SUPPORT_EPS] = 0.0
+    Y /= Y.sum(axis=1)[:, None]
+    over = Y.max(axis=1) > cap + 1e-15
+    if over.any():
+        Y[over] = _project(Y[over], cap)
+    diff = (X != Y).any(axis=1)
+    X[diff] = Y[diff]
+    lam[diff] = _grad_np(A, Y[diff])
+    live = np.arange(m)
     for _ in range(300):
-        if not _transfer(A, x, lam, cap, _TOL):
+        Xl = X[live]
+        moved = _transfer(A, Xl, lam[live], cap, _TOL)
+        live = live[moved]
+        if not len(live):
             break
-        lam = _grad_np(A, x)
-    val = _p_np(A, x)
-    return x, val
+        X[live] = Xl[moved]
+        lam[live] = _grad_np(A, Xl[moved])
+    return X, _p_np(A, X)
 
 
 def _residual(G: Hypergraph, x, value: float, cap: float) -> float:
@@ -363,6 +425,18 @@ class LagrangianEstimate:
     cap_binds: Optional[bool] = None
 
 
+def _starts(G: Hypergraph, restarts: int, seed: int) -> Iterator[np.ndarray]:
+    """The uniform start, the greedy-support starts, then the seeded ones."""
+    n = G.n
+    yield np.full(n, 1.0 / n)
+    for sup in _greedy_supports(G):
+        v = np.zeros(n)
+        v[list(sup)] = 1.0 / len(sup)
+        yield v
+    for k in range(restarts):
+        yield np.random.default_rng([seed, k]).dirichlet(np.ones(n))
+
+
 def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
               seed: int) -> LagrangianEstimate:
     if restarts < 0:
@@ -374,28 +448,24 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
                                   beta=cap, cap_binds=None if cap is None else False)
     box = 1.0 if cap is None else cap
 
-    starts: list[np.ndarray] = [np.full(n, 1.0 / n)]
-    for sup in _greedy_supports(G):
-        v = np.zeros(n)
-        v[list(sup)] = 1.0 / len(sup)
-        starts.append(v)
-    for k in range(restarts):
-        rng = np.random.default_rng([seed, k])
-        starts.append(rng.dirichlet(np.ones(n)))
-
+    starts = _starts(G, restarts, seed)
+    rows = max(1, _BLOCK_ELEMS // max(A.r * len(A.edges), n))
+    used = 0
     best_x: Optional[np.ndarray] = None
     best_val = -1.0
-    for x0 in starts:
-        x, val = _ascend(A, x0, box, _MAX_ITERS)
-        if val > best_val + 1e-15:
-            best_val, best_x = val, x
+    while block := list(itertools.islice(starts, rows)):
+        used += len(block)
+        X, vals = _ascend(A, np.array(block), box, _MAX_ITERS)
+        for x, val in zip(X, vals):  # in start order
+            if val > best_val + 1e-15:
+                best_val, best_x = val, x
 
     # value and residual at the weights reported, after any renormalization
     wv = WeightVector(tuple(float(v) for v in best_x))
     value = poly_value(G, wv.weights)
     resid = _residual(G, wv.weights, value, box)
     binds = None if cap is None else max(wv.weights) >= cap - 1e-9
-    return LagrangianEstimate(value, wv, len(starts), resid <= _TOL, resid,
+    return LagrangianEstimate(value, wv, used, resid <= _TOL, resid,
                               beta=cap, cap_binds=binds)
 
 

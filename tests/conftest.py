@@ -20,6 +20,7 @@ from turanlag import (
     SymmetrizationStep,
     SymmetrizationTrace,
 )
+from turanlag.lagrangian import _SUPPORT_EPS, _TOL
 
 
 def brute_contains(G: Hypergraph, F: Hypergraph) -> bool:
@@ -224,6 +225,141 @@ def add_at_gradient(A, x: np.ndarray) -> np.ndarray:
             others = np.prod(np.delete(cols, j, axis=1), axis=1)
         np.add.at(lam, A.edges[:, j], others)
     return A.rf * lam
+
+
+# -- the serial ascent: one start at a time, on 1D vectors ----------------
+# The lockstep engine of turanlag.lagrangian runs each start as one row of an
+# array; every row must match these, byte for byte.
+
+
+def serial_project(v: np.ndarray, cap: float) -> np.ndarray:
+    """Euclidean projection of v onto {x >= 0, sum x = 1, x <= cap}: the s
+    largest coordinates sit at the cap for the least s at which the sort-based
+    simplex projection of the rest onto total 1 - s*cap stays within it (Wang &
+    Lu 2015); s = 0 at cap 1 is the simplex projection.  The rest is zero when
+    it has no mass left (n*cap <= 1 or s*cap = 1)."""
+    n = len(v)
+    u = np.sort(v)[::-1]
+    for s in range(n + 1):
+        rest = 1.0 - s * cap
+        if s == n or rest <= 0.0:
+            break
+        free = u[s:]
+        css = np.cumsum(free) - rest
+        ks = np.arange(1, n - s + 1)
+        cond = free - css / ks > 0
+        cond[0] = True  # exactly rest > 0, whatever the rounding
+        rho = np.nonzero(cond)[0][-1]
+        tau = css[rho] / (rho + 1.0)
+        if free[0] - tau <= cap:
+            x = np.maximum(v - tau, 0.0)
+            return np.minimum(x, cap, out=x) if s else x  # clips the s largest
+    x = np.zeros(n)
+    x[np.argsort(-v, kind="stable")[:s]] = cap
+    return x
+
+
+def serial_p(A, x: np.ndarray) -> float:
+    return float(A.rf * x[A.edges].prod(axis=1).sum())
+
+
+def serial_grad(A, x: np.ndarray) -> np.ndarray:
+    """others[j] is the product of the other columns of each edge, folded from
+    the left in column order, summed per vertex in j-major order."""
+    idx = A.edges.T.ravel()
+    cols = x[idx].reshape(A.r, -1)
+    others = np.empty_like(cols)
+    others[0] = 1.0
+    np.cumprod(cols[:-1], axis=0, out=others[1:])
+    for k in range(1, A.r):
+        others[:k] *= cols[k]
+    return A.rf * np.bincount(idx, weights=others.ravel(), minlength=A.n)
+
+
+def serial_transfer(A, x: np.ndarray, lam: np.ndarray, cap: float,
+                    tol: float) -> bool:
+    """One pairwise transfer, in place, from the min-gradient support vertex a
+    to the max-gradient support vertex b below the cap, lam the gradient at x:
+    move min(gap / (2 r!), x_a), cut to b's headroom.  False when no such pair
+    exists or the gradient gap is within tol / 4."""
+    support = np.nonzero(x > _SUPPORT_EPS)[0]
+    if len(support) < 2:
+        return False
+    rec_pool = support[x[support] < cap - 1e-12]
+    if len(rec_pool) == 0:
+        return False
+    b = rec_pool[np.argmax(lam[rec_pool])]
+    a = support[np.argmin(lam[support])]
+    if a == b:
+        return False
+    gap = lam[b] - lam[a]
+    if gap <= tol * 0.25:
+        return False
+    d = min(gap / (2.0 * A.rf), x[a], cap - x[b])
+    if d <= 0:
+        return False
+    x[a] -= d
+    x[b] += d
+    return True
+
+
+def serial_cannot_gain(A, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
+    """True when no step shorter than the one that moved x by d, along the
+    gradient lam at x where p_G(x) = val, can raise p_G by more than 1e-16
+    (the stop rule of the lagrangian module docstring)."""
+    dd = float(d @ d)
+    higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * (1.0 + math.sqrt(dd)) ** (A.r - 2)
+    return float((lam - A.r * val) @ d) + higher <= 1e-16
+
+
+def serial_ascend(A, x0: np.ndarray, cap: float,
+                  max_iters: int) -> tuple[np.ndarray, float]:
+    """One ascent from x0 on its own; each row of the lockstep engine must
+    take exactly these steps."""
+    x = serial_project(np.asarray(x0, dtype=float), cap)
+    val = serial_p(A, x)
+    lam = serial_grad(A, x)  # the gradient at x, recomputed whenever x moves
+    t = 1.0
+    for _ in range(max_iters):
+        progressed = False
+        # gradient step with backtracking
+        tt = t
+        for _ in range(60):
+            cand = serial_project(x + tt * lam, cap)
+            pv = serial_p(A, cand)
+            if pv > val + 1e-16:
+                x, val, t = cand, pv, tt * 2.0
+                lam = serial_grad(A, x)
+                progressed = True
+                break
+            if serial_cannot_gain(A, lam, val, cand - x):
+                break
+            tt *= 0.5
+            if tt < 1e-20:
+                break
+        # pairwise transfer step, in place: x is a projection owned here
+        if serial_transfer(A, x, lam, cap, _TOL):
+            lam = serial_grad(A, x)
+            nv = serial_p(A, x)
+            if nv > val:
+                progressed = True
+            val = nv
+        if not progressed:
+            break
+    # support cleanup with reprojection, then a final equalization pass
+    y = x.copy()
+    y[y < _SUPPORT_EPS] = 0.0
+    y = y / y.sum()
+    if y.max() > cap + 1e-15:
+        y = serial_project(y, cap)
+    if not np.array_equal(x, y):
+        x, lam = y, serial_grad(A, y)
+    for _ in range(300):
+        if not serial_transfer(A, x, lam, cap, _TOL):
+            break
+        lam = serial_grad(A, x)
+    val = serial_p(A, x)
+    return x, val
 
 
 def exact_poly_value(G: Hypergraph, x) -> Fraction:

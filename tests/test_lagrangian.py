@@ -1,3 +1,4 @@
+import collections
 import importlib
 import itertools
 import math
@@ -6,11 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turanlag import (
     Hypergraph,
     WeightVector,
+    blowup,
     certificate_label,
     clique_number,
     complete_hypergraph,
@@ -29,19 +31,26 @@ from turanlag import (
     random_hypergraph,
     single_edge,
     stability_probe,
+    turan_hypergraph,
 )
 from turanlag.extremal import SubgraphPredicate, _colex_candidates
 from turanlag.lagrangian import (
-    _arrays, _ascend, _cannot_gain, _density_local, _grad_np, _greedy_supports,
-    _p_np, _project, _residual, _transfer,
+    _arrays, _ascend, _cannot_gain, _density_local, _dots, _grad_np,
+    _greedy_supports, _p_np, _project, _residual, _transfer,
 )
 
 from conftest import (
     add_at_gradient, bisection_capped_projection, brute_contains,
-    exact_poly_value, sort_simplex_projection,
+    exact_poly_value, serial_ascend, serial_cannot_gain, serial_grad,
+    serial_p, serial_project, serial_transfer, sort_simplex_projection,
 )
 
 LAGRANGIAN = importlib.import_module("turanlag.lagrangian")
+CONFTEST = importlib.import_module("conftest")
+
+
+def f64(v) -> bytes:
+    return np.float64(v).tobytes()
 
 
 def cycle(n):
@@ -120,7 +129,7 @@ def gradient_inputs(draw):
 def test_grad_np_matches_add_at_oracle(inputs):
     g, x = inputs
     A = _arrays(g)
-    assert _grad_np(A, x).tobytes() == add_at_gradient(A, x).tobytes()
+    assert _grad_np(A, x[None])[0].tobytes() == add_at_gradient(A, x).tobytes()
 
 
 # -- weight vectors -----------------------------------------------------------
@@ -207,7 +216,43 @@ def test_restarts_used_counts_the_starts():
     assert lagrangian(Hypergraph(4, 3, [])).restarts_used == 0
 
 
+def estimate_bytes(est):
+    return (f64(est.value), np.array(est.weights.weights).tobytes(), est.restarts_used,
+            est.converged, f64(est.gradient_residual), est.beta, est.cap_binds)
+
+
+FANO = Hypergraph(7, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
+                         (1, 4, 6), (2, 3, 6), (2, 4, 5)])
+K4_MINUS = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+
+
+@pytest.mark.parametrize("g, beta", [
+    (turan_hypergraph(10, 3, 3).graph, None),
+    (FANO, None),
+    (blowup(K4_MINUS, [2, 2, 2, 2]), None),
+    (random_hypergraph(12, 2, density=0.5, rng=random.Random(12)), None),
+    (cycle(5), 0.3),
+    (cycle(5), 0.4),
+], ids=["T_3(10,3)", "fano", "K4-x2", "G(12,1/2)", "C5@0.3", "C5@0.4"])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_block_budget_leaves_estimates_unchanged(g, beta, rows, monkeypatch):
+    # the starts run in blocks one after another; blocks of one row or of
+    # five give the estimate of one block holding every start
+    def run():
+        if beta is None:
+            return lagrangian(g, restarts=20, seed=31)
+        return lagrangian_constrained(g, beta, restarts=20, seed=31)
+
+    whole = run()
+    monkeypatch.setattr(LAGRANGIAN, "_BLOCK_ELEMS", rows * max(g.r * len(g.edges), g.n))
+    assert estimate_bytes(run()) == estimate_bytes(whole)
+
+
 # -- the capped-simplex projection ---------------------------------------------
+
+
+def project_one(v, cap):
+    return _project(np.array([v], dtype=float), cap)[0]
 
 
 @st.composite
@@ -226,7 +271,7 @@ def projection_inputs(draw):
 @settings(max_examples=400, deadline=None)
 def test_project_matches_oracles(inputs):
     v, cap = inputs
-    x = _project(v, cap)
+    x = project_one(v, cap)
     assert (x >= 0).all() and (x <= cap).all()
     assert abs(x.sum() - 1.0) <= 1e-12
     assert np.abs(x - bisection_capped_projection(v, cap)).max() <= 1e-12
@@ -239,17 +284,17 @@ def test_project_matches_oracles(inputs):
 def test_project_corners():
     # the plain formula rounds this single coordinate above 1
     assert sort_simplex_projection(np.array([-1.21147351]))[0] > 1.0
-    assert _project(np.array([-1.21147351]), 1.0).tolist() == [1.0]
+    assert project_one([-1.21147351], 1.0).tolist() == [1.0]
     # n*cap <= 1 (no free coordinate left): every one at the cap, none at 0
     v = np.array([3.0, -1.0, 0.5, 0.5])
-    assert _project(v, 0.25).tolist() == [0.25] * 4
-    assert _project(v, 0.25 - 1e-13).tolist() == [0.25 - 1e-13] * 4
+    assert project_one(v, 0.25).tolist() == [0.25] * 4
+    assert project_one(v, 0.25 - 1e-13).tolist() == [0.25 - 1e-13] * 4
     # a tie at the cap 1/2 takes all the mass
-    assert _project(np.array([5.0, 5.0, 1.0, 0.0]), 0.5).tolist() == [0.5, 0.5, 0, 0]
+    assert project_one([5.0, 5.0, 1.0, 0.0], 0.5).tolist() == [0.5, 0.5, 0, 0]
     # just below 1/2, two coordinates at the cap leave the rest 2^-53 of
     # mass, too little for the sort condition to see next to 50
     cap = float(np.nextafter(0.5, 0.0))
-    x = _project(np.array([100.0, 60.0, 50.0, 50.0]), cap)
+    x = project_one([100.0, 60.0, 50.0, 50.0], cap)
     assert x.tolist() == [cap, cap, 0, 0]
 
 
@@ -263,16 +308,16 @@ def test_line_search_stops_at_a_stationary_start(g, monkeypatch):
     # search ends at the first one instead of halving 60 times
     calls = []
 
-    def counting(v, cap):
-        calls.append(cap)
-        return _project(v, cap)
+    def counting(V, cap):
+        calls.extend([cap] * len(V))  # one projection per row
+        return _project(V, cap)
 
     monkeypatch.setattr(LAGRANGIAN, "_project", counting)
     A = _arrays(g)
-    x0 = np.full(g.n, 1 / g.n)
+    x0 = np.full((1, g.n), 1 / g.n)
     x, val = _ascend(A, x0, 1.0, 5000)
     assert len(calls) <= 4
-    assert np.abs(x - x0).max() <= 1e-15 and val == pytest.approx(_p_np(A, x0))
+    assert np.abs(x - x0).max() <= 1e-15 and val[0] == pytest.approx(_p_np(A, x0)[0])
 
 
 @st.composite
@@ -283,21 +328,21 @@ def line_search_inputs(draw):
     g = Hypergraph(n, r, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
     cap = draw(st.sampled_from([1 / n, 1.0]) | st.floats(1 / n, 1.0))
     floats = st.lists(st.floats(0, 1), min_size=n, max_size=n)
-    x = _project(np.array(draw(floats)), cap)
+    x = project_one(draw(floats), cap)
     if draw(st.booleans()):
         # near a stationary point, where the rule fires, at distances down
         # to rounding, where a too-eager rule would stop a gaining search
-        x = _ascend(_arrays(g), x, cap, draw(st.integers(1, 50)))[0]
-        x = _project(x + 10.0 ** -draw(st.integers(3, 16)) * np.array(draw(floats)), cap)
+        x = _ascend(_arrays(g), x[None], cap, draw(st.integers(1, 50)))[0][0]
+        x = project_one(x + 10.0 ** -draw(st.integers(3, 16)) * np.array(draw(floats)), cap)
     return g, cap, x, 2.0 ** draw(st.integers(-20, 10))
 
 
 def _counting_gradients(monkeypatch) -> list:
     calls = []
 
-    def counting(A, x):
-        calls.append(x.copy())
-        return _grad_np(A, x)
+    def counting(A, X):
+        calls.extend(X.copy())  # one point per row
+        return _grad_np(A, X)
 
     monkeypatch.setattr(LAGRANGIAN, "_grad_np", counting)
     return calls
@@ -311,7 +356,7 @@ def test_ascent_at_a_stationary_start_takes_a_gradient_per_point(g, points, monk
     # candidate whose sum rounds above 1 and the final renormalization moves
     # x back, so three points are visited
     calls = _counting_gradients(monkeypatch)
-    _ascend(_arrays(g), np.full(g.n, 1 / g.n), 1.0, LAGRANGIAN._MAX_ITERS)
+    _ascend(_arrays(g), np.full((1, g.n), 1 / g.n), 1.0, LAGRANGIAN._MAX_ITERS)
     assert len(calls) <= points
 
 
@@ -324,7 +369,7 @@ def test_ascent_takes_one_gradient_per_point(data):
     g, cap, x, _ = data.draw(line_search_inputs())
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_gradients(mp)
-        _ascend(_arrays(g), x, cap, LAGRANGIAN._MAX_ITERS)
+        _ascend(_arrays(g), x[None], cap, LAGRANGIAN._MAX_ITERS)
     assert calls and not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
 
@@ -339,20 +384,21 @@ def test_line_search_stop_is_sound(inputs):
     # the largest gradient does not count.
     g, cap, x, tt = inputs
     A = _arrays(g)
-    lam = _grad_np(A, x)
-    val = _p_np(A, x)
+    lam = _grad_np(A, x[None])
+    val = _p_np(A, x[None])
     while tt >= 1e-20:
         cand = _project(x + tt * lam, cap)
-        if _p_np(A, cand) > val + 1e-16:
+        if _p_np(A, cand)[0] > val[0] + 1e-16:
             return  # accepted: the rule is not consulted
-        if _cannot_gain(A, lam, val, cand - x):
+        if _cannot_gain(A, lam, val, cand - x)[0]:
             break
         tt *= 0.5
+    lam = lam[0]
     base, mass = exact_poly_value(g, x), sum(map(Fraction, x))
     top = Fraction(float(lam.max()))
     while tt >= 1e-20:
         v = x + tt * lam
-        cand = _project(v, cap)
+        cand = project_one(v, cap)
         drift = abs(sum(map(Fraction, cand)) - mass)
         ulps = Fraction(g.n * float(np.abs(v).max())) * Fraction(2.0 ** -52)
         assert exact_poly_value(g, cand) - base <= Fraction(1e-16) + top * (drift + ulps)
@@ -372,13 +418,152 @@ def test_transfer_step_never_decreases():
             continue
         A = _arrays(g)
         v = np.array([rng.random() for _ in range(n)])
-        for cap, x in ((1.0, v / v.sum()), (0.4, _project(v, 0.4))):
+        for cap, x in ((1.0, v / v.sum()), (0.4, project_one(v, 0.4))):
+            x = x[None]  # one row, moved in place
             for _ in range(50):
-                before = _p_np(A, x)
-                if not _transfer(A, x, _grad_np(A, x), cap, 0.0):
+                before = _p_np(A, x)[0]
+                if not _transfer(A, x, _grad_np(A, x), cap, 0.0)[0]:
                     break
-                assert _p_np(A, x) >= before - 1e-14
+                assert _p_np(A, x)[0] >= before - 1e-14
                 assert x.min() >= 0.0 and x.max() <= cap + 1e-15
+
+
+# -- the lockstep engine against the serial ascent ------------------------------
+
+
+@st.composite
+def graphs_and_caps(draw, max_r=4, max_n=8):
+    r = draw(st.integers(1, max_r))
+    n = draw(st.integers(r, max_n))
+    pool = list(itertools.combinations(range(n), r))
+    g = Hypergraph(n, r, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
+    cap = draw(st.sampled_from([1 / n, 1.0]) | st.floats(1 / n, 1.0))
+    return g, cap
+
+
+@st.composite
+def lockstep_inputs(draw):
+    g, cap = draw(graphs_and_caps())
+    n = g.n
+    point = st.lists(st.just(0.0) | st.floats(0, 1), min_size=n, max_size=n)
+    rows = [[1 / n] * n] + draw(st.lists(point, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=12 - len(rows)))
+    order = draw(st.permutations(range(len(rows))))
+    return g, cap, np.array([rows[k] for k in order]), draw(st.sampled_from([1, 2, 3, 50, 5000]))
+
+
+# with the stop rule off, the uniform row ends its first search at the
+# 60-halving cap and [0.01, 0.8, 0.14] a later one at the 1e-20 guard
+SINGLE_EDGE_ROWS = (single_edge(3), 1.0, np.array([[1 / 3] * 3, [0.01, 0.8, 0.14],
+                                                    [0.03, 0.06, 0.39], [0.01, 0.8, 0.14]]), 50)
+
+
+@given(lockstep_inputs(), st.booleans())
+@example(SINGLE_EDGE_ROWS, False)
+@example(SINGLE_EDGE_ROWS, True)
+@settings(max_examples=120, deadline=None)
+def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
+    # every row takes the steps of a lone ascent, whatever tick the other
+    # rows stop at and for whatever reason: the same points, and as many
+    # projections and gradients.  The stop rule ends nearly every failed line
+    # search; with it off in both engines, searches also end at the
+    # 60-halving cap and, in about 2% of ascents, at the 1e-20 guard
+    g, cap, X0, max_iters = inputs
+    A = _arrays(g)
+    work = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        if not stop_rule:
+            mp.setattr(LAGRANGIAN, "_cannot_gain",
+                       lambda A, lam, val, D: np.zeros(len(D), dtype=bool))
+            mp.setattr(CONFTEST, "serial_cannot_gain", lambda A, lam, val, d: False)
+
+        def count(module, name, key, points):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                work[key] += points(*args)
+                return fn(*args)
+
+            mp.setattr(module, name, counted)
+
+        count(LAGRANGIAN, "_project", ("project", "lockstep"), lambda V, cap: len(V))
+        count(LAGRANGIAN, "_grad_np", ("grad", "lockstep"), lambda A, X: len(X))
+        count(CONFTEST, "serial_project", ("project", "serial"), lambda v, cap: 1)
+        count(CONFTEST, "serial_grad", ("grad", "serial"), lambda A, x: 1)
+        X, vals = _ascend(A, X0.copy(), cap, max_iters)
+        for row, x, val in zip(X0, X, vals):
+            want, want_val = serial_ascend(A, row, cap, max_iters)
+            assert x.tobytes() == want.tobytes() and f64(val) == f64(want_val)
+    for kind in ("project", "grad"):
+        assert work[kind, "lockstep"] == work[kind, "serial"]
+
+
+def test_project_rows_resolve_apart():
+    # one block: rows that fit at s = 0, 1 and 2, ties at the cap, and rows
+    # with no free coordinate left, at cap 1/n and above it
+    V = np.array([[0.25] * 4, [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                  [5.0, 5.0, 1.0, 0.0], [5.0, 0.0, 5.0, 5.0], [3.0, -1.0, 0.5, 0.5],
+                  [2.0, 2.0, 2.0, 2.0]])
+    for cap in (0.25, 0.3, 0.5, 1.0):
+        X = _project(V, cap)
+        for v, x in zip(V, X):
+            assert x.tobytes() == serial_project(v, cap).tobytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_project_rows_match_serial(data):
+    n = data.draw(st.integers(1, 12))
+    cap = data.draw(st.sampled_from([1 / n, 1 / 2, 1.0]) | st.floats(1 / n, 1.0))
+    digits = data.draw(st.integers(0, 3))  # coarse rounding makes ties
+    row = st.lists(st.floats(-2, 2).map(lambda a: round(a, digits)), min_size=n, max_size=n)
+    V = np.array(data.draw(st.lists(row, min_size=1, max_size=10)))
+    for v, x in zip(V, _project(V, cap)):
+        assert x.tobytes() == serial_project(v, cap).tobytes()
+
+
+def test_p_np_rows_from_a_strided_block():
+    # rows of a strided and of a column-major block, on the graph where
+    # gathering with X[:, edges] folds the edge terms from the left (about
+    # half of these rows then round apart): every row's value must be that
+    # of the row alone
+    A = _arrays(turan_hypergraph(10, 3, 3).graph)
+    W = np.random.default_rng(5).dirichlet(np.ones(10), size=400)
+    for X in (W[::2], np.asfortranarray(W)):
+        for x, val in zip(X, _p_np(A, X)):
+            assert f64(val) == f64(serial_p(A, np.ascontiguousarray(x)))
+
+
+@given(graphs_and_caps(max_r=5, max_n=10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_row_primitives_match_serial(inputs, data):
+    g, cap = inputs
+    A = _arrays(g)
+    point = st.lists(st.just(0.0) | st.floats(0, 1), min_size=g.n, max_size=g.n)
+    V = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
+    X = _project(V, cap)
+    before = X.copy()
+    lam = _grad_np(A, X)
+    D = _project(X + data.draw(st.floats(1e-12, 2.0)) * lam, cap) - X
+    vals = _p_np(A, X)
+    stop = _cannot_gain(A, lam, vals, D)
+    tol = data.draw(st.sampled_from([0.0, 1e-9]))
+    moved = _transfer(A, X, lam, cap, tol)  # in place
+    for k, x in enumerate(before):
+        want = serial_grad(A, x)
+        assert lam[k].tobytes() == want.tobytes()
+        assert f64(vals[k]) == f64(serial_p(A, x))
+        assert stop[k] == serial_cannot_gain(A, want, serial_p(A, x), D[k])
+        assert moved[k] == serial_transfer(A, x, want, cap, tol)
+        assert X[k].tobytes() == x.tobytes()
+
+
+def test_row_dots_match_matmul():
+    rng = np.random.default_rng(3)
+    for n in range(1, 65):
+        P, Q = rng.standard_normal((2, 16, n))
+        for p, q, dot in zip(P, Q, _dots(P, Q)):
+            assert f64(dot) == f64(p @ q)
 
 
 def test_leader_concentration_on_two_graphs():
