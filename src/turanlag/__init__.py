@@ -4,7 +4,6 @@ simplex, symmetrization with cleaning, and exact small-scale extremal search."""
 __version__ = "0.1.0"
 
 from .hypergraph import (
-    DensityResult,
     Edge,
     Embedding,
     Hypergraph,
@@ -14,7 +13,6 @@ from .hypergraph import (
     falling_factorial,
     find_embedding,
     kernel_degree,
-    max_average_degree,
     max_matching,
 )
 from .constructions import (

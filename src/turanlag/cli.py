@@ -46,7 +46,7 @@ from .extremal import (
 )
 from .hgio import dump, load, serialize_hypergraph
 from .lagrangian import certificate_label, lagrangian, lagrangian_constrained
-from .symmetrization import run_plain, run_with_cleaning
+from .symmetrization import run_with_cleaning
 from .verify import SUITES, run_verify
 
 
@@ -123,6 +123,14 @@ def parse_forbidden(spec: str):
     raise SpecError(f"unknown forbidden kind {kind!r}")
 
 
+def fraction(text: str) -> Fraction:
+    """A P/Q or decimal option; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _cmd_construct(args) -> int:
     g = build_from_spec(args.spec)
     if args.output:
@@ -156,9 +164,8 @@ def _cmd_info(args) -> int:
 def _cmd_lagrangian(args) -> int:
     g = load(args.graph)
     if args.beta is not None:
-        beta = float(Fraction(args.beta))
-        est = lagrangian_constrained(g, beta, restarts=args.restarts,
-                                     seed=args.seed)
+        est = lagrangian_constrained(g, float(args.beta),
+                                     restarts=args.restarts, seed=args.seed)
     else:
         est = lagrangian(g, restarts=args.restarts, seed=args.seed)
     payload = {
@@ -181,10 +188,7 @@ def _cmd_lagrangian(args) -> int:
 
 def _cmd_symmetrize(args) -> int:
     g = load(args.graph)
-    if args.alpha is not None:
-        out = run_with_cleaning(g, Fraction(args.alpha))
-    else:
-        out = run_plain(g)
+    out = run_with_cleaning(g, args.alpha)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(out.trace.to_dict(), fh, sort_keys=True, indent=2)
@@ -285,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     l = sub.add_parser("lagrangian", help="estimate the Lagrangian")
     l.add_argument("--graph", required=True)
-    l.add_argument("--beta", default=None, help="cap on the largest weight (float or P/Q)")
+    l.add_argument("--beta", type=fraction, default=None, help="cap on the largest weight (float or P/Q)")
     l.add_argument("--restarts", type=int, default=50)
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--json", action="store_true")
@@ -293,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("symmetrize", help="run symmetrization (optionally with cleaning)")
     s.add_argument("--graph", required=True)
-    s.add_argument("--alpha", default=None, help="density threshold as P/Q")
+    s.add_argument("--alpha", type=fraction, default=Fraction(0),
+                   help="density threshold as P/Q; the default 0 never cleans")
     s.add_argument("--trace", default=None, help="write the step trace as JSON")
     s.add_argument("-o", "--output", default=None, help="write the result graph")
     s.set_defaults(fn=_cmd_symmetrize)

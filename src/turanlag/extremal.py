@@ -320,6 +320,8 @@ class SigmaPredicate(ForbiddenPredicate):
         self.r = r
 
     def is_free(self, G: Hypergraph) -> bool:
+        if G.r != self.r:
+            raise ValueError("predicate uniformity mismatch")
         return not contains_sigma_member(G)
 
     def state(self, n: int, r: int):

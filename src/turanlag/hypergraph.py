@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 Edge = tuple[int, ...]
 VertexSet = tuple[int, ...]
@@ -23,14 +22,12 @@ __all__ = [
     "VertexSet",
     "Hypergraph",
     "Embedding",
-    "DensityResult",
     "falling_factorial",
     "blowup",
     "contains_subhypergraph",
     "find_embedding",
     "max_matching",
     "kernel_degree",
-    "max_average_degree",
 ]
 
 
@@ -425,52 +422,3 @@ def kernel_degree(G: Hypergraph, D: Iterable[int]) -> int:
     if not lk.edges:
         return 0
     return max_matching(lk)
-
-
-# -- max average degree (2-graphs) -------------------------------------
-
-
-class DensityResult(NamedTuple):
-    value: Fraction
-    witness: VertexSet
-
-
-def max_average_degree(G: Hypergraph) -> DensityResult:
-    """Exact d(G) = max over nonempty W of 2 e(G[W]) / |W|, for 2-graphs.
-
-    Iterated exact max-flow separation with integer capacities: each round
-    asks for a vertex set strictly denser than the best so far.  Returns the
-    value as a Fraction together with a maximizing vertex subset.
-    """
-    if G.r != 2:
-        raise ValueError("max_average_degree is defined for 2-graphs")
-    if G.n == 0:
-        return DensityResult(Fraction(0), ())
-    if not G.edges:
-        return DensityResult(Fraction(0), (0,))
-    import networkx as nx  # lazy: its import time is paid only here
-
-    n, m = G.n, len(G.edges)
-    deg = G.degrees
-    best = Fraction(m, n)  # density of the whole vertex set
-    best_w = tuple(range(n))
-    while True:
-        a, b = best.numerator, best.denominator
-        D = nx.DiGraph()
-        for v in range(n):
-            D.add_edge("s", v, capacity=m * b)
-            D.add_edge(v, "t", capacity=m * b + 2 * a - deg[v] * b)
-        for u, v in G.edge_list:
-            D.add_edge(u, v, capacity=b)
-            D.add_edge(v, u, capacity=b)
-        cut, (S, _) = nx.minimum_cut(D, "s", "t")
-        if cut >= n * m * b:
-            break  # no subgraph strictly denser than a/b
-        W = sorted(x for x in S if x != "s")
-        wset = set(W)
-        e_in = sum(1 for u, v in G.edges if u in wset and v in wset)
-        cand = Fraction(e_in, len(W))
-        if cand <= best:
-            break
-        best, best_w = cand, tuple(W)
-    return DensityResult(2 * best, best_w)

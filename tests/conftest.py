@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from turanlag import (
-    DensityResult,
     Hypergraph,
     SymmetrizationOutcome,
     SymmetrizationStep,
@@ -160,10 +159,11 @@ def brute_sigma(G: Hypergraph) -> bool:
     return False
 
 
-def enumerate_mad(G: Hypergraph) -> DensityResult:
-    """Maximum average degree of a 2-graph with edges by enumerating every
-    vertex subset, with an incremental edge-count table; the witness is the
-    first densest subset in bitmask order."""
+def enumerate_mad(G: Hypergraph) -> tuple[Fraction, tuple[int, ...]]:
+    """Maximum average degree d(G) = max over nonempty W of 2 e(G[W]) / |W|
+    of a 2-graph with at least one vertex, as (value, witness), by
+    enumerating every vertex subset with an incremental edge-count table;
+    the witness is the first densest subset in bitmask order."""
     n = G.n
     adj = [0] * n
     for u, v in G.edges:
@@ -182,7 +182,7 @@ def enumerate_mad(G: Hypergraph) -> DensityResult:
         if c * best_k > best_e * k:
             best_e, best_k, best_w = c, k, w
     verts = tuple(i for i in range(n) if (best_w >> i) & 1)
-    return DensityResult(Fraction(2 * best_e, best_k), verts)
+    return Fraction(2 * best_e, best_k), verts
 
 
 def sort_simplex_projection(v: np.ndarray) -> np.ndarray:

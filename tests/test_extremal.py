@@ -179,6 +179,17 @@ def test_local_search_iters0_returns_turan_seed():
     assert res.witness.edges == turan_hypergraph(9, 3, 3).graph.edges
 
 
+def test_sigma_uniformity_mismatch_raises():
+    # the standalone check refuses a host of the wrong uniformity as the
+    # incremental state does, so iters=0 cannot report a value for it
+    pred = SigmaPredicate(3)
+    with pytest.raises(ValueError, match="uniformity"):
+        pred.is_free(Hypergraph(6, 4, []))
+    for iters in (0, 10):
+        with pytest.raises(ValueError, match="uniformity"):
+            local_search_lower(6, 4, pred, seed=0, iters=iters)
+
+
 def test_local_search_deterministic():
     a = local_search_lower(7, 3, SigmaPredicate(3), seed=5, iters=100)
     b = local_search_lower(7, 3, SigmaPredicate(3), seed=5, iters=100)

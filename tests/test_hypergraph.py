@@ -1,9 +1,3 @@
-import itertools
-import os
-import subprocess
-import sys
-from fractions import Fraction
-
 import pytest
 
 from turanlag import (
@@ -14,11 +8,10 @@ from turanlag import (
     falling_factorial,
     generalized_triangle,
     kernel_degree,
-    max_average_degree,
     max_matching,
     turan_hypergraph,
 )
-from conftest import brute_contains, brute_matching, enumerate_mad
+from conftest import brute_contains, brute_matching
 
 
 # -- construction and validation ----------------------------------------
@@ -200,73 +193,6 @@ def test_kernel_degree_examples():
     assert kernel_degree(Hypergraph(5, 3, [(0, 1, 2)]), [3]) == 0
     with pytest.raises(ValueError):
         kernel_degree(g, [0, 1, 2])
-
-
-# -- max average degree ---------------------------------------------------------
-
-
-def test_mad_k4():
-    res = max_average_degree(complete_hypergraph(4, 2))
-    assert res.value == Fraction(3)
-    assert res.witness == (0, 1, 2, 3)
-
-
-def test_mad_path4_oracle():
-    g = Hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
-    best = Fraction(0)
-    for k in range(1, 5):
-        for sub in itertools.combinations(range(4), k):
-            inside = set(sub)
-            e = sum(1 for a, b in g.edges if a in inside and b in inside)
-            best = max(best, Fraction(2 * e, k))
-    assert best == Fraction(3, 2)
-    assert max_average_degree(g).value == Fraction(3, 2)
-    assert max_average_degree(g).witness == (0, 1, 2, 3)
-
-
-def test_mad_isolated_excluded():
-    g = Hypergraph(5, 2, list(itertools.combinations(range(4), 2)))
-    res = max_average_degree(g)
-    assert res.value == Fraction(3) and res.witness == (0, 1, 2, 3)
-
-
-def test_mad_flow_agrees_with_enumeration():
-    import random
-
-    from turanlag import random_hypergraph
-
-    rng = random.Random(3)
-    for _ in range(10):
-        n = rng.randint(4, 11)
-        g = random_hypergraph(n, 2, density=rng.uniform(0.2, 0.8), rng=rng)
-        if not g.edges:
-            continue
-        want = enumerate_mad(g)
-        got = max_average_degree(g)
-        assert got.value == want.value
-        # witnesses may differ on ties, but each must attain the value
-        inside = set(got.witness)
-        e_in = sum(1 for u, v in g.edges if u in inside and v in inside)
-        assert Fraction(2 * e_in, len(inside)) == got.value
-
-
-def test_import_leaves_networkx_unloaded():
-    # networkx is imported only by max_average_degree, so it adds nothing to
-    # the import time of the package
-    import turanlag
-
-    src = os.path.dirname(os.path.dirname(turanlag.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, turanlag; print('networkx' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_mad_requires_two_graph():
-    with pytest.raises(ValueError):
-        max_average_degree(complete_hypergraph(4, 3))
 
 
 # -- falling factorial -----------------------------------------------------------

@@ -187,12 +187,26 @@ def test_cli_usage_error():
      "--iters", "-3", "--json"],
     ["search", "--r", "3", "--sweep", "4:5", "--forbid", "cancellative", "--heuristic",
      "--iters", "-3"],
+    ["search", "--n", "6", "--r", "4", "--forbid", "sigma:r=3", "--heuristic",
+     "--iters", "0"],
 ], ids=["sigma-no-r", "family-no-p", "subgraph-no-r", "sweep-no-hi",
         "sweep-not-int", "sweep-reversed", "sweep-negative", "exact-flag-removed",
-        "iters-negative", "sweep-iters-negative"])
+        "iters-negative", "sweep-iters-negative", "sigma-uniformity-iters-0"])
 def test_cli_malformed_search_exits_2_silently(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, option", [("lagrangian", "--beta"),
+                                             ("symmetrize", "--alpha")])
+def test_cli_zero_denominator_exits_2(command, option, tmp_path, capsys):
+    # a usage error, not a ZeroDivisionError escaping main with exit 1
+    p = tmp_path / "c3.hg"
+    p.write_text("3 2\n0 1\n1 2\n0 2\n")
+    assert main([command, "--graph", str(p), option, "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {option}: invalid" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("extra", [[], ["--beta", "1/2"]], ids=["plain", "capped"])

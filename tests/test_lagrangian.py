@@ -24,7 +24,6 @@ from turanlag import (
     lagrangian,
     lagrangian_constrained,
     lagrangian_density_search,
-    max_average_degree,
     motzkin_straus_reference,
     path_graph,
     poly_value,
@@ -41,7 +40,7 @@ from turanlag.lagrangian import (
 
 from conftest import (
     add_at_gradient, bisection_capped_projection, brute_contains,
-    exact_poly_value, serial_ascend, serial_cannot_gain, serial_grad,
+    enumerate_mad, exact_poly_value, serial_ascend, serial_cannot_gain, serial_grad,
     serial_p, serial_project, serial_transfer, sort_simplex_projection,
 )
 
@@ -558,6 +557,29 @@ def test_row_primitives_match_serial(inputs, data):
         assert X[k].tobytes() == x.tobytes()
 
 
+def test_cannot_gain_takes_the_c_library_power():
+    # rows on a single 5-edge where the slope is within an ulp of -higher:
+    # (1 + |d|)^3 by numpy's power rounds apart from the C library's on an
+    # x86_64 AVX-512 machine and flips each of these decisions
+    A = _arrays(single_edge(5))
+    rows = [
+        ("-0x1.8b4379aed70dep+11", ["0x1.3e951dc888567p-7", "0x1.0c640b0cc06e8p-4",
+          "-0x1.18b4fddab1d51p-7", "0x1.4cc915114bdf1p-5", "-0x1.b7849993212e3p-4"], True),
+        ("-0x1.333cef329e18dp+12", ["0x1.15c623a251a05p-3", "0x1.a1b70cfd1a90dp-4",
+          "-0x1.5b29558043c21p-2", "-0x1.701d334673537p-4", "0x1.87bf9a82e2453p-3"], True),
+        ("0x1.6033c2629fd44p+11", ["-0x1.a3d634656914dp-4", "-0x1.a72bb4bad8654p-6",
+          "0x1.b984020dd673ap-4", "0x1.b14431e576b30p-3", "-0x1.8735a2225255bp-3"], False),
+        ("0x1.ab2ee72edffc3p+11", ["-0x1.199a4be72d35fp-6", "0x1.e7e60707be327p-4",
+          "-0x1.fdc98948f86b1p-4", "0x1.f07f142168a96p-8", "0x1.ea111fc777dbcp-7"], False),
+    ]
+    lam = np.zeros((len(rows), 5))
+    lam[:, 0] = [float.fromhex(c) for c, _, _ in rows]
+    D = np.array([[float.fromhex(v) for v in d] for _, d, _ in rows])
+    want = [w for _, _, w in rows]
+    assert [serial_cannot_gain(A, l, 0.0, d) for l, d in zip(lam, D)] == want
+    assert _cannot_gain(A, lam, np.zeros(len(rows)), D).tolist() == want
+
+
 def test_row_dots_match_matmul():
     rng = np.random.default_rng(3)
     for n in range(1, 65):
@@ -717,7 +739,7 @@ def test_local_max_bound_two_graphs():
     for _ in range(20):
         n = rng.randint(3, 9)
         g = random_hypergraph(n, 2, density=0.55, rng=rng)
-        d = float(max_average_degree(g).value)
+        d = float(enumerate_mad(g)[0])
         x = [rng.random() for _ in range(n)]
         s = sum(x)
         x = [v / s for v in x]

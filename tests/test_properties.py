@@ -27,7 +27,6 @@ from turanlag import (
     find_embedding,
     generalized_triangle,
     kernel_degree,
-    max_average_degree,
     max_matching,
     path_graph,
     poly_value,
@@ -171,22 +170,6 @@ def test_family_matches_brute_force(g, p):
     if p < f.n:
         return
     assert (contains_family_member(g, f, p) is not None) == brute_family(g, f, p)
-
-
-@given(hypergraphs(rs=(2,)))
-@settings(max_examples=40, deadline=None)
-def test_mad_bounds_and_monotonicity(g):
-    res = max_average_degree(g)
-    if g.n:
-        assert res.value >= Fraction(2 * len(g.edges), g.n)
-    missing = [e for e in itertools.combinations(range(g.n), 2) if e not in g.edges]
-    if missing:
-        bigger = max_average_degree(g.with_edges(missing[:1]))
-        assert bigger.value >= res.value
-    if res.witness:
-        inside = set(res.witness)
-        e_in = sum(1 for e in g.edges if inside.issuperset(e))
-        assert Fraction(2 * e_in, len(res.witness)) == res.value
 
 
 @given(weighted_graphs())
