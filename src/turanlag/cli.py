@@ -164,8 +164,8 @@ def _cmd_info(args) -> int:
 def _cmd_lagrangian(args) -> int:
     g = load(args.graph)
     if args.beta is not None:
-        est = lagrangian_constrained(g, float(args.beta),
-                                     restarts=args.restarts, seed=args.seed)
+        est = lagrangian_constrained(g, args.beta, restarts=args.restarts,
+                                     seed=args.seed)
     else:
         est = lagrangian(g, restarts=args.restarts, seed=args.seed)
     payload = {

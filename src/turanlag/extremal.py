@@ -1,16 +1,17 @@
 """Exact small-n Turan search, heuristic lower bounds, and cleanup procedures.
 
 The exact search is a DFS over the C(n, r) candidate edges in colex order,
-include-branch first, keeping freeness incrementally.  Each predicate's
-``state(n, r)`` holds the current edge set and an index kept up to date by
-``add`` and ``remove``; ``can_add(e)`` inspects only configurations through
-the new edge, so it assumes that e is not in the state and that the current
-edge set is predicate-free (every search adds only edges that passed it).
-The subgraph and family states keep the embedding engine's indexes live (the
-edge bitmasks, the degrees and the covered-pair adjacency with pair counts):
-the subgraph state searches only copies with a pattern edge on e, the family
-state only the cores through a pair of e.  K_t in 2-graphs and the sigma and
-cancellative families have their own bitmask states.
+include-branch first, keeping freeness incrementally.  A predicate's
+``state(n, r)`` is the edge set ``current``, kept with an index by ``add``
+and ``remove``, and ``can_add(e)``, which inspects only configurations
+through the new edge: it assumes that e is not in the state and that the
+current edge set is predicate-free (every search adds only edges that
+passed it).  The subgraph and family states keep the embedding engine's
+indexes live (the edge bitmasks, the degrees and the covered-pair adjacency
+with pair counts): the subgraph state searches only copies with a pattern
+edge on e, the family state only the cores through a pair of e.  K_t in
+2-graphs has its own bitmask state; the sigma and cancellative families
+share ``constructions._ThreeEdgeState`` with the one-shot checks.
 
 Pruning is the plain counting bound (included + remaining <= best), applied
 to an exclude child before the call, plus one symmetry pin: subtrees whose
@@ -43,6 +44,7 @@ from .hypergraph import (
     find_embedding,
 )
 from .constructions import (
+    _ThreeEdgeState,
     contains_family_member,
     contains_sigma_member,
     expanded_clique_with_embedded,
@@ -95,20 +97,6 @@ class ForbiddenPredicate:
         return self.kind
 
 
-class _EdgeSetState:
-    """Base of every incremental state: the current edge tuples and a
-    Hypergraph builder.  Subclasses keep their index next to ``current`` in
-    ``add`` and ``remove``, and add a ``can_add`` check that inspects only
-    configurations through the new edge."""
-
-    def __init__(self, n: int, r: int):
-        self.n, self.r = n, r
-        self.current: set[Edge] = set()
-
-    def graph(self) -> Hypergraph:
-        return Hypergraph(self.n, self.r, self.current)
-
-
 class SubgraphPredicate(ForbiddenPredicate):
     kind = "subgraph"
 
@@ -127,7 +115,7 @@ class SubgraphPredicate(ForbiddenPredicate):
         t = _complete_two_graph_order(self.pattern)
         if t is not None:
             return _CliqueState(n, t)
-        return _SubgraphState(n, r, self.pattern)
+        return _SubgraphState(n, self.pattern)
 
     def describe(self) -> str:
         return f"subgraph(n={self.pattern.n},r={self.pattern.r},e={len(self.pattern.edges)})"
@@ -142,11 +130,11 @@ def _complete_two_graph_order(F: Hypergraph) -> Optional[int]:
     return F.n if len(F.edges) == math.comb(F.n, 2) else None
 
 
-class _CliqueState(_EdgeSetState):
+class _CliqueState:
     """Fast path for forbidding K_t in 2-graphs."""
 
     def __init__(self, n: int, t: int):
-        super().__init__(n, 2)
+        self.current: set[Edge] = set()
         self.t = t
         self.adj = [0] * n
 
@@ -170,13 +158,14 @@ class _CliqueState(_EdgeSetState):
         self.adj[v] &= ~(1 << u)
 
 
-class _EmbedState(_EdgeSetState):
+class _EmbedState:
     """The embedding engine's indexes, kept as edges come and go: the edge
     bitmasks, the degrees, and the covered-pair adjacency bitmasks with the
     number of edges covering each pair."""
 
-    def __init__(self, n: int, r: int):
-        super().__init__(n, r)
+    def __init__(self, n: int):
+        self.n = n
+        self.current: set[Edge] = set()
         self.masks: set[int] = set()
         self.deg = [0] * n
         self.adj = [0] * n
@@ -223,8 +212,8 @@ class _SubgraphState(_EmbedState):
     """Copies of F through the new edge: with the current edge set F-free,
     adding e creates a copy only if some pattern edge maps onto e."""
 
-    def __init__(self, n: int, r: int, F: Hypergraph):
-        super().__init__(n, r)
+    def __init__(self, n: int, F: Hypergraph):
+        super().__init__(n)
         self.plans = _anchored_plans(F)
         self.hosts = (1 << n) - 1
         self._orderings: dict[Edge, tuple] = {}
@@ -254,7 +243,7 @@ class _FamilyState(_EmbedState):
     """
 
     def __init__(self, n: int, r: int, F: Hypergraph, p: int):
-        super().__init__(n, r)
+        super().__init__(n)
         self.plan = _base_plan(F)
         self.anchor = min(2, r)
         self.rest = p - self.anchor  # core vertices besides the pair of e
@@ -327,7 +316,7 @@ class SigmaPredicate(ForbiddenPredicate):
     def state(self, n: int, r: int):
         if r != self.r:
             raise ValueError("predicate uniformity mismatch")
-        return _ThreeEdgeState(n, r, 2)
+        return _ThreeEdgeState(r, 2)
 
     def describe(self) -> str:
         return f"sigma(r={self.r})"
@@ -343,82 +332,10 @@ class CancellativePredicate(ForbiddenPredicate):
         return is_cancellative(G)
 
     def state(self, n: int, r: int):
-        return _ThreeEdgeState(n, r, r)
+        return _ThreeEdgeState(r, r)
 
     def describe(self) -> str:
         return "cancellative"
-
-
-class _ThreeEdgeState(_EdgeSetState):
-    """Bitmask index for three distinct edges A, B, C with A ^ B inside C and
-    |A ^ B| <= max_diff: sigma is max_diff = 2, cancellative max_diff = r.
-
-    |A ^ B| is even, so A and B share at least share = r - max_diff // 2
-    vertices and meet in the bucket of a shared subset of that size.  A new
-    edge e is rejected as the containing edge when a stored pairwise
-    difference is an even subset of e (``diff_count``), and as one of the
-    pair when, for some B in its buckets, a stored edge contains e ^ B
-    (``subset_count`` of the even subsets up to max_diff).  A pair sharing j
-    vertices meets in C(j, share) buckets, on add and on remove alike, so
-    ``diff_count`` holds each difference with that multiplicity.
-    """
-
-    def __init__(self, n: int, r: int, max_diff: int):
-        super().__init__(n, r)
-        self.share = r - max_diff // 2
-        self.max_diff = max_diff
-        self.buckets: dict[int, set[int]] = {}
-        self.subset_count: dict[int, int] = {}
-        self.diff_count: dict[int, int] = {}
-        self._prep: dict[Edge, tuple] = {}
-
-    def _prepare(self, e: Edge):
-        got = self._prep.get(e)
-        if got is None:
-            shares = tuple(_bits(s) for s in itertools.combinations(e, self.share))
-            evens = tuple(_bits(s) for k in range(2, self.max_diff + 1, 2)
-                          for s in itertools.combinations(e, k))
-            got = (_bits(e), shares, evens)
-            self._prep[e] = got
-        return got
-
-    def can_add(self, e: Edge) -> bool:
-        em, shares, evens = self._prepare(e)
-        diff_count = self.diff_count
-        for d in evens:
-            if diff_count.get(d, 0):
-                return False
-        subset_count, buckets = self.subset_count, self.buckets
-        for s in shares:
-            for bm in buckets.get(s, ()):
-                if subset_count.get(em ^ bm, 0):
-                    return False
-        return True
-
-    def add(self, e: Edge) -> None:
-        em, shares, evens = self._prepare(e)
-        self.current.add(e)
-        diff_count = self.diff_count
-        for s in shares:
-            bucket = self.buckets.setdefault(s, set())
-            for bm in bucket:
-                d = em ^ bm
-                diff_count[d] = diff_count.get(d, 0) + 1
-            bucket.add(em)
-        for d in evens:
-            self.subset_count[d] = self.subset_count.get(d, 0) + 1
-
-    def remove(self, e: Edge) -> None:
-        em, shares, evens = self._prepare(e)
-        self.current.discard(e)
-        diff_count = self.diff_count
-        for s in shares:
-            bucket = self.buckets[s]
-            bucket.discard(em)
-            for bm in bucket:
-                diff_count[em ^ bm] -= 1
-        for d in evens:
-            self.subset_count[d] -= 1
 
 
 # -- search results ---------------------------------------------------------

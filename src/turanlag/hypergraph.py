@@ -340,34 +340,20 @@ def _edge_masks(G: Hypergraph) -> set[int]:
     return {_bits(e) for e in G.edges}
 
 
-def find_embedding(
-    G: Hypergraph,
-    F: Hypergraph,
-    *,
-    allowed: Optional[Iterable[int]] = None,
-    require_edge: Optional[Edge] = None,
-) -> Optional[dict]:
+def find_embedding(G: Hypergraph, F: Hypergraph) -> Optional[dict]:
     """First copy of F in G as a pattern-to-host vertex map, or None.
 
-    ``allowed`` restricts the host vertices; ``require_edge`` forces some
-    pattern edge onto exactly that host edge, whose vertices then need not
-    be allowed.  The copy is the first in backtracking order: pattern
-    vertices by decreasing degree, then label (with require_edge: the
-    pattern edges in order, each placed first in every ordering of the
-    host edge), host vertices in ascending order.
+    The copy is the first in backtracking order: pattern vertices by
+    decreasing degree, then label, host vertices in ascending order.  The
+    search states run the same engine on live indexes: ``_embed_through``
+    anchored at a new edge, ``_embed`` inside a core.
     """
     if F.r != G.r:
         raise ValueError(f"uniformity mismatch: pattern r={F.r}, host r={G.r}")
-    hosts = sorted(allowed) if allowed is not None else range(G.n)
-    if F.n > len(hosts):
+    if F.n > G.n:
         return None
-    args = (_edge_masks(G), G.degrees, _pair_masks(G), _bits(hosts))
-    if require_edge is None:
-        return _embed(_base_plan(F), *args)
-    req = tuple(sorted(require_edge))
-    if req not in G.edges:
-        return None
-    return _embed_through(_anchored_plans(F), _seeds(req), *args)
+    return _embed(_base_plan(F), _edge_masks(G), G.degrees, _pair_masks(G),
+                  (1 << G.n) - 1)
 
 
 def contains_subhypergraph(G: Hypergraph, F: Hypergraph) -> Optional[Embedding]:

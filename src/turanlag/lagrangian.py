@@ -59,7 +59,8 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .extremal import SubgraphPredicate, _colex_candidates, _greedy_fill
-from .hypergraph import Hypergraph, VertexSet, _bits, _pair_masks, falling_factorial
+from .hypergraph import (Hypergraph, VertexSet, _bits, _cliques, _pair_masks,
+                         falling_factorial)
 
 __all__ = [
     "WeightVector",
@@ -588,31 +589,15 @@ def compute_Mr(r: int) -> float:
 
 
 def clique_number(G: Hypergraph) -> int:
-    """Exact clique number of a 2-graph by branch and bound."""
+    """Exact clique number of a 2-graph: the clique size is raised while the
+    shared enumerator ``_cliques`` still finds a clique one larger."""
     if G.r != 2:
         raise ValueError("clique number is defined here for 2-graphs")
-    n = G.n
-    if n == 0:
-        return 0
-    adj = _pair_masks(G)
-    best = 1
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if size + 1 > best:
-                best = size + 1
-            nxt = cand & adj[v]
-            if nxt:
-                expand(size + 1, nxt)
-
-    expand(0, (1 << n) - 1)
-    return best
+    adj, everyone = _pair_masks(G), (1 << G.n) - 1
+    w = 0
+    while next(_cliques(adj, everyone, w + 1), None) is not None:
+        w += 1
+    return w
 
 
 def motzkin_straus_reference(G: Hypergraph) -> float:
@@ -661,8 +646,10 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
         return DensitySearchResult(best_val, best_wit, exact, evaluated)
     pred = SubgraphPredicate(F)
 
-    def consider(G: Hypergraph) -> None:
+    def consider(edges) -> None:
+        """Evaluate the host on ``edges`` at the loop's current size t."""
         nonlocal best_val, best_wit, evaluated
+        G = Hypergraph(t, r, edges)
         evaluated += 1
         est = lagrangian(G, restarts=_DENSITY_RESTARTS, seed=seed)
         if est.value > best_val + 1e-12:
@@ -683,14 +670,15 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
 
 
 def _density_dfs(state, cands, consider) -> None:
-    """Consider every maximal predicate-free graph, in include-first order."""
+    """Consider every maximal predicate-free graph, in include-first order;
+    ``consider`` gets the state's live edge set."""
     current = state.current
 
     def rec(i: int) -> None:
         if i == len(cands):
             # a graph that is not maximal is skipped: its superset leaf covers it
             if not any(e not in current and state.can_add(e) for e in cands):
-                consider(state.graph())
+                consider(current)
             return
         e = cands[i]
         if state.can_add(e):
@@ -707,13 +695,13 @@ def _density_local(state, cands, consider, rng: random.Random,
     """Greedy fill, then perturb-and-refill rounds; considers each result."""
     current = state.current
     _greedy_fill(state, rng.sample(cands, len(cands)))
-    consider(state.graph())
+    consider(current)
     for _ in range(iters):
         if current and rng.random() < 0.5:
             for e in rng.sample(sorted(current), min(2, len(current))):
                 state.remove(e)
         _greedy_fill(state, rng.sample(cands, len(cands)))
-        consider(state.graph())
+        consider(current)
 
 
 # -- stability probe ----------------------------------------------------

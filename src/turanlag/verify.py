@@ -19,6 +19,7 @@ from typing import Callable
 
 from . import __version__
 from .hypergraph import (
+    Hypergraph,
     blowup,
     falling_factorial,
     kernel_degree,
@@ -356,7 +357,7 @@ def _fan_free_corpus(seed: int, count: int = 50):
                 break
             if st.can_add(e):
                 st.add(e)
-        out.append(st.graph())
+        out.append(Hypergraph(n, 3, st.current))
     return out, pattern
 
 
@@ -386,7 +387,7 @@ def _check_blowup_bound(seed: int):
         for e in cands:
             if st.can_add(e) and rng.random() < 0.8:
                 st.add(e)
-        L = st.graph()
+        L = Hypergraph(nl, 3, st.current)
         sizes = [rng.randint(1, 5) for _ in range(nl)]
         while sum(sizes) > 30:
             sizes[sizes.index(max(sizes))] -= 1

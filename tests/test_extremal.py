@@ -294,7 +294,7 @@ def test_family_free_subgraph_random():
         for e in cands[: len(cands) // 2]:
             if st.can_add(e):
                 st.add(e)
-        g = st.graph()
+        g = Hypergraph(n, 3, st.current)
         res = family_free_subgraph(g, single_edge(3), 3)
         assert res.checked
         assert res.violation is None

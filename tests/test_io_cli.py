@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from turanlag import ParseError, parse_hypergraph, serialize_hypergraph
+from turanlag import (ParseError, lagrangian_constrained, parse_hypergraph,
+                      serialize_hypergraph)
 from turanlag.cli import build_from_spec, main, parse_forbidden
 
 
@@ -100,6 +101,9 @@ def test_cli_lagrangian(tmp_path, capsys):
                  "--restarts", "5", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["beta"] == 0.25 and payload["cap_binds"]
+    # the CLI passes the exact fraction; the estimate is the float call's
+    est = lagrangian_constrained(parse_hypergraph(p.read_text()), 0.25, restarts=5)
+    assert payload["value"] == est.value and payload["weights"] == list(est.weights)
 
 
 def test_cli_symmetrize(tmp_path, capsys):
@@ -207,6 +211,16 @@ def test_cli_zero_denominator_exits_2(command, option, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and f"argument {option}: invalid" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("beta", ["1e400", "-1e400"])
+def test_cli_beta_beyond_float_range_exits_2(beta, tmp_path, capsys):
+    # the range check runs on the exact fraction, before any float conversion
+    p = tmp_path / "c3.hg"
+    p.write_text("3 2\n0 1\n1 2\n0 2\n")
+    assert main(["lagrangian", "--graph", str(p), f"--beta={beta}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "beta must lie in [1/n, 1]" in captured.err
 
 
 @pytest.mark.parametrize("extra", [[], ["--beta", "1/2"]], ids=["plain", "capped"])

@@ -39,6 +39,9 @@ from turanlag import (
     symmetrize,
 )
 
+from turanlag.hypergraph import (_anchored_plans, _base_plan, _bits, _edge_masks,
+                                 _embed, _embed_through, _pair_masks, _seeds)
+
 from conftest import (backtracking_embedding, brute_contains, brute_family,
                       brute_is_cancellative, brute_matching, brute_sigma,
                       rebuilding_symmetrization, rescanning_kernel_clean)
@@ -151,16 +154,23 @@ def patterns(draw, r, max_n=5):
     lambda r: st.tuples(hypergraphs(max_n=7, rs=(r,)), patterns(r))), st.data())
 @settings(max_examples=200, deadline=None)
 def test_find_embedding_matches_backtracking_oracle(gf, data):
+    """find_embedding, and the engine on a host bitmask (the family paths)
+    and anchored at a host edge (the subgraph state's path), return the
+    oracle's first copy."""
     g, f = gf
     assert find_embedding(g, f) == backtracking_embedding(g, f)
     allowed = data.draw(st.lists(st.integers(0, g.n - 1), unique=True), label="allowed")
-    assert (find_embedding(g, f, allowed=allowed)
+    index = (_edge_masks(g), g.degrees, _pair_masks(g))
+    assert (_embed(_base_plan(f), *index, _bits(allowed))
             == backtracking_embedding(g, f, allowed=allowed))
     if g.edges:
         e = data.draw(st.sampled_from(g.edge_list), label="require_edge")
         for a in (None, allowed):
-            assert (find_embedding(g, f, allowed=a, require_edge=e)
-                    == backtracking_embedding(g, f, allowed=a, require_edge=e))
+            hosts = range(g.n) if a is None else a
+            # like the oracle, give up when the allowed hosts cannot hold f
+            got = (None if f.n > len(hosts) else
+                   _embed_through(_anchored_plans(f), _seeds(e), *index, _bits(hosts)))
+            assert got == backtracking_embedding(g, f, allowed=a, require_edge=e)
 
 
 @given(hypergraphs(max_n=6, rs=(3,)), st.integers(2, 4))
@@ -311,7 +321,7 @@ def test_state_can_add_matches_is_free(case, data):
 
     def check() -> None:
         g = Hypergraph(n, r, current)
-        assert state.graph() == g
+        assert state.current == current
         for f in cands:
             if f not in current:
                 bigger = g.with_edges([f])
