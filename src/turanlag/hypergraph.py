@@ -37,10 +37,7 @@ def falling_factorial(m: int, r: int) -> int:
         raise ValueError("r must be nonnegative")
     if m < r:
         raise ValueError(f"falling factorial needs m >= r, got m={m}, r={r}")
-    out = 1
-    for i in range(r):
-        out *= m - i
-    return out
+    return math.perm(m, r)
 
 
 def _as_edge(e: Iterable[int], r: int, n: int) -> Edge:

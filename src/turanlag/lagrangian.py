@@ -492,7 +492,8 @@ def lagrangian_constrained(G: Hypergraph, beta: float, *, restarts: int = 50,
     if G.n == 0:
         raise ValueError("constrained Lagrangian needs at least one vertex")
     if not (1.0 / G.n - 1e-12 <= beta <= 1.0 + 1e-12):
-        raise ValueError(f"beta must lie in [1/n, 1], got {beta}")
+        side = "< 1/n" if beta < 1 else "> 1"
+        raise ValueError(f"beta must lie in [1/n, 1], got beta {side} with n = {G.n}")
     return _optimize(G, float(beta), restarts, seed)
 
 
@@ -514,75 +515,35 @@ def f_r_eval(r: int, x):
     return num / base**r
 
 
-def _fr_derivative_numerator(r: int) -> list[int]:
-    """Integer coefficients (ascending) of N'(x)(x+r-3) - r N(x), where
-    N = prod_{i=1}^{r-1}(x+i-2); its sign is the sign of f_r' for x > 3-r."""
-    N = [1]
-    for i in range(1, r):
-        c = i - 2
-        new = [0] * (len(N) + 1)
-        for k, a in enumerate(N):
-            new[k] += c * a
-            new[k + 1] += a
-        N = new
-    dN = [k * a for k, a in enumerate(N)][1:]
-    s = r - 3
-    term = [0] * (len(dN) + 1)
-    for k, a in enumerate(dN):
-        term[k] += s * a
-        term[k + 1] += a
-    g = [t - r * a for t, a in zip(term, N)]
-    while len(g) > 1 and g[-1] == 0:
-        g.pop()
-    return g
-
-
-def _poly_sign(coeffs: list[int], x: Fraction) -> int:
-    acc = Fraction(0)
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return (acc > 0) - (acc < 0)
-
-
 def compute_Mr(r: int) -> float:
-    """Rightmost local maximizer of f_r on [2, inf); 2 when f_r is decreasing
-    there (and by convention for r = 1).
+    """The maximizer of f_r on [2, inf): the largest float at which f_r still
+    rises, or 2 when f_r falls on all of it (and by convention for r = 1).
 
-    The derivative's numerator polynomial has integer coefficients; roots are
-    located numerically, then pinned down by exact-sign rational bisection, and
-    a root counts as a maximum only when the sign crosses + to -.
+    With y = x + r - 3, f_r = y(y-1)...(y-r+2) / y^r, and for x > 1 the
+    derivative of log f_r is (S(y) - 1)/y with S(y) = sum_{j=1}^{r-2} j/(y-j).
+    S falls strictly in y, so f_r rises and then falls, and its one critical
+    point is its only local maximum. For r <= 3, S(r-1) <= 1: f_r falls on
+    (2, inf). For r >= 4, f_r rises at 2 (the term j = r-2 alone is r-2 >= 2)
+    and falls at c+2 with c = C(r-1, 2) (there S <= c/(c+1) < 1), so float
+    bisection on [2, c+2], with the sign of S - 1 taken exactly at
+    Fraction(mid), ends on the float just below the critical point.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    if r == 1:
+    if r <= 3:
         return 2.0
-    g = _fr_derivative_numerator(r)
-    if len(g) <= 1:
-        return 2.0
-    roots = np.roots(np.array(g[::-1], dtype=float))
-    reals = sorted(float(z.real) for z in roots if abs(z.imag) < 1e-9)
-    candidates = [z for z in reals if z > 2.0 + 1e-9]
-    best = 2.0
-    for z in candidates:
-        gaps = [abs(z - o) for o in reals if abs(z - o) > 1e-12]
-        delta = min([1e-3] + [gp / 4 for gp in gaps])
-        delta = min(delta, (z - 2.0) / 2)
-        lo = Fraction(z - delta).limit_denominator(10**15)
-        hi = Fraction(z + delta).limit_denominator(10**15)
-        slo, shi = _poly_sign(g, lo), _poly_sign(g, hi)
-        if not (slo > 0 and shi < 0):
-            continue  # touch or wrong-direction crossing: not a maximum
-        while hi - lo > Fraction(1, 10**11):
-            mid = (lo + hi) / 2
-            sm = _poly_sign(g, mid)
-            if sm > 0:
-                lo = mid
-            elif sm < 0:
-                hi = mid
-            else:
-                lo = hi = mid
-        best = max(best, float((lo + hi) / 2))
-    return best
+
+    def rises(x: float) -> bool:
+        y = Fraction(x) + r - 3
+        return sum(j / (y - j) for j in range(1, r - 1)) > 1
+
+    lo, hi = 2.0, math.comb(r - 1, 2) + 2.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if rises(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # -- clique-number oracle (2-graphs) ------------------------------------

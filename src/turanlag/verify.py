@@ -79,8 +79,8 @@ class CheckResult:
     elapsed: float
     detail: str = ""
 
-    def to_dict(self, *, with_elapsed: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "suite": self.suite,
             "status": self.status,
@@ -89,9 +89,6 @@ class CheckResult:
             "tolerance": self.tolerance,
             "detail": self.detail,
         }
-        if with_elapsed:
-            d["elapsed"] = self.elapsed
-        return d
 
 
 @dataclass
@@ -261,10 +258,10 @@ def _check_gradient_identities(seed: int):
         {"identity": 1e-12, "fd": 1e-6}, ""
 
 
-def _symmetrization_corpus(seed: int, count: int = 200):
+def _symmetrization_corpus(seed: int):
     rng = random.Random(seed * 2654435761 % (2**31) + 17)
     out = []
-    for _ in range(count):
+    for _ in range(200):
         r = rng.choice((2, 3))
         n = rng.randint(r + 1, 8)
         out.append(random_hypergraph(n, r, density=rng.uniform(0.15, 0.8), rng=rng))
@@ -339,14 +336,14 @@ def _check_kernel_cleanup(seed: int):
     return True, {"cases": cases}, "postcondition + loss bound + idempotence", 0, ""
 
 
-def _fan_free_corpus(seed: int, count: int = 50):
+def _fan_free_corpus(seed: int):
     """Random 3-graphs built edge-by-edge while staying free of the expanded
     4-clique with an embedded single edge (no full copy of it)."""
     pattern = expanded_clique_with_embedded(single_edge(3), 4).graph
     pred = SubgraphPredicate(pattern)
     rng = random.Random(seed * 33391 + 41)
     out = []
-    for _ in range(count):
+    for _ in range(50):
         n = rng.randint(6, 8)
         st = pred.state(n, 3)
         cands = list(itertools.combinations(range(n), 3))
@@ -358,12 +355,12 @@ def _fan_free_corpus(seed: int, count: int = 50):
             if st.can_add(e):
                 st.add(e)
         out.append(Hypergraph(n, 3, st.current))
-    return out, pattern
+    return out
 
 
 def _check_family_extraction(seed: int):
     fam = single_edge(3)
-    graphs, _ = _fan_free_corpus(seed)
+    graphs = _fan_free_corpus(seed)
     for g in graphs:
         res = family_free_subgraph(g, fam, 3)
         if not res.checked:

@@ -362,6 +362,36 @@ def serial_ascend(A, x0: np.ndarray, cap: float,
     return x, val
 
 
+def _fr_derivative_numerator(r: int) -> list[int]:
+    """Integer coefficients (ascending) of N'(x)(x+r-3) - r N(x), where
+    N = prod_{i=1}^{r-1}(x+i-2); its sign is the sign of f_r' for x > 3-r."""
+    N = [1]
+    for i in range(1, r):
+        c = i - 2
+        new = [0] * (len(N) + 1)
+        for k, a in enumerate(N):
+            new[k] += c * a
+            new[k + 1] += a
+        N = new
+    dN = [k * a for k, a in enumerate(N)][1:]
+    s = r - 3
+    term = [0] * (len(dN) + 1)
+    for k, a in enumerate(dN):
+        term[k] += s * a
+        term[k + 1] += a
+    g = [t - r * a for t, a in zip(term, N)]
+    while len(g) > 1 and g[-1] == 0:
+        g.pop()
+    return g
+
+
+def _poly_sign(coeffs: list[int], x: Fraction) -> int:
+    acc = Fraction(0)
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return (acc > 0) - (acc < 0)
+
+
 def exact_poly_value(G: Hypergraph, x) -> Fraction:
     """p_G at the float weights x, in exact rational arithmetic."""
     xs = [Fraction(float(v)) for v in x]

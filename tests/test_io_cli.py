@@ -221,6 +221,8 @@ def test_cli_beta_beyond_float_range_exits_2(beta, tmp_path, capsys):
     assert main(["lagrangian", "--graph", str(p), f"--beta={beta}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "beta must lie in [1/n, 1]" in captured.err
+    # one short line, whatever the size of the fraction
+    assert captured.err.count("\n") == 1 and len(captured.err) < 100
 
 
 @pytest.mark.parametrize("extra", [[], ["--beta", "1/2"]], ids=["plain", "capped"])

@@ -39,8 +39,8 @@ from turanlag.lagrangian import (
 )
 
 from conftest import (
-    add_at_gradient, bisection_capped_projection, brute_contains,
-    enumerate_mad, exact_poly_value, serial_ascend, serial_cannot_gain, serial_grad,
+    _fr_derivative_numerator, _poly_sign, add_at_gradient, bisection_capped_projection,
+    brute_contains, enumerate_mad, exact_poly_value, serial_ascend, serial_cannot_gain, serial_grad,
     serial_p, serial_project, serial_transfer, sort_simplex_projection,
 )
 
@@ -705,6 +705,17 @@ def test_mr_is_a_maximum_of_fr():
         f0 = f_r_eval(r, m)
         assert f0 >= f_r_eval(r, m - 1e-4)
         assert f0 >= f_r_eval(r, m + 1e-4)
+
+
+def test_mr_is_the_last_float_before_the_root_of_the_derivative():
+    # the sign of f_r' is the sign of the integer polynomial g, taken exactly:
+    # f_r still rises at M_r and already falls at the next float
+    for r in range(4, 21):
+        g = _fr_derivative_numerator(r)
+        m = compute_Mr(r)
+        assert _poly_sign(g, Fraction(m)) > 0, r
+        assert _poly_sign(g, Fraction(math.nextafter(m, math.inf))) < 0, r
+    assert compute_Mr(4) == 2 + math.sqrt(3)
 
 
 # -- clique oracle ------------------------------------------------------------------
