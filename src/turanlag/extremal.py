@@ -13,12 +13,13 @@ edge on e, the family state only the cores through a pair of e.  K_t in
 2-graphs has its own bitmask state; the sigma and cancellative families
 share ``constructions._ThreeEdgeState`` with the one-shot checks.
 
-Pruning is the plain counting bound (included + remaining <= best), applied
-to an exclude child before the call, plus one symmetry pin: subtrees whose
-completions all leave vertex 0 isolated are skipped, since any nonempty such
-graph is isomorphic to one with vertex 0 covered that the search visits
-anyway.  The DFS is seeded with a heuristic incumbent so the bound bites
-immediately.
+Pruning is the plain counting bound (included + remaining <= best), tested
+at the root and at each exclude child before its call; an include child
+keeps its parent's sum against the same incumbent, so it always passes.
+One symmetry pin prunes too: subtrees whose completions all leave vertex 0
+isolated are skipped, since any nonempty such graph is isomorphic to one
+with vertex 0 covered that the search visits anyway.  The DFS is seeded
+with a heuristic incumbent so the bound bites immediately.
 """
 
 from __future__ import annotations
@@ -362,9 +363,9 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
     when C(n, r) exceeds the hard cap.  A time budget, read at the first
     call once 4096 nodes have passed since the last reading, makes the
-    result a best-so-far bound with exact=False instead of exhausting.  An
-    exclude child that fails the counting bound is counted as a node
-    without a call.
+    result a best-so-far bound with exact=False instead of exhausting.  The
+    root and each exclude child are tested against the counting bound
+    before their call; one that fails it counts as a node without a call.
     """
     m = math.comb(n, r)
     if m > EXACT_EDGE_CAP:
@@ -377,13 +378,10 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     # heuristic incumbent so the counting bound prunes from the start; it
     # raises ValueError when not even the empty graph is predicate-free
     inc = local_search_lower(n, r, forbidden, seed=seed, iters=_PRESEARCH_ITERS)
-    best = inc.value
-    best_edges = set(inc.witness.edges)
+    best, best_edges = inc.value, set(inc.witness.edges)
 
     state = forbidden.state(n, r)
-    zero_suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        zero_suffix[i] = zero_suffix[i + 1] + (0 in cands[i])
+    last_zero = max((i for i, e in enumerate(cands) if e[0] == 0), default=-1)
 
     nodes = 0
     next_check = 4096  # the node count at which the deadline is next read
@@ -404,12 +402,8 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
         if count > best:
             best = count
             best_edges = set(state.current)
-        if i == m:
-            return
-        if count + (m - i) <= best:
-            return
-        if not has_zero and zero_suffix[i] == 0:
-            return  # completions leave vertex 0 isolated: isomorphs are visited elsewhere
+        if i == m or (not has_zero and i > last_zero):
+            return  # a leaf, or completions leave vertex 0 isolated (isomorphs are visited)
         e = cands[i]
         if can_add(e):
             s_add(e)
@@ -422,7 +416,10 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
         else:
             dfs(i + 1, count, has_zero)
 
-    dfs(0, 0, False)
+    if m <= best:
+        nodes = 1  # the root fails the counting bound: the presearch is optimal
+    else:
+        dfs(0, 0, False)
     elapsed = time.perf_counter() - t0
     return SearchResult(best, Hypergraph(n, r, best_edges), not aborted,
                         nodes, elapsed)

@@ -442,6 +442,8 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
               seed: int) -> LagrangianEstimate:
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n = G.n
     A = _arrays(G)
     if A is None:
@@ -589,80 +591,70 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
 
     Hosts with exactly t vertices are searched for each t <= t_max on the
     incremental state of ``SubgraphPredicate(F)``, the one the exact Turan
-    search uses: exhaustively over maximal F-free graphs while C(t, r) <= 25,
-    by 150 rounds of seeded add/remove local search beyond.  Each host gets
-    an 8-restart ``lagrangian``.
+    search uses.  Two generators yield the state's live edge set, one host
+    at a time: ``_density_dfs`` every maximal F-free graph while
+    C(t, r) <= 25, ``_density_local`` the graph after each of 150 rounds of
+    seeded add/remove local search beyond.  One loop builds each host, gives
+    it an 8-restart ``lagrangian`` and keeps the best.
     ``exact`` records whether every host size was exhausted (the value is a
     lower bound either way).
     """
     if t_max < F.r:
         raise ValueError("t_max must be at least the uniformity")
     r = F.r
-    best_val = 0.0
-    best_wit = Hypergraph(t_max, r, [])
-    evaluated = 0
-    exact = True
+    best_val, best_wit = 0.0, Hypergraph(t_max, r, [])
+    evaluated, exact = 0, True
     if F.n == 0:
         # the empty pattern embeds in every host: no F-free host exists
         return DensitySearchResult(best_val, best_wit, exact, evaluated)
     pred = SubgraphPredicate(F)
-
-    def consider(edges) -> None:
-        """Evaluate the host on ``edges`` at the loop's current size t."""
-        nonlocal best_val, best_wit, evaluated
-        G = Hypergraph(t, r, edges)
-        evaluated += 1
-        est = lagrangian(G, restarts=_DENSITY_RESTARTS, seed=seed)
-        if est.value > best_val + 1e-12:
-            best_val, best_wit = est.value, G
-
     for t in range(r, t_max + 1):
         if not pred.is_free(Hypergraph(t, r, [])):
             continue  # F (edgeless or tiny) already embeds in t isolated vertices
         cands = _colex_candidates(t, r)
         state = pred.state(t, r)
         if math.comb(t, r) <= _DENSITY_EXHAUSTIVE_CAP:
-            _density_dfs(state, cands, consider)
+            hosts = _density_dfs(state, cands)
         else:
             exact = False
-            _density_local(state, cands, consider,
-                           random.Random(seed * 1000003 + t), _DENSITY_ITERS)
+            hosts = _density_local(state, cands, random.Random(seed * 1000003 + t),
+                                   _DENSITY_ITERS)
+        for edges in hosts:
+            G = Hypergraph(t, r, edges)
+            evaluated += 1
+            est = lagrangian(G, restarts=_DENSITY_RESTARTS, seed=seed)
+            if est.value > best_val + 1e-12:
+                best_val, best_wit = est.value, G
     return DensitySearchResult(best_val, best_wit, exact, evaluated)
 
 
-def _density_dfs(state, cands, consider) -> None:
-    """Consider every maximal predicate-free graph, in include-first order;
-    ``consider`` gets the state's live edge set."""
+def _density_dfs(state, cands, i: int = 0) -> Iterator[set]:
+    """Yield the state's live edge set at every maximal predicate-free graph
+    that adds to it only candidates from index i on, in include-first order."""
+    if i == len(cands):
+        # a graph that is not maximal is skipped: its superset leaf covers it
+        if not any(e not in state.current and state.can_add(e) for e in cands):
+            yield state.current
+        return
+    e = cands[i]
+    if state.can_add(e):
+        state.add(e)
+        yield from _density_dfs(state, cands, i + 1)
+        state.remove(e)
+    yield from _density_dfs(state, cands, i + 1)
+
+
+def _density_local(state, cands, rng: random.Random,
+                   iters: int) -> Iterator[set]:
+    """Greedy fill, then ``iters`` perturb-and-refill rounds; yields the
+    state's live edge set after each fill."""
     current = state.current
-
-    def rec(i: int) -> None:
-        if i == len(cands):
-            # a graph that is not maximal is skipped: its superset leaf covers it
-            if not any(e not in current and state.can_add(e) for e in cands):
-                consider(current)
-            return
-        e = cands[i]
-        if state.can_add(e):
-            state.add(e)
-            rec(i + 1)
-            state.remove(e)
-        rec(i + 1)
-
-    rec(0)
-
-
-def _density_local(state, cands, consider, rng: random.Random,
-                   iters: int) -> None:
-    """Greedy fill, then perturb-and-refill rounds; considers each result."""
-    current = state.current
-    _greedy_fill(state, rng.sample(cands, len(cands)))
-    consider(current)
-    for _ in range(iters):
-        if current and rng.random() < 0.5:
+    for k in range(iters + 1):
+        if k and current and rng.random() < 0.5:
             for e in rng.sample(sorted(current), min(2, len(current))):
                 state.remove(e)
         _greedy_fill(state, rng.sample(cands, len(cands)))
-        consider(current)
+        yield current
 
 
 # -- stability probe ----------------------------------------------------

@@ -24,7 +24,7 @@ reproduces the output bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -58,15 +58,8 @@ class SymmetrizationStep:
     flagged: bool = False         # exception rule wanted a donor, but all were gone
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "donor_class": list(self.donor_class),
-            "target": self.target,
-            "removed": list(self.removed),
-            "edges_before": self.edges_before,
-            "edges_after": self.edges_after,
-            "flagged": self.flagged,
-        }
+        return {**asdict(self), "donor_class": list(self.donor_class),
+                "removed": list(self.removed)}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -80,15 +80,9 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "suite": self.suite,
-            "status": self.status,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        d = asdict(self)
+        del d["elapsed"]  # identical runs must serialize byte-identically
+        return d
 
 
 @dataclass
@@ -109,7 +103,6 @@ class VerifyReport:
         return self.counts["fail"] == 0
 
     def to_json(self) -> str:
-        # timings are excluded so identical runs serialize byte-identically
         payload = {
             "version": self.version,
             "seed": self.seed,
@@ -462,5 +455,7 @@ def run_check(name: str, seed: int = 0) -> CheckResult:
 def run_verify(suite: str = "all", seed: int = 0) -> VerifyReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     results = [run_check(name, seed) for name in check_names(suite)]
     return VerifyReport(results, seed)

@@ -21,6 +21,7 @@ from turanlag import (
     kernel_clean,
     kernel_degree,
     local_search_lower,
+    path_graph,
     random_hypergraph,
     single_edge,
     turan_hypergraph,
@@ -121,12 +122,24 @@ def test_budget_abort():
     (7, 2, SubgraphPredicate(complete_hypergraph(3, 2)), 12, 12_895),
     (6, 3, SigmaPredicate(3), 8, 5_630),
     (6, 3, SubgraphPredicate(generalized_triangle(3)), 10, 5_556),
+    # the vertex-0 pin at work: without it the count is 307
+    (6, 2, SubgraphPredicate(path_graph(3)), 3, 268),
 ])
 def test_nodes_explored_pinned(n, r, pred, value, nodes):
     # the values and node counts of the DFS that called every child, pruned
     # ones included; counting pruned children inline must not move them
     res = brute_force_ex(n, r, pred)
     assert res.exact and (res.value, res.nodes_explored) == (value, nodes)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_root_fails_counting_bound_when_presearch_holds_every_edge(n):
+    # K_6-free on at most 5 vertices: the presearch finds K_n, and the root
+    # alone is counted
+    res = brute_force_ex(n, 2, SubgraphPredicate(complete_hypergraph(6, 2)))
+    assert res.exact and res.nodes_explored == 1
+    assert res.value == math.comb(n, 2)
+    assert res.witness == complete_hypergraph(n, 2)
 
 
 def test_family_predicate_exact_small():
@@ -312,6 +325,17 @@ def test_family_free_subgraph_reports_violation():
     assert res.graph == g
     assert res.violation is not None
     assert res.violation.kind == "family-member"
+
+
+def test_family_free_subgraph_skips_check_beyond_ten_vertices():
+    # K_11^(3) (pair degree 9 > p = 7) plus two edges through vertex 11,
+    # whose pairs with 11 are too thin to survive cleaning
+    k11 = complete_hypergraph(11, 3).edge_list
+    g = Hypergraph(12, 3, [*k11, (0, 1, 11), (2, 3, 11)])
+    res = family_free_subgraph(g, single_edge(3), 3)
+    p = expanded_clique_with_embedded(single_edge(3), 4).graph.n
+    assert not res.checked and res.violation is None
+    assert res.graph == kernel_clean(g, p, 2) == Hypergraph(12, 3, k11)
 
 
 def test_family_free_subgraph_validation():

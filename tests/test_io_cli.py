@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from turanlag import (ParseError, lagrangian_constrained, parse_hypergraph,
-                      serialize_hypergraph)
+from turanlag import (ParseError, broom_graph, enlargement,
+                      expanded_clique_with_embedded, lagrangian,
+                      lagrangian_constrained, parse_hypergraph, path_graph,
+                      serialize_hypergraph, single_edge)
 from turanlag.cli import build_from_spec, main, parse_forbidden
 
 
@@ -172,6 +174,20 @@ def test_cli_verify_core_deterministic(capsys):
     assert names == ["frankl-matching-bound", "turan-size"]
 
 
+def test_cli_verify_json_path_writes_file_and_prints_table(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--suite", "core", "--json", str(path)]) == 0
+    header, rule, *rows, total = capsys.readouterr().out.splitlines()
+    assert main(["verify", "--suite", "core", "--json", "-"]) == 0
+    assert path.read_text() == capsys.readouterr().out
+    assert header.split() == ["check", "suite", "status", "measured", "expected",
+                              "elapsed"]
+    assert set(rule) == {"-", " "} and len(rule) == len(header.rstrip())
+    assert [row.split()[:3] for row in rows] == [
+        ["frankl-matching-bound", "core", "pass"], ["turan-size", "core", "pass"]]
+    assert total == "total: 2 checks, 2 pass, 0 fail, 0 skipped (seed 0)"
+
+
 def test_cli_usage_error():
     assert main(["construct", "nonsense:z=1"]) == 2
     assert main(["no-such-command"]) == 2
@@ -232,3 +248,76 @@ def test_cli_lagrangian_negative_restarts_exits_2_silently(extra, tmp_path, caps
     assert main(["lagrangian", "--graph", str(p), "--restarts", "-2", *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "restarts must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "lagrangian"])
+def test_cli_negative_seed_exits_2_with_one_line(command, tmp_path, capsys):
+    # numpy's seed sequences refuse negative entries; the CLI says so before
+    # any check or ascent runs
+    p = tmp_path / "k3.hg"
+    p.write_text("3 2\n0 1\n1 2\n0 2\n")
+    argv = ["verify"] if command == "verify" else ["lagrangian", "--graph", str(p)]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+
+
+def test_cli_search_accepts_negative_seed(capsys):
+    # the presearch seeds only random.Random
+    assert main(["search", "--n", "4", "--r", "2", "--seed", "-1",
+                 "--forbid", "subgraph:complete:n=3,r=2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2"],
+     "error: provide --n or --sweep LO:HI"),
+    (["search", "--n", "5", "--r", "2", "--forbid", "subgraph:complete:n3,r=2"],
+     "error: expected key=value, got 'n3'"),
+    (["search", "--n", "5", "--r", "2", "--forbid", "clique:k=3"],
+     "error: unknown forbidden kind 'clique'"),
+], ids=["no-n-no-sweep", "item-without-equals", "unknown-kind"])
+def test_cli_usage_errors_exit_2_with_message(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_cli_construct_specs_match_library(tmp_path, capsys):
+    tree = tmp_path / "p4.hg"
+    tree.write_text(serialize_hypergraph(path_graph(4)))
+    edge = tmp_path / "edge.hg"
+    edge.write_text(serialize_hypergraph(single_edge(3)))
+    cases = [
+        (f"file:{tree}", path_graph(4)),
+        ("broom:handle=3,leaves=2", broom_graph(3, 2)),
+        (f"expand:F={edge},p=5", expanded_clique_with_embedded(single_edge(3), 5).graph),
+        (f"enlarge:T={tree},r=4", enlargement(path_graph(4), 4)),
+    ]
+    for spec, want in cases:
+        assert main(["construct", spec]) == 0
+        assert capsys.readouterr().out == serialize_hypergraph(want)
+
+
+def test_cli_text_output(tmp_path, capsys):
+    p = tmp_path / "k3.hg"
+    p.write_text("3 2\n0 1\n1 2\n0 2\n")
+    assert main(["info", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n: 3", "r: 2", "edges: 3", "covers_pairs: True", "min_degree: 2",
+        "max_degree: 2", "avg_degree: 2.0", "max_matching: 1"]
+
+    assert main(["lagrangian", "--graph", str(p), "--restarts", "3"]) == 0
+    est = lagrangian(parse_hypergraph(p.read_text()), restarts=3)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"value: {est.value}", f"weights: {list(est.weights)}",
+                     f"converged: {est.converged}",
+                     f"gradient_residual: {est.gradient_residual}",
+                     "certificate: exact-motzkin-straus"]
+
+    assert main(["search", "--n", "4", "--r", "2",
+                 "--forbid", "subgraph:complete:n=3,r=2"]) == 0
+    head, wit = capsys.readouterr().out.splitlines()
+    assert head == "ex(4, subgraph(n=3,r=2,e=3)) exact: 4"
+    assert wit.startswith("witness edges: [[")

@@ -780,15 +780,25 @@ def test_density_search_k4_runs_on_clique_state():
 def test_density_local_considers_maximal_free_graphs():
     k3 = complete_hypergraph(3, 2)
     cands = _colex_candidates(8, 2)
-    seen = []
-    _density_local(SubgraphPredicate(k3).state(8, 2), cands,
-                   lambda edges: seen.append(Hypergraph(8, 2, edges)),
-                   random.Random(0), 20)
+    seen = [Hypergraph(8, 2, edges) for edges in
+            _density_local(SubgraphPredicate(k3).state(8, 2), cands,
+                           random.Random(0), 20)]
     assert len(seen) == 21
     for G in seen:
         assert not brute_contains(G, k3)
         assert all(brute_contains(G.with_edges([e]), k3)
                    for e in cands if e not in G.edges)
+
+
+def test_density_search_local_level():
+    # C(8, 2) = 28 > 25 candidates: the t = 8 level runs the local search; a
+    # P3-free 2-graph is a matching, so omega <= 2 and the density is 1/2
+    P3 = path_graph(3)
+    res = lagrangian_density_search(P3, 8, seed=0)
+    assert not res.exact
+    assert abs(res.best_value - 0.5) <= 1e-9
+    assert res.evaluated == 142 + 151
+    assert SubgraphPredicate(P3).is_free(res.witness)
 
 
 def test_density_search_zero_vertex_pattern():
