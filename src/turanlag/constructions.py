@@ -260,9 +260,9 @@ def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Emb
         raise ValueError(f"core size p={p} must be at least n(F)={F.n}")
     if p > G.n:
         return None
-    plan, edges, adj = _base_plan(F), _edge_masks(G), _pair_masks(G)
+    plans, edges, adj = (_base_plan(F),), _edge_masks(G), _pair_masks(G)
     for core in _cliques(adj, (1 << G.n) - 1, p):
-        mapping = _embed(plan, edges, G.degrees, adj, _bits(core))
+        mapping = _embed(plans, (), edges, G.degrees, adj, _bits(core))
         if mapping is not None:
             covering = {pr: next(e for e in G.edge_list if pr[0] in e and pr[1] in e)
                         for pr in itertools.combinations(core, 2)}

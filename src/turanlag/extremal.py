@@ -8,10 +8,12 @@ through the new edge: it assumes that e is not in the state and that the
 current edge set is predicate-free (every search adds only edges that
 passed it).  The subgraph and family states keep the embedding engine's
 indexes live (the edge bitmasks, the degrees and the covered-pair adjacency
-with pair counts): the subgraph state searches only copies with a pattern
-edge on e, the family state only the cores through a pair of e.  K_t in
-2-graphs has its own bitmask state; the sigma and cancellative families
-share ``constructions._ThreeEdgeState`` with the one-shot checks.
+with pair counts), and run plans compiled once per pattern: the subgraph
+state seeds the anchored plans, repeats collapsed, with e, so it searches
+only copies with a pattern edge on e; the family state runs the base plan
+in the cores through a pair of e.  K_t in 2-graphs has its own bitmask
+state; the sigma and cancellative families share
+``constructions._ThreeEdgeState`` with the one-shot checks.
 
 Pruning is the plain counting bound (included + remaining <= best), tested
 at the root and at each exclude child before its call; an include child
@@ -40,8 +42,6 @@ from .hypergraph import (
     _bits,
     _cliques,
     _embed,
-    _embed_through,
-    _seeds,
     find_embedding,
 )
 from .constructions import (
@@ -106,6 +106,7 @@ class SubgraphPredicate(ForbiddenPredicate):
             raise ValueError("a pattern with no vertices is contained in every "
                              "graph, so it forbids everything")
         self.pattern = pattern
+        self.plans = _anchored_plans(pattern)
 
     def is_free(self, G: Hypergraph) -> bool:
         return find_embedding(G, self.pattern) is None
@@ -116,7 +117,7 @@ class SubgraphPredicate(ForbiddenPredicate):
         t = _complete_two_graph_order(self.pattern)
         if t is not None:
             return _CliqueState(n, t)
-        return _SubgraphState(n, self.pattern)
+        return _SubgraphState(n, self.plans)
 
     def describe(self) -> str:
         return f"subgraph(n={self.pattern.n},r={self.pattern.r},e={len(self.pattern.edges)})"
@@ -211,20 +212,17 @@ class _EmbedState:
 
 class _SubgraphState(_EmbedState):
     """Copies of F through the new edge: with the current edge set F-free,
-    adding e creates a copy only if some pattern edge maps onto e."""
+    adding e creates a copy only if some pattern edge maps onto e.  can_add
+    seeds with e the anchored plans the predicate compiled once for F."""
 
-    def __init__(self, n: int, F: Hypergraph):
+    def __init__(self, n: int, plans: tuple):
         super().__init__(n)
-        self.plans = _anchored_plans(F)
+        self.plans = plans
         self.hosts = (1 << n) - 1
-        self._orderings: dict[Edge, tuple] = {}
 
     def can_add(self, e: Edge) -> bool:
-        seeds = self._orderings.get(e)
-        if seeds is None:
-            seeds = self._orderings[e] = _seeds(e)
-        return _embed_through(self.plans, seeds, self.masks, self.deg, self.adj,
-                              self.hosts) is None
+        return _embed(self.plans, e, self.masks, self.deg, self.adj,
+                      self.hosts) is None
 
 
 class _FamilyState(_EmbedState):
@@ -245,7 +243,7 @@ class _FamilyState(_EmbedState):
 
     def __init__(self, n: int, r: int, F: Hypergraph, p: int):
         super().__init__(n)
-        self.plan = _base_plan(F)
+        self.plans = (_base_plan(F),)
         self.anchor = min(2, r)
         self.rest = p - self.anchor  # core vertices besides the pair of e
         self._anchors: dict[Edge, tuple] = {}
@@ -265,12 +263,12 @@ class _FamilyState(_EmbedState):
             return True  # no core holds a pair
         self._update(e, 1)
         try:
-            masks, deg, adj, plan = self.masks, self.deg, self.adj, self.plan
+            masks, deg, adj, plans = self.masks, self.deg, self.adj, self.plans
             for S, core, cand in self._pairs(e):
                 for v in S:
                     cand &= adj[v]
                 for rest in _cliques(adj, cand, self.rest):
-                    if _embed(plan, masks, deg, adj, core | _bits(rest)) is not None:
+                    if _embed(plans, (), masks, deg, adj, core | _bits(rest)) is not None:
                         return False
             return True
         finally:
@@ -392,8 +390,6 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     def dfs(i: int, count: int, has_zero: bool) -> None:
         nonlocal nodes, next_check, best, best_edges, aborted
         nodes += 1
-        if aborted:
-            return
         if deadline is not None and nodes >= next_check:
             next_check = nodes + 4096
             if time.perf_counter() > deadline:

@@ -236,9 +236,10 @@ class Embedding:
 
 # The embedding engine.  A pattern F is compiled once into plans: a vertex
 # order and, for each position, the degree its image needs, the pattern edges
-# whose last vertex it is (as tuples of positions) and its earlier
+# whose last vertex it is (as sorted tuples of positions) and its earlier
 # covered-pair neighbours.  The base order is by decreasing degree, then
-# label; the plan anchored at a pattern edge puts that edge's vertices first.
+# label; an anchored plan puts a pattern edge's vertices first, at the
+# positions of the sorted host edge's vertices they map onto.
 # The search runs on plain indexed data: a set of edge bitmasks, a degree
 # array and the adjacency bitmasks of the covered-pair graph.  A position's
 # candidates are the unused allowed hosts adjacent to the images of its
@@ -256,7 +257,7 @@ def _plan(F: Hypergraph, order: list[int]) -> tuple:
         checks[pos[-1]].append(pos)
     covered = F.covered_pairs
     steps = tuple(
-        (F.degrees[v], tuple(checks[i]),
+        (F.degrees[v], tuple(sorted(checks[i])),
          tuple(j for j in range(i) if (min(v, order[j]), max(v, order[j])) in covered))
         for i, v in enumerate(order))
     return tuple(order), steps
@@ -267,10 +268,19 @@ def _base_plan(F: Hypergraph) -> tuple:
 
 
 def _anchored_plans(F: Hypergraph) -> tuple:
-    """One plan per pattern edge, in edge_list order, placing its vertices first."""
-    base = _base_plan(F)[0]
-    return tuple(_plan(F, list(fe) + [v for v in base if v not in fe])
-                 for fe in F.edge_list)
+    """The plans seeded with a sorted host edge: for each pattern edge fe in
+    edge_list order and each permutation p of range(r), fe[j] at position
+    p[j], then the other vertices in base order.  A search reads only the
+    steps past position r, so of the plans equal there only the first is
+    kept; a later one would run only after it failed, and fail alike."""
+    base, r = _base_plan(F)[0], F.r
+    plans: dict[tuple, tuple] = {}
+    for fe in F.edge_list:
+        rest = [v for v in base if v not in fe]
+        for p in itertools.permutations(range(r)):
+            order, steps = _plan(F, [v for _, v in sorted(zip(p, fe))] + rest)
+            plans.setdefault(steps[r:], (order, steps))
+    return tuple(plans.values())
 
 
 def _place(steps, i, img, bit, used, edges, deg, adj, allowed) -> bool:
@@ -300,36 +310,17 @@ def _place(steps, i, img, bit, used, edges, deg, adj, allowed) -> bool:
     return False
 
 
-def _embed(plan, edges, deg, adj, allowed) -> Optional[dict]:
-    """First copy under the plan, or None."""
-    order, steps = plan
-    img = [0] * len(order)
-    if _place(steps, 0, img, img[:], 0, edges, deg, adj, allowed):
-        return dict(zip(order, img))
-    return None
-
-
-def _seeds(e: Edge) -> tuple:
-    """The bitmask of the host edge e and its orderings, each with the
-    bitmasks of its vertices: the seeds of ``_embed_through``."""
-    return _bits(e), tuple((seed, tuple(1 << h for h in seed))
-                           for seed in itertools.permutations(e))
-
-
-def _embed_through(plans, seeds, edges, deg, adj, allowed) -> Optional[dict]:
-    """First copy with a pattern edge mapped onto the host edge e, given as
-    ``_seeds(e)``: pattern edges in order, then the orderings of e.  Other
+def _embed(plans, seed, edges, deg, adj, allowed) -> Optional[dict]:
+    """First copy under the plans in turn, or None.  The seed, () or a
+    sorted host edge e, fills each plan's first positions.  With e, other
     pattern edges map onto edges that meet a vertex outside e, so neither
     the presence of e in ``edges`` nor the pairs only e covers change the
     answer."""
-    used, orderings = seeds
-    r = used.bit_count()
+    r, used = len(seed), _bits(seed)
     for order, steps in plans:
-        img, bit = [0] * len(order), [0] * len(order)
-        for seed, seed_bits in orderings:
-            img[:r], bit[:r] = seed, seed_bits
-            if _place(steps, r, img, bit, used, edges, deg, adj, allowed):
-                return dict(zip(order, img))
+        img = list(seed) + [0] * (len(order) - r)
+        if _place(steps, r, img, [1 << h for h in img], used, edges, deg, adj, allowed):
+            return dict(zip(order, img))
     return None
 
 
@@ -342,15 +333,16 @@ def find_embedding(G: Hypergraph, F: Hypergraph) -> Optional[dict]:
 
     The copy is the first in backtracking order: pattern vertices by
     decreasing degree, then label, host vertices in ascending order.  The
-    search states run the same engine on live indexes: ``_embed_through``
-    anchored at a new edge, ``_embed`` inside a core.
+    search states run the same engine on live indexes, with plans compiled
+    once per pattern: the subgraph state seeds the anchored plans, repeats
+    collapsed, with the new edge; the family paths run this plan in a core.
     """
     if F.r != G.r:
         raise ValueError(f"uniformity mismatch: pattern r={F.r}, host r={G.r}")
     if F.n > G.n:
         return None
-    return _embed(_base_plan(F), _edge_masks(G), G.degrees, _pair_masks(G),
-                  (1 << G.n) - 1)
+    return _embed((_base_plan(F),), (), _edge_masks(G), G.degrees,
+                  _pair_masks(G), (1 << G.n) - 1)
 
 
 def contains_subhypergraph(G: Hypergraph, F: Hypergraph) -> Optional[Embedding]:

@@ -37,11 +37,11 @@ from .constructions import (
     turan_hypergraph,
 )
 from .lagrangian import (
-    clique_number,
     compute_Mr,
     f_r_eval,
     grad,
     lagrangian,
+    motzkin_straus_reference,
     poly_value,
     stability_probe,
 )
@@ -192,7 +192,7 @@ def _check_motzkin_straus(seed: int):
         n = rng.randint(4, 9)
         g = random_hypergraph(n, 2, density=rng.uniform(0.25, 0.85), rng=rng)
         est = lagrangian(g, restarts=50, seed=seed)
-        oracle = 1.0 - 1.0 / max(clique_number(g), 1)
+        oracle = motzkin_straus_reference(g)
         worst = max(worst, abs(est.value - oracle))
     return worst <= 1e-6, worst, 0.0, 1e-6, "max |estimate - (1 - 1/omega)| over 30 graphs"
 

@@ -807,6 +807,15 @@ def test_density_search_zero_vertex_pattern():
     assert res == (0.0, Hypergraph(4, 2, []), True, 0)
 
 
+def test_density_search_skips_host_sizes_that_hold_the_pattern():
+    # four isolated vertices embed in every host on 4 or 5 vertices, so only
+    # t = 3 is searched, and its one maximal host is the single edge
+    res = lagrangian_density_search(Hypergraph(4, 3, []), 5)
+    assert abs(res.best_value - 2 / 9) <= 1e-12
+    assert res.witness == Hypergraph(3, 3, [(0, 1, 2)])
+    assert res.exact and res.evaluated == 1
+
+
 def test_density_search_enlarged_path():
     F = enlargement(path_graph(3), 3)
     res = lagrangian_density_search(F, 4, seed=0)

@@ -6,6 +6,7 @@ stay small so every example runs an exhaustive oracle where one is used.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from turanlag import (
     contains_sigma_member,
     contains_subhypergraph,
     enlargement,
+    expanded_clique_with_embedded,
     equivalence_classes,
     find_embedding,
     generalized_triangle,
@@ -40,7 +42,7 @@ from turanlag import (
 )
 
 from turanlag.hypergraph import (_anchored_plans, _base_plan, _bits, _edge_masks,
-                                 _embed, _embed_through, _pair_masks, _seeds)
+                                 _embed, _pair_masks)
 
 from conftest import (backtracking_embedding, brute_contains, brute_family,
                       brute_is_cancellative, brute_matching, brute_sigma,
@@ -161,7 +163,7 @@ def test_find_embedding_matches_backtracking_oracle(gf, data):
     assert find_embedding(g, f) == backtracking_embedding(g, f)
     allowed = data.draw(st.lists(st.integers(0, g.n - 1), unique=True), label="allowed")
     index = (_edge_masks(g), g.degrees, _pair_masks(g))
-    assert (_embed(_base_plan(f), *index, _bits(allowed))
+    assert (_embed((_base_plan(f),), (), *index, _bits(allowed))
             == backtracking_embedding(g, f, allowed=allowed))
     if g.edges:
         e = data.draw(st.sampled_from(g.edge_list), label="require_edge")
@@ -169,7 +171,7 @@ def test_find_embedding_matches_backtracking_oracle(gf, data):
             hosts = range(g.n) if a is None else a
             # like the oracle, give up when the allowed hosts cannot hold f
             got = (None if f.n > len(hosts) else
-                   _embed_through(_anchored_plans(f), _seeds(e), *index, _bits(hosts)))
+                   _embed(_anchored_plans(f), e, *index, _bits(hosts)))
             assert got == backtracking_embedding(g, f, allowed=a, require_edge=e)
 
 
@@ -340,3 +342,39 @@ def test_state_can_add_matches_is_free(case, data):
         else:
             continue
         check()
+
+
+# -- anchored plans ----------------------------------------------------------------
+
+FAN = expanded_clique_with_embedded(single_edge(3), 4).graph
+
+# pattern -> anchored plans left, out of (pattern edges) * 3! = 18, 24, 12,
+# 24 and 60, once plans that agree past the seeded edge collapse
+PLAN_COUNTS = {"F5": (F5, 6), "fan": (FAN, 12), "P3+": (P3_PLUS, 3),
+               "K4(3)": (complete_hypergraph(4, 3), 1),
+               "K5(3)": (complete_hypergraph(5, 3), 1)}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_COUNTS))
+def test_anchored_plan_counts(case):
+    F, count = PLAN_COUNTS[case]
+    assert len(_anchored_plans(F)) == count
+
+
+@pytest.mark.parametrize("case", ["F5", "fan", "P3+", "K4(3)"])
+def test_anchored_embedding_matches_oracle_on_every_host_edge(case):
+    """Seeded with each host edge in turn, the collapsed plans return the
+    oracle's first copy through that edge; the hypothesis strategy above
+    draws no pattern as large as the fan."""
+    F = PLAN_COUNTS[case][0]
+    plans = _anchored_plans(F)
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        density = rng.uniform(0.2, 0.9)
+        g = Hypergraph(n, 3, [e for e in itertools.combinations(range(n), 3)
+                              if rng.random() < density])
+        index = (_edge_masks(g), g.degrees, _pair_masks(g))
+        for e in g.edge_list:
+            assert (_embed(plans, e, *index, _bits(range(n)))
+                    == backtracking_embedding(g, F, require_edge=e))

@@ -4,6 +4,7 @@ import pytest
 
 import turanlag.verify as verify
 from turanlag import PartitionedHypergraph, turan_hypergraph
+from turanlag.cli import main
 from turanlag.verify import check_names, run_check, run_verify
 
 
@@ -69,3 +70,31 @@ def test_mantel_report_is_deterministic():
     first = run_check("mantel-exact").to_dict()
     assert first["status"] == "pass"
     assert run_check("mantel-exact").to_dict() == first
+
+
+def _crashing_check(seed):
+    raise RuntimeError("boom")
+
+
+def test_run_check_reports_a_crash_as_failure(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", [("crash", "core", 60.0, _crashing_check)])
+    result = run_check("crash")
+    assert result.status == "fail"
+    assert result.measured == "exception: boom"
+
+
+def test_run_check_fails_a_passing_check_over_budget(monkeypatch):
+    passing = lambda seed: (True, 1, 1, 0, "fine")  # noqa: E731
+    monkeypatch.setattr(verify, "CHECKS", [("slow", "core", -1.0, passing)])
+    result = run_check("slow")
+    assert result.status == "fail"
+    assert "exceeded budget" in result.detail
+
+
+def test_verify_exits_1_and_prints_the_table_on_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CHECKS",
+                        verify.CHECKS + [("crash", "core", 60.0, _crashing_check)])
+    assert main(["verify", "--suite", "core"]) == 1
+    out = capsys.readouterr().out
+    assert "exception: boom" in out
+    assert "total: 3 checks, 2 pass, 1 fail, 0 skipped (seed 0)" in out
