@@ -15,13 +15,31 @@ in the cores through a pair of e.  K_t in 2-graphs has its own bitmask
 state; the sigma and cancellative families share
 ``constructions._ThreeEdgeState`` with the one-shot checks.
 
-Pruning is the plain counting bound (included + remaining <= best), tested
-at the root and at each exclude child before its call; an include child
-keeps its parent's sum against the same incumbent, so it always passes.
-One symmetry pin prunes too: subtrees whose completions all leave vertex 0
-isolated are skipped, since any nonempty such graph is isomorphic to one
-with vertex 0 covered that the search visits anyway.  The DFS is seeded
-with a heuristic incumbent so the bound bites immediately.
+The search solves the sizes min(n, r), ..., n in turn and takes three
+things from the size below.  Every predicate here is closed under deleting
+a vertex, so a free G on k vertices has e(G) - d(v) = e(G - v) <= ex(k-1)
+for each vertex v; a size that ran out of time gives no bound, and C(k-1, r)
+stands in for ex(k-1).
+  * Seed: the (k-1) witness plus an isolated vertex replaces the presearch's
+    incumbent when it has more edges and the predicate accepts it (a
+    pattern with isolated vertices can reject it).
+  * Ceiling: averaging over v gives ex(k) <= floor(ex(k-1) * k / (k - r))
+    (Katona, Nemetz and Simonovits 1964; C(k, r) for k <= r).  An incumbent
+    that reaches it is exact, and no DFS runs.
+  * Degree bound: a graph with more than best edges gives every vertex
+    degree at least need = best + 1 - ex(k-1).  avail[v], v's degree plus
+    its undecided candidates, bounds the degree of v in every completion.
+    Only an exclude child lowers it, and only at the r vertices of the
+    excluded edge, so the child is tested there; when best rises, every
+    vertex is tested at that node.  (A vertex that falls short after a rise
+    elsewhere is caught at the next exclude child through it.)
+The plain counting bound (included + remaining <= best) is tested at each
+exclude child too; an include child keeps its parent's sum and avail
+against the same incumbent, so it always passes.  Once best >= ex(k-1),
+need >= 1: every vertex must be covered, which subsumes pinning vertex 0.
+Each size starts from a heuristic incumbent so the bounds bite at once: the
+best free balanced multipartite graph, and at n a presearch of 400
+local-search rounds from it.
 """
 
 from __future__ import annotations
@@ -359,11 +377,18 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     """Exact maximum edge count of a predicate-free r-graph on n vertices.
 
     Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
-    when C(n, r) exceeds the hard cap.  A time budget, read at the first
-    call once 4096 nodes have passed since the last reading, makes the
-    result a best-so-far bound with exact=False instead of exhausting.  The
-    root and each exclude child are tested against the counting bound
-    before their call; one that fails it counts as a node without a call.
+    when C(n, r) exceeds the hard cap.  The sizes min(n, r), ..., n are solved
+    in turn, each with the bound and witness of the size below (see the module
+    docstring), so a call does the work of a sweep up to n.
+
+    nodes_explored counts the nodes of the search at n only; the sizes
+    below are not in it.  A size closed by its ceiling counts one node, its
+    root.  The DFS counts each call, and each exclude child that fails the
+    counting or the degree bound, which gets no call.  A time budget is one
+    deadline for all sizes; each size reads it at the first call once 4096
+    of its own nodes have passed since its last reading.  Once it has
+    passed, the result is a best-so-far bound with exact=False instead of
+    exhausting.
     """
     m = math.comb(n, r)
     if m > EXACT_EDGE_CAP:
@@ -372,23 +397,52 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
             "use local_search_lower (--heuristic) for a lower bound"
         )
     t0 = time.perf_counter()
-    cands = _colex_candidates(n, r)
-    # heuristic incumbent so the counting bound prunes from the start; it
-    # raises ValueError when not even the empty graph is predicate-free
-    inc = local_search_lower(n, r, forbidden, seed=seed, iters=_PRESEARCH_ITERS)
-    best, best_edges = inc.value, set(inc.witness.edges)
+    deadline = None if max_seconds is None else t0 + max_seconds
+    res = None
+    for k in range(min(n, r), n + 1):
+        # raises ValueError when not even the empty graph is free.  Below n,
+        # the witness from below and the multipartite seeds stand in for the
+        # presearch's rounds, which cost more there than they save
+        inc = local_search_lower(k, r, forbidden, seed=seed,
+                                 iters=_PRESEARCH_ITERS if k == n else 0)
+        res = _exhaust(k, r, forbidden, inc, res, t0, deadline)
+    return res
 
-    state = forbidden.state(n, r)
-    last_zero = max((i for i, e in enumerate(cands) if e[0] == 0), default=-1)
+
+def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
+             below: Optional[SearchResult], t0: float,
+             deadline: Optional[float]) -> SearchResult:
+    """Solve size k from the incumbent inc and the result for size k - 1,
+    if any; elapsed counts from t0."""
+    m = math.comb(k, r)
+    best, best_edges = inc.value, set(inc.witness.edges)
+    lo = math.comb(max(k - 1, 0), r)  # ex(k - 1), or no bound below
+    if below is not None:
+        if below.exact:
+            lo = below.value
+        if (below.value > best
+                and forbidden.is_free(Hypergraph(k, r, below.witness.edges))):
+            best, best_edges = below.value, set(below.witness.edges)
+    if best >= (m if k <= r else lo * k // (k - r)):  # the ceiling holds
+        return SearchResult(best, Hypergraph(k, r, best_edges), True, 1,
+                            time.perf_counter() - t0)
+
+    cands = _colex_candidates(k, r)
+    state = forbidden.state(k, r)
+    current, can_add, s_add, s_remove = state.current, state.can_add, state.add, state.remove
+    # avail[v]: v's degree plus its undecided candidates, so the most degree
+    # any completion can give v.  A graph with more than best edges gives
+    # each vertex at least need = best + 1 - lo.  Below the ceiling the root
+    # meets it: every vertex has C(k-1, r-1) >= ceiling - lo >= need.
+    avail = [math.comb(k - 1, r - 1)] * k
+    need = best + 1 - lo
 
     nodes = 0
     next_check = 4096  # the node count at which the deadline is next read
     aborted = False
-    deadline = None if max_seconds is None else t0 + max_seconds
-    can_add, s_add, s_remove = state.can_add, state.add, state.remove
 
-    def dfs(i: int, count: int, has_zero: bool) -> None:
-        nonlocal nodes, next_check, best, best_edges, aborted
+    def dfs(i: int, count: int) -> None:
+        nonlocal nodes, next_check, best, best_edges, need, aborted
         nodes += 1
         if deadline is not None and nodes >= next_check:
             next_check = nodes + 4096
@@ -397,28 +451,38 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
                 return
         if count > best:
             best = count
-            best_edges = set(state.current)
-        if i == m or (not has_zero and i > last_zero):
-            return  # a leaf, or completions leave vertex 0 isolated (isomorphs are visited)
+            best_edges = set(current)
+            need = best + 1 - lo
+            if min(avail) < need:
+                return  # some vertex falls short in every completion
+        if i == m:
+            return
         e = cands[i]
         if can_add(e):
             s_add(e)
-            dfs(i + 1, count + 1, has_zero or e[0] == 0)
+            dfs(i + 1, count + 1)
             s_remove(e)
         if aborted:
             return
-        if count + (m - i - 1) <= best:
-            nodes += 1  # the exclude child fails the counting bound on entry
+        # the exclude child lowers avail only at e
+        short = count + (m - i - 1) <= best
+        if not short:
+            for v in e:
+                if avail[v] <= need:
+                    short = True
+                    break
+        if short:
+            nodes += 1  # the exclude child fails a bound on entry
         else:
-            dfs(i + 1, count, has_zero)
+            for v in e:
+                avail[v] -= 1
+            dfs(i + 1, count)
+            for v in e:
+                avail[v] += 1
 
-    if m <= best:
-        nodes = 1  # the root fails the counting bound: the presearch is optimal
-    else:
-        dfs(0, 0, False)
-    elapsed = time.perf_counter() - t0
-    return SearchResult(best, Hypergraph(n, r, best_edges), not aborted,
-                        nodes, elapsed)
+    dfs(0, 0)
+    return SearchResult(best, Hypergraph(k, r, best_edges), not aborted, nodes,
+                        time.perf_counter() - t0)
 
 
 def _greedy_fill(state, order) -> None:

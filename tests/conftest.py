@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -18,6 +20,15 @@ from turanlag import (
     SymmetrizationOutcome,
     SymmetrizationStep,
     SymmetrizationTrace,
+)
+from turanlag.extremal import (
+    _PRESEARCH_ITERS,
+    EXACT_EDGE_CAP,
+    ExactSearchRefused,
+    ForbiddenPredicate,
+    SearchResult,
+    _colex_candidates,
+    local_search_lower,
 )
 from turanlag.lagrangian import _SUPPORT_EPS, _TOL
 
@@ -120,6 +131,79 @@ def backtracking_embedding(G: Hypergraph, F: Hypergraph, allowed=None,
             if res is not None:
                 return res
     return None
+
+
+def colex_dfs_oracle(n: int, r: int, forbidden: ForbiddenPredicate, *,
+                     max_seconds: Optional[float] = None,
+                     seed: int = 0) -> SearchResult:
+    """The exact search before its bounds from the size below: one DFS at n,
+    seeded by the presearch alone, with the counting bound and the vertex-0
+    pin.  brute_force_ex must give its values and exact flags in at most as
+    many nodes.
+
+    Exact maximum edge count of a predicate-free r-graph on n vertices.
+
+    Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
+    when C(n, r) exceeds the hard cap.  A time budget, read at the first
+    call once 4096 nodes have passed since the last reading, makes the
+    result a best-so-far bound with exact=False instead of exhausting.  The
+    root and each exclude child are tested against the counting bound
+    before their call; one that fails it counts as a node without a call.
+    """
+    m = math.comb(n, r)
+    if m > EXACT_EDGE_CAP:
+        raise ExactSearchRefused(
+            f"C({n},{r}) = {m} exceeds the exact-mode cap of {EXACT_EDGE_CAP}; "
+            "use local_search_lower (--heuristic) for a lower bound"
+        )
+    t0 = time.perf_counter()
+    cands = _colex_candidates(n, r)
+    # heuristic incumbent so the counting bound prunes from the start; it
+    # raises ValueError when not even the empty graph is predicate-free
+    inc = local_search_lower(n, r, forbidden, seed=seed, iters=_PRESEARCH_ITERS)
+    best, best_edges = inc.value, set(inc.witness.edges)
+
+    state = forbidden.state(n, r)
+    last_zero = max((i for i, e in enumerate(cands) if e[0] == 0), default=-1)
+
+    nodes = 0
+    next_check = 4096  # the node count at which the deadline is next read
+    aborted = False
+    deadline = None if max_seconds is None else t0 + max_seconds
+    can_add, s_add, s_remove = state.can_add, state.add, state.remove
+
+    def dfs(i: int, count: int, has_zero: bool) -> None:
+        nonlocal nodes, next_check, best, best_edges, aborted
+        nodes += 1
+        if deadline is not None and nodes >= next_check:
+            next_check = nodes + 4096
+            if time.perf_counter() > deadline:
+                aborted = True
+                return
+        if count > best:
+            best = count
+            best_edges = set(state.current)
+        if i == m or (not has_zero and i > last_zero):
+            return  # a leaf, or completions leave vertex 0 isolated (isomorphs are visited)
+        e = cands[i]
+        if can_add(e):
+            s_add(e)
+            dfs(i + 1, count + 1, has_zero or e[0] == 0)
+            s_remove(e)
+        if aborted:
+            return
+        if count + (m - i - 1) <= best:
+            nodes += 1  # the exclude child fails the counting bound on entry
+        else:
+            dfs(i + 1, count, has_zero)
+
+    if m <= best:
+        nodes = 1  # the root fails the counting bound: the presearch is optimal
+    else:
+        dfs(0, 0, False)
+    elapsed = time.perf_counter() - t0
+    return SearchResult(best, Hypergraph(n, r, best_edges), not aborted,
+                        nodes, elapsed)
 
 
 def brute_matching(G: Hypergraph) -> int:

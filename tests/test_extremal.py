@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -24,10 +25,13 @@ from turanlag import (
     path_graph,
     random_hypergraph,
     single_edge,
+    star_graph,
     turan_hypergraph,
 )
 
-from conftest import brute_is_cancellative
+from turanlag.extremal import _exhaust
+
+from conftest import brute_is_cancellative, colex_dfs_oracle
 
 
 def k3():
@@ -109,27 +113,101 @@ def test_exact_search_cap():
 
 
 def test_budget_abort():
-    # the full tree has 12,895 nodes; a zero budget stops at the first call
-    # once 4096 nodes are counted, at most one pruned child per level later
-    res = brute_force_ex(7, 2, SubgraphPredicate(k3()), max_seconds=0)
+    # F5-free n=7 stays below its ceiling floor(10 * 7 / 4) = 17, and the
+    # sizes below it finish in fewer than 4096 nodes each; a zero budget
+    # stops the n=7 search at its first call once 4096 of its nodes are
+    # counted, at most one pruned child per level later
+    f5 = SubgraphPredicate(generalized_triangle(3))
+    res = brute_force_ex(7, 3, f5, max_seconds=0)
     assert not res.exact
-    assert 4096 <= res.nodes_explored <= 4096 + math.comb(7, 2)
-    assert res.value <= 12
-    assert SubgraphPredicate(k3()).is_free(res.witness)
+    assert 4096 <= res.nodes_explored <= 4096 + math.comb(7, 3)
+    assert res.value <= 15
+    assert f5.is_free(res.witness)
 
 
-@pytest.mark.parametrize("n, r, pred, value, nodes", [
-    (7, 2, SubgraphPredicate(complete_hypergraph(3, 2)), 12, 12_895),
-    (6, 3, SigmaPredicate(3), 8, 5_630),
-    (6, 3, SubgraphPredicate(generalized_triangle(3)), 10, 5_556),
-    # the vertex-0 pin at work: without it the count is 307
-    (6, 2, SubgraphPredicate(path_graph(3)), 3, 268),
-])
+# (n, r, predicate, value, oracle's nodes, nodes): the oracle's counts are the
+# DFS that called every child, pruned ones included; counting pruned children
+# inline must not move them
+PINNED = [
+    # the ceiling floor(9 * 7 / 5) = 12 closes the search at its root
+    (7, 2, SubgraphPredicate(complete_hypergraph(3, 2)), 12, 12_895, 1),
+    # the ceiling floor(4 * 6 / 3) = 8
+    (6, 3, SigmaPredicate(3), 8, 5_630, 1),
+    (6, 3, SubgraphPredicate(generalized_triangle(3)), 10, 5_556, 1_952),
+    # the oracle's vertex-0 pin at work: without it the count is 307; here
+    # the ceiling floor(2 * 6 / 4) = 3
+    (6, 2, SubgraphPredicate(path_graph(3)), 3, 268, 1),
+    (6, 4, CancellativePredicate(), 4, 1_155, 762),
+    # ex(7) = 3 sits one below the ceiling floor(3 * 7 / 5) = 4
+    (7, 2, SubgraphPredicate(path_graph(3)), 3, 1_028, 799),
+]
+
+
+@pytest.mark.parametrize("n, r, pred, value, nodes", [c[:5] for c in PINNED])
 def test_nodes_explored_pinned(n, r, pred, value, nodes):
-    # the values and node counts of the DFS that called every child, pruned
-    # ones included; counting pruned children inline must not move them
+    res = colex_dfs_oracle(n, r, pred)
+    assert res.exact and (res.value, res.nodes_explored) == (value, nodes)
+
+
+@pytest.mark.parametrize("n, r, pred, value, nodes", [c[:4] + c[5:] for c in PINNED])
+def test_search_nodes_pinned(n, r, pred, value, nodes):
     res = brute_force_ex(n, r, pred)
     assert res.exact and (res.value, res.nodes_explored) == (value, nodes)
+
+
+# (label, r, predicate, largest n at which the oracle finishes within 1 s)
+ORACLE_CASES = [
+    ("K3", 2, SubgraphPredicate(complete_hypergraph(3, 2)), 7),
+    ("K4", 2, SubgraphPredicate(complete_hypergraph(4, 2)), 7),
+    ("K5", 2, SubgraphPredicate(complete_hypergraph(5, 2)), 7),
+    ("P3", 2, SubgraphPredicate(path_graph(3)), 7),
+    ("star3", 2, SubgraphPredicate(star_graph(3)), 7),
+    ("F5", 3, SubgraphPredicate(generalized_triangle(3)), 6),
+    ("K4^(3)", 3, SubgraphPredicate(complete_hypergraph(4, 3)), 6),
+    ("edge-p3", 3, FamilyPredicate(single_edge(3), 3), 7),
+    ("edge-p4", 3, FamilyPredicate(single_edge(3), 4), 6),
+    ("edge-p5", 3, FamilyPredicate(single_edge(3), 5), 6),
+    ("sigma3", 3, SigmaPredicate(3), 7),
+    ("sigma4", 4, SigmaPredicate(4), 7),
+    ("cancellative3", 3, CancellativePredicate(), 7),
+    ("cancellative4", 4, CancellativePredicate(), 7),
+]
+
+
+@pytest.mark.parametrize("r, pred, top", [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_search_matches_colex_dfs_oracle(r, pred, top):
+    # the bounds from the size below only prune subtrees that cannot beat
+    # the incumbent, and with a free seed the degree bound covers the
+    # oracle's vertex-0 pin, so the oracle visits every node the search does
+    for n in range(top + 1):
+        old = colex_dfs_oracle(n, r, pred)
+        res = brute_force_ex(n, r, pred)
+        assert (res.value, res.exact) == (old.value, old.exact), n
+        assert res.nodes_explored <= old.nodes_explored, n
+        assert len(res.witness.edges) == res.value and pred.is_free(res.witness)
+
+
+def test_size_below_out_of_time_gives_no_bound():
+    # with the size below inexact, C(6, 2) stands in for ex(6), the ceiling
+    # is C(7, 2) and the DFS runs; taking its value 9 as ex(6) would close
+    # K3-free n=7 at the ceiling floor(9 * 7 / 5) = 12 in one node
+    k3 = SubgraphPredicate(complete_hypergraph(3, 2))
+    six = dataclasses.replace(brute_force_ex(6, 2, k3), exact=False)
+    res = _exhaust(7, 2, k3, local_search_lower(7, 2, k3, iters=0), six, 0.0, None)
+    assert (res.value, res.exact) == (12, True) and res.nodes_explored > 1
+    assert k3.is_free(res.witness) and len(res.witness.edges) == 12
+
+
+def test_seed_with_isolated_vertex_must_be_free():
+    # one edge plus two isolated vertices: ex(4) = 4, but every edge on five
+    # or more vertices makes a copy, so the n=4 witness plus a vertex is not
+    # free at n=5 and must not become the incumbent there
+    pred = SubgraphPredicate(Hypergraph(5, 3, [(0, 1, 2)]))
+    got = [brute_force_ex(n, 3, pred) for n in range(3, 8)]
+    assert [res.value for res in got] == [1, 4, 0, 0, 0]
+    assert all(res.exact for res in got)
+    assert [colex_dfs_oracle(n, 3, pred).value for n in range(3, 8)] == [1, 4, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

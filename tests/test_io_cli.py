@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from turanlag import (ParseError, broom_graph, enlargement,
-                      expanded_clique_with_embedded, lagrangian,
-                      lagrangian_constrained, parse_hypergraph, path_graph,
-                      serialize_hypergraph, single_edge)
+from turanlag import (Hypergraph, ParseError, SubgraphPredicate, broom_graph,
+                      enlargement, expanded_clique_with_embedded,
+                      generalized_triangle, lagrangian, lagrangian_constrained,
+                      parse_hypergraph, path_graph, serialize_hypergraph,
+                      single_edge)
 from turanlag.cli import build_from_spec, main, parse_forbidden
 
 
@@ -141,17 +142,21 @@ def test_cli_search_refuses_big_exact(capsys):
 @pytest.mark.parametrize("mode", [["--n", "7"], ["--sweep", "7:7"]],
                          ids=["single", "sweep"])
 def test_cli_search_budget_exhausted_exits_3(mode, capsys):
-    # the n=7 tree has 12,895 nodes; a zero budget stops once 4096 are counted
-    code = main(["search", "--r", "2", "--forbid", "subgraph:complete:n=3,r=2",
+    # F5-free n=7 runs its DFS below the ceiling floor(10 * 7 / 4) = 17, and
+    # the sizes below it take fewer than 4096 nodes each; a zero budget stops
+    # the n=7 search once 4096 of its nodes are counted
+    code = main(["search", "--r", "3", "--forbid", "subgraph:gentriangle:r=3",
                  "--budget-secs", "0", "--json", *mode])
     assert code == 3
     out = capsys.readouterr().out
     if mode[0] == "--n":
         payload = json.loads(out)
         assert not payload["exact"] and payload["nodes"] == 4096
+        witness = Hypergraph(7, 3, [tuple(e) for e in payload["witness"]])
+        assert SubgraphPredicate(generalized_triangle(3)).is_free(witness)
     else:
         header, row = out.splitlines()
-        assert row.split(",")[:5] == ["7", "2", "12", "0", "4096"]
+        assert row.split(",")[:5] == ["7", "3", "15", "0", "4096"]
 
 
 def test_cli_search_heuristic(capsys):
