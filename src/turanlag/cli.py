@@ -11,6 +11,9 @@ Forbidden specs (for `search --forbid`):
   subgraph:<construction-spec>    family:p=4:<construction-spec>
   sigma:r=3                       cancellative
 
+An exact `search --sweep LO:HI` is one pass with one --budget-secs deadline:
+it solves each size up to HI once, prints rows from LO, elapsed from the start.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (a malformed
 spec or --sweep range included), 3 budget exhausted before the exact search
 finished.
@@ -41,7 +44,7 @@ from .extremal import (
     FamilyPredicate,
     SigmaPredicate,
     SubgraphPredicate,
-    brute_force_ex,
+    _solve_sizes,
     local_search_lower,
 )
 from .hgio import dump, load, serialize_hypergraph
@@ -208,36 +211,38 @@ def _cmd_symmetrize(args) -> int:
 
 def _cmd_search(args) -> int:
     pred = parse_forbidden(args.forbid)
-    if not args.sweep and args.n is None:
-        print("error: provide --n or --sweep LO:HI", file=sys.stderr)
-        return 2
-
-    def solve(n: int):
-        if args.heuristic:
-            return local_search_lower(n, args.r, pred, seed=args.seed,
-                                      iters=args.iters)
-        return brute_force_ex(n, args.r, pred, seed=args.seed,
-                              max_seconds=args.budget_secs)
-
     if args.sweep:
         lo, _, hi = args.sweep.partition(":")
         try:
-            sweep = range(int(lo), int(hi) + 1)
+            sizes = range(int(lo), int(hi) + 1)
         except ValueError:
-            sweep = None
-        if not sweep or sweep.start < 0:
+            sizes = None
+        if not sizes or sizes.start < 0:
             raise SpecError(f"--sweep expects LO:HI with 0 <= LO <= HI, "
                             f"got {args.sweep!r}")
+    elif args.n is None:
+        print("error: provide --n or --sweep LO:HI", file=sys.stderr)
+        return 2
+    else:
+        sizes = range(args.n, args.n + 1)
+    if args.heuristic:
+        results = (local_search_lower(n, args.r, pred, seed=args.seed,
+                                      iters=args.iters) for n in sizes)
+    else:
+        # one pass solves every size up to HI; the rows start at LO
+        results = (res for res in _solve_sizes(sizes[-1], args.r, pred,
+                                               args.budget_secs, args.seed)
+                   if res.witness.n >= sizes.start)
+    if args.sweep:
         all_exact = True
-        for n in sweep:
-            res = solve(n)
-            if n == sweep.start:
+        for n, res in zip(sizes, results):
+            if n == sizes.start:
                 print("n,r,value,exact,nodes,elapsed")
             all_exact = all_exact and res.exact
             print(f"{n},{args.r},{res.value},{int(res.exact)},"
                   f"{res.nodes_explored},{res.elapsed:.3f}")
         return 0 if (all_exact or args.heuristic) else 3
-    res = solve(args.n)
+    res = next(results)
     payload = {
         "n": args.n,
         "r": args.r,

@@ -15,9 +15,9 @@ in the cores through a pair of e.  K_t in 2-graphs has its own bitmask
 state; the sigma and cancellative families share
 ``constructions._ThreeEdgeState`` with the one-shot checks.
 
-The search solves the sizes min(n, r), ..., n in turn and takes three
-things from the size below.  Every predicate here is closed under deleting
-a vertex, so a free G on k vertices has e(G) - d(v) = e(G - v) <= ex(k-1)
+The search solves the sizes 0, ..., n in turn and takes three things
+from the size below.  Every predicate here is closed under deleting a
+vertex, so a free G on k vertices has e(G) - d(v) = e(G - v) <= ex(k-1)
 for each vertex v; a size that ran out of time gives no bound, and C(k-1, r)
 stands in for ex(k-1).
   * Seed: the (k-1) witness plus an isolated vertex replaces the presearch's
@@ -49,7 +49,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .hypergraph import (
     Edge,
@@ -377,8 +377,8 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     """Exact maximum edge count of a predicate-free r-graph on n vertices.
 
     Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
-    when C(n, r) exceeds the hard cap.  The sizes min(n, r), ..., n are solved
-    in turn, each with the bound and witness of the size below (see the module
+    when C(n, r) exceeds the hard cap.  The sizes 0, ..., n are solved in
+    turn, each with the bound and witness of the size below (see the module
     docstring), so a call does the work of a sweep up to n.
 
     nodes_explored counts the nodes of the search at n only; the sizes
@@ -390,6 +390,13 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     passed, the result is a best-so-far bound with exact=False instead of
     exhausting.
     """
+    return list(_solve_sizes(n, r, forbidden, max_seconds, seed))[-1]
+
+
+def _solve_sizes(n: int, r: int, forbidden: ForbiddenPredicate,
+                 max_seconds: Optional[float], seed: int) -> Iterator[SearchResult]:
+    """Yield brute_force_ex's result for each size k = 0, ..., n, elapsed
+    counted from the start of the pass; sizes below r close at ceiling 0."""
     m = math.comb(n, r)
     if m > EXACT_EDGE_CAP:
         raise ExactSearchRefused(
@@ -399,14 +406,14 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     t0 = time.perf_counter()
     deadline = None if max_seconds is None else t0 + max_seconds
     res = None
-    for k in range(min(n, r), n + 1):
+    for k in range(n + 1):
         # raises ValueError when not even the empty graph is free.  Below n,
         # the witness from below and the multipartite seeds stand in for the
         # presearch's rounds, which cost more there than they save
         inc = local_search_lower(k, r, forbidden, seed=seed,
                                  iters=_PRESEARCH_ITERS if k == n else 0)
         res = _exhaust(k, r, forbidden, inc, res, t0, deadline)
-    return res
+        yield res
 
 
 def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
@@ -485,13 +492,21 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
                         time.perf_counter() - t0)
 
 
-def _greedy_fill(state, order) -> None:
-    """Add, in order, each edge that is not yet in the state and keeps it
-    predicate-free."""
+def _refill_rounds(state, cands, rng, rounds: int) -> Iterator[set]:
+    """Yield the state's live edge set after each of ``rounds`` rounds: drop
+    one or two random edges with probability 0.35 (none from the empty
+    graph), then add, in a random order, each candidate that keeps it free."""
     current = state.current
-    for e in order:
-        if e not in current and state.can_add(e):
-            state.add(e)
+    for _ in range(rounds):
+        if current and rng.random() < 0.35:
+            drop = rng.sample(sorted(current), min(1 + (rng.random() < 0.3),
+                                                   len(current)))
+            for e in drop:
+                state.remove(e)
+        for e in rng.sample(cands, len(cands)):
+            if e not in current and state.can_add(e):
+                state.add(e)
+        yield current
 
 
 def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
@@ -519,21 +534,12 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
 
     cands = _colex_candidates(n, r)
     state = forbidden.state(n, r)
-    current = state.current
     for e in best_graph.edge_list:
         state.add(e)
-    best = len(current)
-    best_set = set(current)
-    for _ in range(iters):
-        if current and rng.random() < 0.35:
-            drop = rng.sample(sorted(current), min(1 + (rng.random() < 0.3),
-                                                   len(current)))
-            for e in drop:
-                state.remove(e)
-        _greedy_fill(state, rng.sample(cands, len(cands)))
-        if len(current) > best:
-            best = len(current)
-            best_set = set(current)
+    best, best_set = len(best_graph.edges), set(best_graph.edges)
+    for edges in _refill_rounds(state, cands, rng, iters):
+        if len(edges) > best:
+            best, best_set = len(edges), set(edges)
     return SearchResult(best, Hypergraph(n, r, best_set), False, iters,
                         time.perf_counter() - t0)
 

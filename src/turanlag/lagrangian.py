@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .extremal import SubgraphPredicate, _colex_candidates, _greedy_fill
+from .extremal import SubgraphPredicate, _colex_candidates, _refill_rounds
 from .hypergraph import (Hypergraph, VertexSet, _bits, _cliques, _pair_masks,
                          falling_factorial)
 
@@ -83,10 +83,10 @@ _SUPPORT_EPS = 1e-9
 _TOL = 1e-9  # KKT residual at which an ascent counts as converged
 _MAX_ITERS = 5000  # gradient iterations per ascent
 
-# Lagrangian-density search: ascent restarts per host, perturb-and-refill
-# rounds per host order, and the largest C(t, r) searched exhaustively
+# Lagrangian-density search: ascent restarts per host, refill rounds per host
+# order (the first a plain fill), and the largest C(t, r) searched exhaustively
 _DENSITY_RESTARTS = 8
-_DENSITY_ITERS = 150
+_DENSITY_ITERS = 151
 _DENSITY_EXHAUSTIVE_CAP = 25
 
 
@@ -593,12 +593,14 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
     incremental state of ``SubgraphPredicate(F)``, the one the exact Turan
     search uses.  Two generators yield the state's live edge set, one host
     at a time: ``_density_dfs`` every maximal F-free graph while
-    C(t, r) <= 25, ``_density_local`` the graph after each of 150 rounds of
-    seeded add/remove local search beyond.  One loop builds each host, gives
-    it an 8-restart ``lagrangian`` and keeps the best.
+    C(t, r) <= 25, beyond that ``_refill_rounds`` (``local_search_lower``'s
+    rule) the graph after each of 151 rounds from the empty graph.  One loop
+    builds each host, gives it an 8-restart ``lagrangian`` and keeps the best.
     ``exact`` records whether every host size was exhausted (the value is a
     lower bound either way).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if t_max < F.r:
         raise ValueError("t_max must be at least the uniformity")
     r = F.r
@@ -617,7 +619,7 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
             hosts = _density_dfs(state, cands)
         else:
             exact = False
-            hosts = _density_local(state, cands, random.Random(seed * 1000003 + t),
+            hosts = _refill_rounds(state, cands, random.Random(seed * 1000003 + t),
                                    _DENSITY_ITERS)
         for edges in hosts:
             G = Hypergraph(t, r, edges)
@@ -642,19 +644,6 @@ def _density_dfs(state, cands, i: int = 0) -> Iterator[set]:
         yield from _density_dfs(state, cands, i + 1)
         state.remove(e)
     yield from _density_dfs(state, cands, i + 1)
-
-
-def _density_local(state, cands, rng: random.Random,
-                   iters: int) -> Iterator[set]:
-    """Greedy fill, then ``iters`` perturb-and-refill rounds; yields the
-    state's live edge set after each fill."""
-    current = state.current
-    for k in range(iters + 1):
-        if k and current and rng.random() < 0.5:
-            for e in rng.sample(sorted(current), min(2, len(current))):
-                state.remove(e)
-        _greedy_fill(state, rng.sample(cands, len(cands)))
-        yield current
 
 
 # -- stability probe ----------------------------------------------------

@@ -287,6 +287,24 @@ def test_local_search_deterministic():
     assert a.value == b.value and a.witness.edges == b.witness.edges
 
 
+@pytest.mark.parametrize("pattern, n, seed, iters, value, witness", [
+    (complete_hypergraph(4, 3), 6, 1, 30, 13,
+     [(0, 1, 2), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 4), (0, 3, 5), (0, 4, 5),
+      (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5)]),
+    (complete_hypergraph(4, 3), 6, 2, 200, 14,
+     [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
+      (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)]),
+    (path_graph(3), 8, 2, 30, 4, [(0, 2), (1, 5), (3, 4), (6, 7)]),
+], ids=["K4^3-n6-seed1", "K4^3-n6-seed2", "P3-n8-seed2"])
+def test_local_search_pinned(pattern, n, seed, iters, value, witness):
+    # the multipartite seeds are far below these values, so the witness
+    # depends on every draw of the perturb-and-refill rounds
+    res = local_search_lower(n, pattern.r, SubgraphPredicate(pattern),
+                             seed=seed, iters=iters)
+    assert res.value == value
+    assert sorted(res.witness.edges) == witness
+
+
 def test_local_search_witness_free():
     for pred in (SigmaPredicate(3), CancellativePredicate(),
                  FamilyPredicate(single_edge(3), 4)):

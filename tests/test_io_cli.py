@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from turanlag import (Hypergraph, ParseError, SubgraphPredicate, broom_graph,
+from turanlag import (CancellativePredicate, Hypergraph, ParseError,
+                      SubgraphPredicate, broom_graph, brute_force_ex,
                       enlargement, expanded_clique_with_embedded,
                       generalized_triangle, lagrangian, lagrangian_constrained,
                       parse_hypergraph, path_graph, serialize_hypergraph,
                       single_edge)
+from turanlag import extremal
 from turanlag.cli import build_from_spec, main, parse_forbidden
 
 
@@ -159,6 +161,39 @@ def test_cli_search_budget_exhausted_exits_3(mode, capsys):
         assert row.split(",")[:5] == ["7", "3", "15", "0", "4096"]
 
 
+def test_cli_sweep_solves_each_size_once(monkeypatch, capsys):
+    sizes = []
+    exhaust = extremal._exhaust
+
+    def counted(k, *rest):
+        sizes.append(k)
+        return exhaust(k, *rest)
+
+    monkeypatch.setattr(extremal, "_exhaust", counted)
+    assert main(["search", "--r", "3", "--sweep", "4:7",
+                 "--forbid", "family:p=4:edge:r=3"]) == 0
+    assert sizes == list(range(8))
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["2", "4", "8", "12"]
+
+
+@pytest.mark.parametrize("forbid, pred", [
+    ("cancellative", CancellativePredicate()),
+    ("subgraph:gentriangle:r=3", SubgraphPredicate(generalized_triangle(3))),
+])
+def test_cli_sweep_rows_match_standalone_search(forbid, pred, capsys):
+    # LO = 0 < r: the rows below r come from the same pass
+    assert main(["search", "--r", "3", "--sweep", "0:5", "--forbid", forbid]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "n,r,value,exact,nodes,elapsed"
+    got = [row.split(",")[:4] for row in rows]
+    want = []
+    for n in range(6):
+        res = brute_force_ex(n, 3, pred)
+        want.append([str(n), "3", str(res.value), str(int(res.exact))])
+    assert got == want
+
+
 def test_cli_search_heuristic(capsys):
     code = main(["search", "--n", "9", "--r", "3", "--forbid", "sigma:r=3",
                  "--heuristic", "--iters", "30", "--json"])
@@ -214,9 +249,11 @@ def test_cli_usage_error():
      "--iters", "-3"],
     ["search", "--n", "6", "--r", "4", "--forbid", "sigma:r=3", "--heuristic",
      "--iters", "0"],
+    ["search", "--r", "3", "--sweep", "4:9", "--forbid", "cancellative"],
 ], ids=["sigma-no-r", "family-no-p", "subgraph-no-r", "sweep-no-hi",
         "sweep-not-int", "sweep-reversed", "sweep-negative", "exact-flag-removed",
-        "iters-negative", "sweep-iters-negative", "sigma-uniformity-iters-0"])
+        "iters-negative", "sweep-iters-negative", "sigma-uniformity-iters-0",
+        "sweep-hi-beyond-cap"])
 def test_cli_malformed_search_exits_2_silently(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""

@@ -32,9 +32,9 @@ from turanlag import (
     stability_probe,
     turan_hypergraph,
 )
-from turanlag.extremal import SubgraphPredicate, _colex_candidates
+from turanlag.extremal import SubgraphPredicate, _colex_candidates, _refill_rounds
 from turanlag.lagrangian import (
-    _arrays, _ascend, _cannot_gain, _density_local, _dots, _grad_np,
+    _arrays, _ascend, _cannot_gain, _dots, _grad_np,
     _greedy_supports, _p_np, _project, _residual, _transfer,
 )
 
@@ -778,12 +778,14 @@ def test_density_search_k4_runs_on_clique_state():
 
 
 def test_density_local_considers_maximal_free_graphs():
+    # the density search's local level runs the exact search's refill rule
+    # from the empty graph: each round yields one maximal free host
     k3 = complete_hypergraph(3, 2)
     cands = _colex_candidates(8, 2)
     seen = [Hypergraph(8, 2, edges) for edges in
-            _density_local(SubgraphPredicate(k3).state(8, 2), cands,
+            _refill_rounds(SubgraphPredicate(k3).state(8, 2), cands,
                            random.Random(0), 20)]
-    assert len(seen) == 21
+    assert len(seen) == 20
     for G in seen:
         assert not brute_contains(G, k3)
         assert all(brute_contains(G.with_edges([e]), k3)
@@ -805,6 +807,15 @@ def test_density_search_zero_vertex_pattern():
     # the empty pattern embeds everywhere, so no host is F-free
     res = lagrangian_density_search(Hypergraph(0, 2, []), 4)
     assert res == (0.0, Hypergraph(4, 2, []), True, 0)
+
+
+@pytest.mark.parametrize("F", [path_graph(3), Hypergraph(0, 2, [])],
+                         ids=["P3", "empty-pattern"])
+def test_density_search_rejects_negative_seed(F):
+    # refused at entry with lagrangian's message, before any host is
+    # searched, also when no host would reach lagrangian
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        lagrangian_density_search(F, 4, seed=-1)
 
 
 def test_density_search_skips_host_sizes_that_hold_the_pattern():
