@@ -40,6 +40,35 @@ need >= 1: every vertex must be covered, which subsumes pinning vertex 0.
 Each size starts from a heuristic incumbent so the bounds bite at once: the
 best free balanced multipartite graph, and at n a presearch of 400
 local-search rounds from it.
+
+The DFS visits one labelling per isomorphism class, or a few: a lex-leader
+cut.  Read a graph as its 0/1 vector over the candidates in colex order;
+among all relabellings of a graph, its leader is the one whose vector is
+largest, and the DFS keeps only subtrees that can hold a leader.
+  * Adjacent swaps.  Swapping the labels j - 1 and j moves only the edges
+    that hold exactly one of them, and the first of those in colex order
+    are the T + {j - 1}, T a subset of {0, ..., j - 2}, followed by their
+    partners T + {j} in the same order of T.  So the swapped vector is
+    larger exactly when, at the first T where the pair differs, T + {j} is
+    an edge and T + {j - 1} is not; later edges decide a tie.  The DFS
+    meets T + {j} in the block of candidates with largest vertex j, after
+    its partner.  While every pair of the block so far has been equal
+    (``tied``, reset at the first candidate of each block), it cuts the
+    include child of T + {j} when the partner was excluded, and an exclude
+    child whose partner was included breaks the tie.
+  * The first candidate.  A graph with an edge has a relabelling that
+    holds {0, ..., r - 1}, so its leader holds it; the exclude child of
+    the first candidate holds no leader but the empty graph, which never
+    beats the incumbent.  (This stands in for the vertex-0 pin where the
+    seed from below is not free and need stays below 1.)
+A leader passes every such comparison.  Freeness does not depend on
+labels, and the counting, degree and ceiling bounds cut only subtrees in
+which no graph beats the incumbent, so the leader of any graph with more
+edges than the incumbent is still reached: the value and the exact flag are
+those of the DFS without the cut, and only the witness (the first the DFS
+reaches) and the node count move.  A cut include child is not a node, like
+one that can_add refuses; the exclude child of the first candidate counts
+one node, like one that fails a bound.
 """
 
 from __future__ import annotations
@@ -376,19 +405,21 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
                    seed: int = 0) -> SearchResult:
     """Exact maximum edge count of a predicate-free r-graph on n vertices.
 
-    Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
-    when C(n, r) exceeds the hard cap.  The sizes 0, ..., n are solved in
-    turn, each with the bound and witness of the size below (see the module
+    Exhausts the 2^C(n,r) subset tree with incremental freeness checks,
+    keeping one labelling per isomorphism class or a few; refuses when
+    C(n, r) exceeds the hard cap.  The sizes 0, ..., n are solved in turn,
+    each with the bound and witness of the size below (see the module
     docstring), so a call does the work of a sweep up to n.
 
     nodes_explored counts the nodes of the search at n only; the sizes
     below are not in it.  A size closed by its ceiling counts one node, its
     root.  The DFS counts each call, and each exclude child that fails the
-    counting or the degree bound, which gets no call.  A time budget is one
-    deadline for all sizes; each size reads it at the first call once 4096
-    of its own nodes have passed since its last reading.  Once it has
-    passed, the result is a best-so-far bound with exact=False instead of
-    exhausting.
+    counting or the degree bound or is the first candidate's, which gets no
+    call; an include child that the lex-leader cut or can_add refuses is
+    not counted.  A time budget is one deadline for all sizes; each size
+    reads it at the first call once 4096 of its own nodes have passed since
+    its last reading.  Once it has passed, the result is a best-so-far
+    bound with exact=False instead of exhausting.
     """
     return list(_solve_sizes(n, r, forbidden, max_seconds, seed))[-1]
 
@@ -435,6 +466,11 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
                             time.perf_counter() - t0)
 
     cands = _colex_candidates(k, r)
+    # partner[i]: T + {j - 1} for cands[i] = T + {j} with j - 1 not in T
+    # (decided earlier), else None; first[i]: cands[i] opens the block of j
+    partner = [e[:-1] + (e[-1] - 1,) if e[-1] and e[-1] - 1 not in e else None
+               for e in cands]
+    first = [i == 0 or e[-1] != cands[i - 1][-1] for i, e in enumerate(cands)]
     state = forbidden.state(k, r)
     current, can_add, s_add, s_remove = state.current, state.can_add, state.add, state.remove
     # avail[v]: v's degree plus its undecided candidates, so the most degree
@@ -448,7 +484,7 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
     next_check = 4096  # the node count at which the deadline is next read
     aborted = False
 
-    def dfs(i: int, count: int) -> None:
+    def dfs(i: int, count: int, tied: bool) -> None:
         nonlocal nodes, next_check, best, best_edges, need, aborted
         nodes += 1
         if deadline is not None and nodes >= next_check:
@@ -465,14 +501,20 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
         if i == m:
             return
         e = cands[i]
-        if can_add(e):
+        p = partner[i]
+        tied = tied or first[i]
+        pinned = tied and p is not None  # e, p decide the swap of j - 1 and j
+        if (not pinned or p in current) and can_add(e):
             s_add(e)
-            dfs(i + 1, count + 1)
+            dfs(i + 1, count + 1, tied)
             s_remove(e)
         if aborted:
             return
-        # the exclude child lowers avail only at e
-        short = count + (m - i - 1) <= best
+        if pinned and p in current:
+            tied = False  # excluding e makes the swapped vector smaller
+        # the exclude child lowers avail only at e; at i = 0 it holds no
+        # leader but the empty graph
+        short = i == 0 or count + (m - i - 1) <= best
         if not short:
             for v in e:
                 if avail[v] <= need:
@@ -483,11 +525,11 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
         else:
             for v in e:
                 avail[v] -= 1
-            dfs(i + 1, count)
+            dfs(i + 1, count, tied)
             for v in e:
                 avail[v] += 1
 
-    dfs(0, 0)
+    dfs(0, 0, True)
     return SearchResult(best, Hypergraph(k, r, best_edges), not aborted, nodes,
                         time.perf_counter() - t0)
 

@@ -136,10 +136,11 @@ def backtracking_embedding(G: Hypergraph, F: Hypergraph, allowed=None,
 def colex_dfs_oracle(n: int, r: int, forbidden: ForbiddenPredicate, *,
                      max_seconds: Optional[float] = None,
                      seed: int = 0) -> SearchResult:
-    """The exact search before its bounds from the size below: one DFS at n,
-    seeded by the presearch alone, with the counting bound and the vertex-0
-    pin.  brute_force_ex must give its values and exact flags in at most as
-    many nodes.
+    """The exact search before its bounds from the size below and its
+    lex-leader cut: one DFS at n over every labelling, seeded by the
+    presearch alone, with the counting bound and the vertex-0 pin.
+    brute_force_ex must give its values and exact flags in at most as many
+    nodes; so this is also the oracle for the symmetry cut.
 
     Exact maximum edge count of a predicate-free r-graph on n vertices.
 
@@ -204,6 +205,21 @@ def colex_dfs_oracle(n: int, r: int, forbidden: ForbiddenPredicate, *,
     elapsed = time.perf_counter() - t0
     return SearchResult(best, Hypergraph(n, r, best_edges), not aborted,
                         nodes, elapsed)
+
+
+def colex_lex_leader(G: Hypergraph) -> Hypergraph:
+    """The relabelling of G whose 0/1 vector over the candidates in colex
+    order is largest, first position most significant, found by trying all
+    n! permutations: the copy of G that the exact search's lex-leader cut
+    must keep."""
+    cands = _colex_candidates(G.n, G.r)
+    best_vec, best_edges = None, None
+    for perm in itertools.permutations(range(G.n)):
+        edges = {tuple(sorted(perm[v] for v in e)) for e in G.edges}
+        vec = [e in edges for e in cands]
+        if best_vec is None or vec > best_vec:
+            best_vec, best_edges = vec, edges
+    return Hypergraph(G.n, G.r, best_edges)
 
 
 def brute_matching(G: Hypergraph) -> int:

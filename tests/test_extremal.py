@@ -29,9 +29,14 @@ from turanlag import (
     turan_hypergraph,
 )
 
-from turanlag.extremal import _exhaust
+from turanlag.extremal import (
+    ForbiddenPredicate,
+    SearchResult,
+    _colex_candidates,
+    _exhaust,
+)
 
-from conftest import brute_is_cancellative, colex_dfs_oracle
+from conftest import brute_is_cancellative, colex_dfs_oracle, colex_lex_leader
 
 
 def k3():
@@ -116,7 +121,8 @@ def test_budget_abort():
     # F5-free n=7 stays below its ceiling floor(10 * 7 / 4) = 17, and the
     # sizes below it finish in fewer than 4096 nodes each; a zero budget
     # stops the n=7 search at its first call once 4096 of its nodes are
-    # counted, at most one pruned child per level later
+    # counted, at most one pruned child per level later (exhausting it takes
+    # 5,961 nodes)
     f5 = SubgraphPredicate(generalized_triangle(3))
     res = brute_force_ex(7, 3, f5, max_seconds=0)
     assert not res.exact
@@ -127,19 +133,20 @@ def test_budget_abort():
 
 # (n, r, predicate, value, oracle's nodes, nodes): the oracle's counts are the
 # DFS that called every child, pruned ones included; counting pruned children
-# inline must not move them
+# inline must not move them.  The search's counts are those of the DFS with
+# the lex-leader cut
 PINNED = [
     # the ceiling floor(9 * 7 / 5) = 12 closes the search at its root
     (7, 2, SubgraphPredicate(complete_hypergraph(3, 2)), 12, 12_895, 1),
     # the ceiling floor(4 * 6 / 3) = 8
     (6, 3, SigmaPredicate(3), 8, 5_630, 1),
-    (6, 3, SubgraphPredicate(generalized_triangle(3)), 10, 5_556, 1_952),
+    (6, 3, SubgraphPredicate(generalized_triangle(3)), 10, 5_556, 466),
     # the oracle's vertex-0 pin at work: without it the count is 307; here
     # the ceiling floor(2 * 6 / 4) = 3
     (6, 2, SubgraphPredicate(path_graph(3)), 3, 268, 1),
-    (6, 4, CancellativePredicate(), 4, 1_155, 762),
+    (6, 4, CancellativePredicate(), 4, 1_155, 146),
     # ex(7) = 3 sits one below the ceiling floor(3 * 7 / 5) = 4
-    (7, 2, SubgraphPredicate(path_graph(3)), 3, 1_028, 799),
+    (7, 2, SubgraphPredicate(path_graph(3)), 3, 1_028, 55),
 ]
 
 
@@ -174,18 +181,124 @@ ORACLE_CASES = [
 ]
 
 
+def _random_patterns(r: int, seed: int) -> list:
+    """Ten seeded r-graph patterns on at most 5 vertices, as ORACLE_CASES
+    up to n = 6.  Each has an edge: an edgeless one leaves no free graph
+    from its order on, and both searches raise there."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(10):
+        v = rng.randint(r, 5)
+        F = random_hypergraph(v, r, edge_count=rng.randint(1, math.comb(v, r)), rng=rng)
+        cases.append((f"random{r}-{k}", r, SubgraphPredicate(F), 6))
+    return cases
+
+
+ORACLE_CASES += _random_patterns(2, 1802) + _random_patterns(3, 1803)
+
+
 @pytest.mark.parametrize("r, pred, top", [c[1:] for c in ORACLE_CASES],
                          ids=[c[0] for c in ORACLE_CASES])
 def test_search_matches_colex_dfs_oracle(r, pred, top):
     # the bounds from the size below only prune subtrees that cannot beat
-    # the incumbent, and with a free seed the degree bound covers the
-    # oracle's vertex-0 pin, so the oracle visits every node the search does
+    # the incumbent, the lex-leader cut keeps the colex-largest copy of
+    # every graph, and its first-candidate cut covers the oracle's vertex-0
+    # pin, so the oracle, which walks every labelling, visits every node
+    # the search does
     for n in range(top + 1):
         old = colex_dfs_oracle(n, r, pred)
         res = brute_force_ex(n, r, pred)
         assert (res.value, res.exact) == (old.value, old.exact), n
         assert res.nodes_explored <= old.nodes_explored, n
         assert len(res.witness.edges) == res.value and pred.is_free(res.witness)
+
+
+def _passes_swap_comparisons(G: Hypergraph) -> bool:
+    """The comparisons of the lex-leader cut, read off G: for each j, at the
+    first T (the (r-1)-subsets of {0, ..., j-2} in colex order) where
+    T + {j-1} and T + {j} differ, T + {j-1} is the edge; and G holds
+    {0, ..., r-1} unless it has no edge."""
+    if G.edges and tuple(range(G.r)) not in G.edges:
+        return False
+    for j in range(1, G.n):
+        for T in _colex_candidates(j - 1, G.r - 1):
+            low, high = T + (j - 1,) in G.edges, T + (j,) in G.edges
+            if low != high:
+                if high:
+                    return False
+                break
+    return True
+
+
+class _InsideOf(ForbiddenPredicate):
+    """Free means a subgraph of the labelled graph L.  This depends on
+    labels, so the exact search reaches e(L) edges only if its cut keeps L
+    itself."""
+
+    kind = "inside"
+
+    def __init__(self, L: Hypergraph):
+        self.L = L
+
+    def is_free(self, G: Hypergraph) -> bool:
+        return G.edges <= self.L.edges
+
+    def state(self, n: int, r: int):
+        return _InsideState(self.L.edges)
+
+
+class _InsideState:
+    def __init__(self, edges):
+        self.edges = edges
+        self.current = set()
+
+    def can_add(self, e) -> bool:
+        return e in self.edges
+
+    def add(self, e) -> None:
+        self.current.add(e)
+
+    def remove(self, e) -> None:
+        self.current.discard(e)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_lex_leader_passes_every_swap_comparison(r):
+    # the colex-largest relabelling passes every comparison the cut makes,
+    # and the DFS, run from an empty incumbent, keeps exactly the labelled
+    # graphs that pass them: it reaches e(H) edges inside H just then
+    rng = random.Random(1810 + r)
+    cut = 0
+    for _ in range(12):
+        n = rng.randint(r, 6)
+        G = random_hypergraph(n, r, density=rng.uniform(0.15, 0.85), rng=rng)
+        L = colex_lex_leader(G)
+        assert len(L.edges) == len(G.edges) and _passes_swap_comparisons(L), G
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for H in (L, G.relabel(perm)):
+            empty = SearchResult(0, Hypergraph(n, r, []), False, 0, 0.0)
+            res = _exhaust(n, r, _InsideOf(H), empty, None, 0.0, None)
+            kept = _passes_swap_comparisons(H)
+            assert res.exact and (res.value == len(H.edges)) == kept, H
+            assert res.witness == H or not kept
+            cut += not kept
+    assert cut  # some relabelling is cut
+
+
+def test_cancellative_n8_gives_bollobas_value():
+    # ex(8) = |T_3(8,3)| = 18 for cancellative 3-graphs (Bollobas 1974)
+    res = brute_force_ex(8, 3, CancellativePredicate())
+    assert res.exact and res.value == 18 == len(turan_hypergraph(8, 3, 3).graph.edges)
+    assert len(res.witness.edges) == 18 and brute_is_cancellative(res.witness)
+
+
+def test_k4_3_free_n7():
+    # the value the search without the lex-leader cut exhausted
+    pred = SubgraphPredicate(complete_hypergraph(4, 3))
+    res = brute_force_ex(7, 3, pred)
+    assert res.exact and res.value == 23
+    assert len(res.witness.edges) == 23 and pred.is_free(res.witness)
 
 
 def test_size_below_out_of_time_gives_no_bound():
