@@ -1,28 +1,45 @@
-"""Link-equality classes, vertex cloning, and the symmetrization driver.
+"""Twin classes, vertex cloning, and the symmetrization driver.
 
-Two vertices are equivalent when their links coincide (equivalent vertices are
-automatically nonadjacent).  Symmetrizing v to u replaces v's edges with
-clones of u's link, which merges v's class into u's, so the driver
-terminates: the class count strictly decreases each round.  One driver
-serves both entry points: it follows every round with minimum-degree vertex
-deletion until the graph is dense at the given threshold, with one exception
-rule: when the minimum-degree vertex sits in the class that just received
-clones, a donor is deleted instead (while any remain).  ``run_plain`` is that
-driver at threshold 0, where no vertex is ever deleted.
+Two vertices are twins when their links coincide (twins are automatically
+nonadjacent).  Symmetrizing v to u replaces v's edges with clones of u's
+link, which makes v's twins u's, so the driver terminates: the number of
+twin classes strictly decreases each round.  One driver serves both entry
+points: it follows every round with minimum-degree vertex deletion until the
+graph is dense at the given threshold, with one exception rule: when the
+minimum-degree vertex is a twin of u from before the round, a donor is
+deleted instead (while any remain).  ``run_plain`` is that driver at
+threshold 0, where no vertex is ever deleted.
 
-The driver, ``symmetrize`` and the trace replay keep links[v], the set of
-e - {v} over the live edges through v, next to the edge set, and update both
-as edges go and come; a degree is len(links[v]), and the live vertices are
-the keys of links.  One helper clones (walking the donors' links drops every
-edge through a donor, then each donor gains {w} + D for D in u's link) and
-one deletes a vertex, so the driver and its replay share both.
+The driver, ``symmetrize`` and the trace replay run on classes, not on
+vertex edges.  The live vertices are split into classes of twins, each one
+vertex at the start, so the graph is exactly the blowup of its class graph:
+a class edge is the set of classes of an edge, and the edges are the
+transversals of the class edges.  qlinks[P] is the set of D - {P} over the
+class edges D through P.  Two vertices have equal links iff their classes
+have equal qlinks: a member's link is the set of transversals of the D in
+its class's qlinks, and a transversal determines its classes.  So classes
+of twins need not be merged, and every link comparison compares qlinks.
+
+Cloning the donors to u drops the class edges through the donors' classes
+and moves the donors into u's class.  u is covered with no donor, so no
+class edge through u's class meets a donor's class: u's link is unchanged,
+every donor's link becomes it, and every class stays a set of twins.
+Deleting a vertex takes it out of its class; a class left empty drops its
+class edges.  deg[P], the degree of each member of P, is the sum over D in
+qlinks[P] of the product of the sizes of D, and it and the edge count move
+by k times such products when k members join or leave a class.  Class edges
+only ever go, so the state stays as small as the input; vertex edges are
+expanded only for a graph that is returned.
 
 Every run returns a replayable trace; replaying a trace against the input
-reproduces the output bit-exactly.
+reproduces the output bit-exactly.  A step that names a vertex no longer
+live, donors that split a class or a target covered with a donor raises
+ValueError naming the step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -77,33 +94,108 @@ class SymmetrizationOutcome:
     kept: tuple[int, ...]    # surviving original labels, ascending
 
 
-# -- equivalence classes -------------------------------------------------
+# -- twin classes -----------------------------------------------------------
 
 
-def _add_edge(edges: set, links: dict, e: frozenset) -> None:
-    edges.add(e)
-    for x in e:
-        links[x].add(e - {x})
+class _Classes:
+    """The live vertices as a blowup of their class graph.
 
+    part[v] is the class of live vertex v, members[P] the live vertices of P
+    in ascending order, cedges the class edges, qlinks[P] the set of D - {P}
+    over the class edges D through P, deg[P] the degree of every member of
+    P, and edges the vertex edge count.  A class starts as a single vertex
+    and is named by it.
+    """
 
-def _link_index(G: Hypergraph) -> tuple[set, dict]:
-    """The edges of G as frozensets, and links[v], the set of e - {v} over
-    the edges e through v, for every vertex."""
-    edges: set = set()
-    links: dict[int, set] = {v: set() for v in range(G.n)}
-    for e in G.edges:
-        _add_edge(edges, links, frozenset(e))
-    return edges, links
+    __slots__ = ("part", "members", "qlinks", "cedges", "deg", "edges")
+
+    def __init__(self, G: Hypergraph):
+        self.part = {v: v for v in range(G.n)}
+        self.members = {v: [v] for v in range(G.n)}
+        self.qlinks = qlinks = {v: set() for v in range(G.n)}
+        self.cedges = set(map(frozenset, G.edges))
+        for E in self.cedges:
+            for x in E:
+                qlinks[x].add(E - {x})
+        self.deg = {v: len(q) for v, q in qlinks.items()}
+        self.edges = len(G.edges)
+
+    def _grow(self, P: int, k: int) -> None:
+        """Account for k more members of P (k < 0: fewer): each class edge
+        D + {P} moves deg[R], for R in D, by k times the product of the
+        other sizes in D, and the edge count by k * deg[P]."""
+        members, deg = self.members, self.deg
+        for D in self.qlinks[P]:
+            p = k
+            for Q in D:
+                p *= len(members[Q])
+            for R in D:
+                deg[R] += p // len(members[R])
+        self.edges += k * deg[P]
+
+    def _drop(self, P: int) -> None:
+        """Remove class P and its class edges, counted as _grow(P, -|P|)."""
+        members, deg, qlinks, cedges = self.members, self.deg, self.qlinks, self.cedges
+        a, ps = len(members.pop(P)), frozenset((P,))
+        for D in qlinks.pop(P):
+            E = D | ps
+            cedges.remove(E)
+            p = a
+            for Q in D:
+                p *= len(members[Q])
+            for R in D:
+                deg[R] -= p // len(members[R])
+                qlinks[R].remove(E - {R})
+        self.edges -= a * deg.pop(P)
+
+    def clone(self, donors: Iterable[int], u: int) -> None:
+        """Make every donor a clone of u: drop the class edges through the
+        donors' classes, then move the donors into u's class."""
+        part, members = self.part, self.members
+        donors = set(donors)
+        try:
+            P = part[u]
+            classes = set(map(part.__getitem__, donors))
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]} is not live") from None
+        if sum(map(len, map(members.__getitem__, classes))) != len(donors):
+            raise ValueError(f"donors {sorted(donors)} split a class")
+        if P in classes or not classes.isdisjoint(itertools.chain(*self.qlinks[P])):
+            raise ValueError(f"target {u} is a donor or covered with one")
+        for Q in classes:
+            self._drop(Q)
+        self._grow(P, len(donors))
+        for w in donors:
+            part[w] = P
+        members[P] += donors
+        members[P].sort()
+
+    def delete(self, z: int) -> None:
+        """Take z out of its class; a class left empty drops its class edges."""
+        if z not in self.part:
+            raise ValueError(f"vertex {z} is not live")
+        P = self.part.pop(z)
+        if len(self.members[P]) == 1:
+            self._drop(P)
+        else:
+            self.members[P].remove(z)
+            self._grow(P, -1)
+
+    def expand(self, lab: dict) -> list:
+        """The vertex edges, with lab[P] the labels of P's members: the
+        transversals of every class edge."""
+        get = lab.__getitem__
+        return [t for E in self.cedges for t in itertools.product(*map(get, E))]
 
 
 def equivalence_classes(G: Hypergraph) -> list[VertexSet]:
     """Partition of the vertices into classes of identical links, sorted by
     smallest member."""
-    _, links = _link_index(G)
+    qlinks = _Classes(G).qlinks
     groups: dict = {}
     for v in range(G.n):
-        groups.setdefault(frozenset(links[v]), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
+        groups.setdefault(frozenset(qlinks[v]), []).append(v)
+    return sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
 
 
 def symmetrize(G: Hypergraph, v: int, u: int) -> Hypergraph:
@@ -119,9 +211,9 @@ def symmetrize(G: Hypergraph, v: int, u: int) -> Hypergraph:
             raise ValueError(f"vertex {w} out of range")
     if (min(u, v), max(u, v)) in G.covered_pairs:
         raise ValueError(f"cannot symmetrize covered pair {{{u}, {v}}}")
-    edges, links = _link_index(G)
-    _clone(edges, links, (v,), u)
-    return Hypergraph(G.n, G.r, edges)
+    st = _Classes(G)
+    st.clone((v,), u)
+    return Hypergraph(G.n, G.r, st.expand(st.members))
 
 
 class CoreRepresentatives(NamedTuple):
@@ -160,113 +252,89 @@ def is_alpha_dense(G: Hypergraph, alpha) -> bool:
     af = Fraction(alpha)
     if G.n == 0:
         return True
-    dmin = min(G.degrees)
-    return Fraction(dmin) >= af * math.comb(G.n - 1, G.r - 1)
+    return min(G.degrees) * af.denominator >= af.numerator * math.comb(G.n - 1, G.r - 1)
 
 
 # -- drivers --------------------------------------------------------------
 
 
-def _select_pair(links: dict):
+def _select_pair(st: _Classes):
     """Deterministic choice of a nonadjacent nonequivalent pair (u, v) with
-    d(u) >= d(v) among the live vertices (the keys of links): maximize d(u),
-    then smallest u, then smallest v."""
-    deg = {v: len(lk) for v, lk in links.items()}
-    order = sorted(links)
-    unpaired: set[int] = set()  # equivalent to a u that found no v
-    for u in sorted(order, key=lambda t: -deg[t]):
-        if u in unpaired:
-            continue
-        neighbours = set().union(*links[u])  # v with {u, v} covered
-        for v in order:
-            if v == u or deg[v] > deg[u] or v in neighbours:
-                continue
-            if links[u] == links[v]:
-                unpaired.add(v)
-                continue
-            return u, v
+    d(u) >= d(v) among the live vertices: maximize d(u), then smallest u,
+    then smallest v.  Read on classes: a vertex stands for its class, u and
+    v are the smallest members of theirs, and equal links are equal qlinks."""
+    deg, qlinks, members = st.deg, st.qlinks, st.members
+    order = [P for _, P in sorted((m[0], P) for P, m in members.items())]
+    for P in sorted(order, key=deg.__getitem__, reverse=True):
+        dP, qP = deg[P], qlinks[P]
+        neighbours = set().union(*qP)  # classes covered with P
+        for Q in order:
+            if deg[Q] <= dP and Q != P and Q not in neighbours and qlinks[Q] != qP:
+                return members[P][0], members[Q][0]
     return None
 
 
-def _compact(edges: set, alive: Iterable[int], r: int) -> tuple[Hypergraph, tuple[int, ...]]:
-    kept = tuple(sorted(alive))
-    pos = {v: i for i, v in enumerate(kept)}
-    return Hypergraph(len(kept), r, [[pos[v] for v in e] for e in edges]), kept
+def _twins(st: _Classes, v: int) -> list[int]:
+    """The live vertices whose links equal v's, ascending."""
+    qlinks = st.qlinks
+    q = qlinks[st.part[v]]
+    return sorted(w for P, m in st.members.items() if qlinks[P] == q for w in m)
 
 
-def _drop_vertex_edges(edges: set, links: dict, w: int) -> None:
-    """Remove every edge through w from edges and from the links."""
-    ws = frozenset((w,))
-    for D in links[w]:
-        e = D | ws
-        edges.discard(e)
-        for x in D:
-            links[x].discard(e - {x})
-    links[w].clear()
-
-
-def _clone(edges: set, links: dict, donors: Iterable[int], u: int) -> None:
-    """Replace the edges through each donor w by {w} + D for D in the link
-    of u (taken before any edge goes), in edges and in the links."""
-    link_u = tuple(links[u])
-    for w in donors:
-        _drop_vertex_edges(edges, links, w)
-    for w in donors:
-        links[w].update(link_u)
-        ws = frozenset((w,))
-        for D in link_u:
-            e = D | ws
-            edges.add(e)
-            for x in D:
-                links[x].add(e - {x})
-
-
-def _delete_vertex(edges: set, links: dict, w: int) -> None:
-    _drop_vertex_edges(edges, links, w)
-    del links[w]
+def _compact(st: _Classes, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
+    """The graph on the live vertices, relabelled 0.. in order, and their labels."""
+    kept = tuple(sorted(st.part))
+    lab = st.members
+    if kept and kept[-1] != len(kept) - 1:  # a label below the top is gone
+        part = st.part
+        lab = {P: [] for P in lab}
+        for i, v in enumerate(kept):
+            lab[part[v]].append(i)
+    return Hypergraph(len(kept), r, st.expand(lab)), kept
 
 
 def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
     """The one driver: cloning rounds, each followed by minimum-degree
     cleaning at threshold af (no degree is below a zero threshold); stops
-    when no pair is left and nothing was cleaned.  The live vertices are the
-    keys of links."""
-    edges, links = _link_index(G)
+    when no pair is left and nothing was cleaned."""
+    st = _Classes(G)
+    deg, members, part = st.deg, st.members, st.part
+    num, den = af.numerator, af.denominator  # d >= af * C, in integers
     steps: list[SymmetrizationStep] = []
-    while links:
-        sel = _select_pair(links)
+    while part:
+        sel = _select_pair(st)
         donors: tuple[int, ...] = ()
         protected: set[int] = set()
         if sel is not None:
             u, v = sel
-            donors = tuple(sorted(w for w in links if links[w] == links[v]))
-            protected = {w for w in links if links[w] == links[u]}
-            before = len(edges)
-            _clone(edges, links, donors, u)
+            donors = tuple(_twins(st, v))
+            protected = set(_twins(st, u))
+            before = st.edges
+            st.clone(donors, u)
             steps.append(SymmetrizationStep("symmetrize", donors, u, (),
-                                            before, len(edges)))
+                                            before, st.edges))
         removed: list[int] = []
         flagged = False
-        before = len(edges)
-        while links:
-            victim = min(links, key=lambda t: (len(links[t]), t))
-            if len(links[victim]) >= af * math.comb(len(links) - 1, G.r - 1):
+        before = st.edges
+        while part:
+            d, victim = min((deg[P], m[0]) for P, m in members.items())
+            if d * den >= num * math.comb(len(part) - 1, G.r - 1):
                 break
             if victim in protected:
-                live_donors = [w for w in donors if w in links]
+                live_donors = [w for w in donors if w in part]
                 if live_donors:
                     victim = live_donors[0]
                 else:
                     flagged = True
-            _delete_vertex(edges, links, victim)
+            st.delete(victim)
             removed.append(victim)
         if removed:
             steps.append(SymmetrizationStep("clean", (), -1,
                                             tuple(sorted(removed)),
-                                            before, len(edges), flagged))
+                                            before, st.edges, flagged))
         elif sel is None:
             break
-    result, kept = _compact(edges, links, G.r)
+    result, kept = _compact(st, G.r)
     return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)), kept)
 
 
@@ -302,28 +370,35 @@ def run_with_cleaning(G: Hypergraph, alpha) -> SymmetrizationOutcome:
 # -- trace replay ----------------------------------------------------------
 
 
-def _apply_step(edges: set, links: dict, step: SymmetrizationStep) -> None:
-    if step.kind == "symmetrize":
-        _clone(edges, links, step.donor_class, step.target)
-    else:
-        for z in step.removed:
-            _delete_vertex(edges, links, z)
+def _steps(st: _Classes, trace: SymmetrizationTrace):
+    """Apply the recorded steps to the class state, yielding after each; a
+    step that names a vertex no longer live, donors that split a class or a
+    target covered with a donor raises ValueError naming the step."""
+    for i, step in enumerate(trace.steps):
+        try:
+            if step.kind == "symmetrize":
+                st.clone(step.donor_class, step.target)
+            else:
+                for z in step.removed:
+                    st.delete(z)
+        except ValueError as exc:
+            raise ValueError(f"trace step {i} ({step.kind}): {exc}") from None
+        yield
 
 
 def replay_trace(G: Hypergraph, trace: SymmetrizationTrace) -> SymmetrizationOutcome:
     """Mechanically apply recorded steps to the input; reproduces the original
     run's output exactly."""
-    edges, links = _link_index(G)
-    for step in trace.steps:
-        _apply_step(edges, links, step)
-    result, kept = _compact(edges, links, G.r)
+    st = _Classes(G)
+    for _ in _steps(st, trace):
+        pass
+    result, kept = _compact(st, G.r)
     return SymmetrizationOutcome(result, trace, kept)
 
 
 def intermediate_graphs(G: Hypergraph, trace: SymmetrizationTrace):
     """Yield the graph after each recorded step, on the original label space
     (deleted vertices simply lose their edges)."""
-    edges, links = _link_index(G)
-    for step in trace.steps:
-        _apply_step(edges, links, step)
-        yield Hypergraph(G.n, G.r, edges)
+    st = _Classes(G)
+    for _ in _steps(st, trace):
+        yield Hypergraph(G.n, G.r, st.expand(st.members))

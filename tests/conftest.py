@@ -578,6 +578,143 @@ def rebuilding_symmetrization(G: Hypergraph, alpha) -> SymmetrizationOutcome:
     return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)), kept)
 
 
+# -- the link-based symmetrization, kept as the oracle of the class state ----
+
+
+def _link_add_edge(edges: set, links: dict, e: frozenset) -> None:
+    edges.add(e)
+    for x in e:
+        links[x].add(e - {x})
+
+
+def _link_index(G: Hypergraph) -> tuple[set, dict]:
+    edges: set = set()
+    links: dict[int, set] = {v: set() for v in range(G.n)}
+    for e in G.edges:
+        _link_add_edge(edges, links, frozenset(e))
+    return edges, links
+
+
+def _link_select_pair(links: dict):
+    deg = {v: len(lk) for v, lk in links.items()}
+    order = sorted(links)
+    unpaired: set[int] = set()
+    for u in sorted(order, key=lambda t: -deg[t]):
+        if u in unpaired:
+            continue
+        neighbours = set().union(*links[u])
+        for v in order:
+            if v == u or deg[v] > deg[u] or v in neighbours:
+                continue
+            if links[u] == links[v]:
+                unpaired.add(v)
+                continue
+            return u, v
+    return None
+
+
+def _link_compact(edges: set, alive, r: int):
+    kept = tuple(sorted(alive))
+    pos = {v: i for i, v in enumerate(kept)}
+    return Hypergraph(len(kept), r, [[pos[v] for v in e] for e in edges]), kept
+
+
+def _link_drop_vertex_edges(edges: set, links: dict, w: int) -> None:
+    ws = frozenset((w,))
+    for D in links[w]:
+        e = D | ws
+        edges.discard(e)
+        for x in D:
+            links[x].discard(e - {x})
+    links[w].clear()
+
+
+def _link_clone(edges: set, links: dict, donors, u: int) -> None:
+    link_u = tuple(links[u])
+    for w in donors:
+        _link_drop_vertex_edges(edges, links, w)
+    for w in donors:
+        links[w].update(link_u)
+        ws = frozenset((w,))
+        for D in link_u:
+            e = D | ws
+            edges.add(e)
+            for x in D:
+                links[x].add(e - {x})
+
+
+def _link_delete_vertex(edges: set, links: dict, w: int) -> None:
+    _link_drop_vertex_edges(edges, links, w)
+    del links[w]
+
+
+def link_symmetrization_oracle(G: Hypergraph, alpha) -> SymmetrizationOutcome:
+    """The symmetrization driver on vertex-level edges and links, updated as
+    edges go and come: the library's driver before it ran on twin classes.
+    ``alpha = 0`` is ``run_plain``."""
+    af = Fraction(alpha)
+    edges, links = _link_index(G)
+    steps = []
+    while links:
+        sel = _link_select_pair(links)
+        donors: tuple[int, ...] = ()
+        protected: set[int] = set()
+        if sel is not None:
+            u, v = sel
+            donors = tuple(sorted(w for w in links if links[w] == links[v]))
+            protected = {w for w in links if links[w] == links[u]}
+            before = len(edges)
+            _link_clone(edges, links, donors, u)
+            steps.append(SymmetrizationStep("symmetrize", donors, u, (),
+                                            before, len(edges)))
+        removed: list[int] = []
+        flagged = False
+        before = len(edges)
+        while links:
+            victim = min(links, key=lambda t: (len(links[t]), t))
+            if len(links[victim]) >= af * math.comb(len(links) - 1, G.r - 1):
+                break
+            if victim in protected:
+                live_donors = [w for w in donors if w in links]
+                if live_donors:
+                    victim = live_donors[0]
+                else:
+                    flagged = True
+            _link_delete_vertex(edges, links, victim)
+            removed.append(victim)
+        if removed:
+            steps.append(SymmetrizationStep("clean", (), -1,
+                                            tuple(sorted(removed)),
+                                            before, len(edges), flagged))
+        elif sel is None:
+            break
+    result, kept = _link_compact(edges, links, G.r)
+    return SymmetrizationOutcome(result, SymmetrizationTrace(tuple(steps)), kept)
+
+
+def link_replay_oracle(G: Hypergraph, trace: SymmetrizationTrace):
+    """The link-based replay: the outcome ``replay_trace`` gives and the list
+    of graphs ``intermediate_graphs`` yields, on the original labels."""
+    edges, links = _link_index(G)
+    graphs = []
+    for step in trace.steps:
+        if step.kind == "symmetrize":
+            _link_clone(edges, links, step.donor_class, step.target)
+        else:
+            for z in step.removed:
+                _link_delete_vertex(edges, links, z)
+        graphs.append(Hypergraph(G.n, G.r, edges))
+    result, kept = _link_compact(edges, links, G.r)
+    return SymmetrizationOutcome(result, trace, kept), graphs
+
+
+def link_symmetrize_oracle(G: Hypergraph, v: int, u: int) -> Hypergraph:
+    """v made a clone of u on the vertex-level links."""
+    edges, links = _link_index(G)
+    _link_clone(edges, links, (v,), u)
+    return Hypergraph(G.n, G.r, edges)
+
+
 @pytest.fixture
 def t363() -> Hypergraph:
     """T_3(6,3) built directly from its parts, bypassing the library builder."""

@@ -118,17 +118,19 @@ def test_exact_search_cap():
 
 
 def test_budget_abort():
-    # F5-free n=7 stays below its ceiling floor(10 * 7 / 4) = 17, and the
-    # sizes below it finish in fewer than 4096 nodes each; a zero budget
-    # stops the n=7 search at its first call once 4096 of its nodes are
-    # counted, at most one pruned child per level later (exhausting it takes
-    # 5,961 nodes)
-    f5 = SubgraphPredicate(generalized_triangle(3))
-    res = brute_force_ex(7, 3, f5, max_seconds=0)
+    # K_4^(3)-free: the sizes below 7 finish in at most 249 nodes each, so
+    # they never read the deadline, and n=7 needs 56,133 nodes to exhaust.
+    # A zero budget stops the n=7 search at its first call once 4096 of its
+    # nodes are counted.  Between two calls the DFS unwinds through at most
+    # one level per candidate, and each level counts at most one exclude
+    # child that fails a bound without a call, so that call comes at most
+    # C(7, 3) nodes past 4096
+    k4 = SubgraphPredicate(complete_hypergraph(4, 3))
+    res = brute_force_ex(7, 3, k4, max_seconds=0)
     assert not res.exact
     assert 4096 <= res.nodes_explored <= 4096 + math.comb(7, 3)
-    assert res.value <= 15
-    assert f5.is_free(res.witness)
+    assert res.value <= 23
+    assert k4.is_free(res.witness)
 
 
 # (n, r, predicate, value, oracle's nodes, nodes): the oracle's counts are the

@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turanlag import (
     Hypergraph,
+    SymmetrizationStep,
+    SymmetrizationTrace,
     blowup,
     complete_hypergraph,
     contains_family_member,
@@ -21,6 +25,9 @@ from turanlag import (
     symmetrize,
     turan_hypergraph,
 )
+
+from conftest import (link_replay_oracle, link_symmetrization_oracle,
+                      link_symmetrize_oracle)
 
 
 # -- equivalence classes ---------------------------------------------------
@@ -240,3 +247,124 @@ def test_alpha_validation():
         run_with_cleaning(g, Fraction(5, 4))
     with pytest.raises(ValueError):
         run_with_cleaning(g, -0.1)
+
+
+# -- the class state against the link-based oracle -------------------------------------
+
+ALPHAS = (0, Fraction(1, 100), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+
+
+@st.composite
+def graphs_with_isolated(draw):
+    """r in {2, 3, 4}, n in 0..12; edges only among the first m vertices, so
+    the last n - m are isolated, at a density drawn from sparse to dense."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, n))
+    density = draw(st.sampled_from((0.1, 0.3, 0.6, 0.9)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cands = itertools.combinations(range(m), r)
+    return Hypergraph(n, r, [e for e in cands if rng.random() < density])
+
+
+def _assert_matches_link_oracle(g, alphas):
+    assert run_plain(g) == link_symmetrization_oracle(g, 0)
+    for alpha in alphas:
+        out = run_with_cleaning(g, alpha)
+        assert out == link_symmetrization_oracle(g, alpha)
+        rep, graphs = link_replay_oracle(g, out.trace)
+        assert replay_trace(g, out.trace) == rep
+        assert list(intermediate_graphs(g, out.trace)) == graphs
+
+
+@given(graphs_with_isolated())
+@settings(max_examples=120, deadline=None)
+def test_class_state_matches_link_oracle(g):
+    _assert_matches_link_oracle(g, ALPHAS)
+    covered = g.covered_pairs
+    for u, v in itertools.permutations(range(min(g.n, 6)), 2):
+        if (min(u, v), max(u, v)) not in covered:
+            assert symmetrize(g, v, u) == link_symmetrize_oracle(g, v, u)
+
+
+def test_class_state_matches_link_oracle_at_cleanup_size():
+    # the size of the graphs the cleanup benchmark symmetrizes: 36-41 steps,
+    # over 3,000 edges at the end
+    g = random_hypergraph(45, 3, edge_count=300, rng=random.Random(0))
+    _assert_matches_link_oracle(g, ALPHAS + (Fraction(1, 20),))
+    u, v = next((u, v) for u, v in itertools.combinations(range(45), 2)
+                if (u, v) not in g.covered_pairs)
+    assert symmetrize(g, v, u) == link_symmetrize_oracle(g, v, u)
+    assert symmetrize(g, u, v) == link_symmetrize_oracle(g, u, v)
+
+
+@given(graphs_with_isolated(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_replay_of_any_clone_matches_link_oracle(g, rng):
+    """Traces no driver writes: donors that are no twins of each other, some
+    of them covered with each other, then deletions and a second clone.
+    Before the second clone only the target's class has grown, so donors
+    drawn from the other vertices are whole classes."""
+    if g.n < 2:
+        return
+    steps = []
+    live = list(range(g.n))
+    for _ in range(2):
+        now = link_replay_oracle(g, SymmetrizationTrace(tuple(steps)))[0]
+        graph, kept = now.result, now.kept
+        if len(kept) < 2:
+            break
+        u = rng.choice(kept)
+        iu = kept.index(u)
+        covered = {kept[a] for e in graph.edges if iu in e for a in e}
+        grown = {v for s in steps for v in s.donor_class + (s.target,)}
+        free = [v for v in kept if v != u and v not in covered and v not in grown]
+        donors = tuple(sorted(rng.sample(free, rng.randint(0, len(free)))))
+        steps.append(SymmetrizationStep("symmetrize", donors, u, (), 0, 0))
+        gone = rng.sample(kept, rng.randint(0, len(kept) // 3))
+        steps.append(SymmetrizationStep("clean", (), -1, tuple(gone), 0, 0))
+    trace = SymmetrizationTrace(tuple(steps))
+    rep, graphs = link_replay_oracle(g, trace)
+    assert replay_trace(g, trace) == rep
+    assert list(intermediate_graphs(g, trace)) == graphs
+
+
+# -- replay of invalid traces -------------------------------------------------------------
+
+
+def _trace(*steps):
+    return SymmetrizationTrace(tuple(
+        SymmetrizationStep("symmetrize", s[1], s[2], (), 0, 0) if s[0] == "s"
+        else SymmetrizationStep("clean", (), -1, s[1], 0, 0) for s in steps))
+
+
+def test_replay_rejects_a_deleted_donor():
+    g = Hypergraph(5, 3, [(0, 1, 2)])
+    trace = _trace(("s", (3, 4), 0), ("c", (3, 4)), ("s", (3,), 0))
+    with pytest.raises(ValueError, match=r"^trace step 2 \(symmetrize\): vertex 3 is not live$"):
+        replay_trace(g, trace)
+
+
+def test_replay_rejects_donors_that_split_a_class():
+    # step 0 makes 2, 3 and 4 clones of the isolated 4: one class
+    g = Hypergraph(6, 2, [(0, 1)])
+    trace = _trace(("s", (2, 3), 4), ("s", (2,), 0))
+    with pytest.raises(ValueError, match=r"^trace step 1 \(symmetrize\): donors \[2\] split a class$"):
+        replay_trace(g, trace)
+
+
+def test_replay_rejects_a_target_covered_with_a_donor():
+    g = Hypergraph(4, 3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"^trace step 0 \(symmetrize\): target 0 is a donor or covered with one$"):
+        replay_trace(g, _trace(("s", (2,), 0)))
+    with pytest.raises(ValueError, match=r"^trace step 0 \(symmetrize\): target 3 is a donor or covered with one$"):
+        replay_trace(g, _trace(("s", (3,), 3)))
+
+
+def test_replay_rejects_a_vertex_removed_twice():
+    g = Hypergraph(4, 2, [(0, 1)])
+    trace = _trace(("c", (3,)), ("c", (2, 3)))
+    with pytest.raises(ValueError, match=r"^trace step 1 \(clean\): vertex 3 is not live$"):
+        replay_trace(g, trace)
+    with pytest.raises(ValueError, match=r"^trace step 1 \(clean\): vertex 3 is not live$"):
+        list(intermediate_graphs(g, trace))
