@@ -537,17 +537,28 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
 def _refill_rounds(state, cands, rng, rounds: int) -> Iterator[set]:
     """Yield the state's live edge set after each of ``rounds`` rounds: drop
     one or two random edges with probability 0.35 (none from the empty
-    graph), then add, in a random order, each candidate that keeps it free."""
+    graph), then add, in a random order, each candidate that keeps it free.
+    Between rounds only this generator changes the state.
+
+    The predicate is monotone, so a candidate that fails during a pass fails
+    on every superset; after a pass the set is maximal, and a round that
+    drops nothing adds nothing.  Such a round still draws its order, so the
+    random stream is that of a round that runs its pass."""
     current = state.current
+    maximal = False
     for _ in range(rounds):
         if current and rng.random() < 0.35:
             drop = rng.sample(sorted(current), min(1 + (rng.random() < 0.3),
                                                    len(current)))
             for e in drop:
                 state.remove(e)
-        for e in rng.sample(cands, len(cands)):
-            if e not in current and state.can_add(e):
-                state.add(e)
+            maximal = False
+        order = rng.sample(cands, len(cands))
+        if not maximal:
+            for e in order:
+                if e not in current and state.can_add(e):
+                    state.add(e)
+            maximal = True
         yield current
 
 

@@ -33,10 +33,23 @@ At a stationary x rounding also keeps the first candidate off x, so the test
 "candidate equals x" would rarely fire.
 
 All starts of one call run together, each as one row of an array, in
-blocks of at most ``_BLOCK_ELEMS`` elements of (rows, r, |E|) temporaries.
+blocks of at most ``_BLOCK_ELEMS`` elements of (rows, r, |E|) temporaries,
+``_RUNGS`` times that for a tick's candidates.
 The rows run in lockstep and never interact: each keeps its own step,
 halving count, iteration count and progress flag, so it takes the steps of
-an ascent run on it alone, bit for bit.  Two numpy forms would break that.
+an ascent run on it alone, bit for bit.
+
+One tick of the line search tries a ladder of K = ``_RUNGS`` candidates per
+row, at the steps tt, tt/2, ..., tt/2^(K-1) from the same x, and the row
+takes its first decisive rung: one that gains, one where the stop rule
+fires, or one after which the halving would pass the 1e-20 guard or the
+60-halving cap.  A row with no decisive rung halves tt K times and goes on.
+Each rung is the candidate a lone search tries at that point: x, lambda and
+p_G(x) do not change within a search, and tt/2^j is exact, as tt >= 1e-20 is
+a normal float.  So the first decisive rung is the candidate where the lone
+search accepts or stops; the rungs past it are never read.
+
+Two numpy forms would break the bit-identity.
 ``X[:, edges]`` is strided, and numpy folds its edge sums from the left
 instead of summing pairwise as for one vector, so ``_p_np`` gathers with
 ``X.take``.  An einsum or ``(D * D).sum(axis=1)`` rounds dot products apart
@@ -203,6 +216,10 @@ def _project(V: np.ndarray, cap: float) -> np.ndarray:
 # starts of one call run in blocks of rows, one block after another.
 _BLOCK_ELEMS = 1 << 16
 
+# Candidates per line-search tick of ``_ascend``: the steps tt, tt/2, ...,
+# tt/2^(_RUNGS-1) from one point, projected and evaluated as one block.
+_RUNGS = 3
+
 
 class _Arrays(NamedTuple):
     edges: np.ndarray  # (E, r) vertex indices
@@ -220,22 +237,30 @@ def _arrays(G: Hypergraph) -> Optional[_Arrays]:
 
 
 def _p_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
-    """p_G at each row of X.  X.take is C-contiguous, so each row's edge terms
-    are summed by numpy's pairwise sum, as for one vector; the strided
-    X[:, edges] would fold them from the left instead."""
-    return A.rf * X.take(A.edges, axis=1).prod(axis=2).sum(axis=1)
+    """p_G at each row of X, from the (rows, r, |E|) block of edge columns
+    that ``_grad_np`` gathers.  The product over the columns folds each edge's
+    weights from the left, as a product over one edge's r weights does, but
+    runs over whole columns, several times faster on a large block.  The
+    block it leaves is C-contiguous, so each row's edge terms are summed by
+    numpy's pairwise sum, as for one vector; the strided X[:, edges] would
+    fold them from the left instead."""
+    m = len(X)
+    cols = X.take(A.idx, axis=1).reshape(m, A.r, len(A.edges))
+    return A.rf * cols.prod(axis=1).sum(axis=1)
 
 
 def _grad_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
     """The gradient at each row of X.  others[:, j] is the product of the
     other columns of each edge, folded from the left in column order, summed
     per vertex in j-major order by one np.bincount, with the vertices of row k
-    offset by k*n."""
+    offset by k*n.  The prefix products take one multiply per column: a
+    cumprod along the middle axis folds the same way, but slower."""
     m = len(X)
     cols = X.take(A.idx, axis=1).reshape(m, A.r, len(A.edges))
     others = np.empty_like(cols)
     others[:, 0] = 1.0
-    np.cumprod(cols[:, :-1], axis=1, out=others[:, 1:])
+    for k in range(1, A.r):
+        np.multiply(others[:, k - 1], cols[:, k - 1], out=others[:, k])
     for k in range(1, A.r):
         others[:, :k] *= cols[:, k, None]
     bins = (A.idx + A.n * np.arange(m)[:, None]).ravel()
@@ -277,8 +302,10 @@ def _cannot_gain(A: _Arrays, lam: np.ndarray, val: np.ndarray,
     d, along the gradient lam at x where p_G(x) = val, can raise p_G by more
     than 1e-16 (the stop rule of the module docstring)."""
     dd = _dots(D, D)
-    # the power by the C library, as for one float: numpy's may round apart
-    grow = np.array([(1.0 + math.sqrt(v)) ** (A.r - 2) for v in dd.tolist()])
+    if A.r <= 3:  # a power of 0 or 1 (or a factor C(1, 2) = 0) is exact
+        grow = (1.0 + np.sqrt(dd)) ** (A.r - 2)
+    else:  # the power by the C library, as for one float: numpy's may round apart
+        grow = np.array([(1.0 + math.sqrt(v)) ** (A.r - 2) for v in dd.tolist()])
     higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * grow
     return _dots(lam - A.r * val[:, None], D) + higher <= 1e-16
 
@@ -290,11 +317,12 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
     The rows run in lockstep and never interact.  Each keeps its own step t,
     trial step tt, halving count, iteration count and progress flag, and so
     takes the steps it would take alone.  In one tick every row still in a
-    line search evaluates one candidate; the rows whose search ends then take
-    their transfer step, and those that progressed below max_iters iterations
-    start the next search."""
+    line search evaluates a ladder of ``_RUNGS`` candidates, at tt, tt/2, ...,
+    and takes its first decisive rung, or halves tt ``_RUNGS`` times when none
+    is; the rows whose search ends then take their transfer step, and those
+    that progressed below max_iters iterations start the next search."""
     X = _project(X0, cap)
-    m = len(X)
+    m, n = X.shape
     val = _p_np(A, X)
     lam = _grad_np(A, X)  # the gradient at X, recomputed for each row that moves
     t = np.ones(m)
@@ -302,25 +330,41 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
     halvings = np.zeros(m, dtype=np.int64)
     iters = np.zeros(m, dtype=np.int64)
     progressed = np.zeros(m, dtype=bool)
+    scale = 0.5 ** np.arange(_RUNGS)  # exact powers of two
+    after = np.arange(1, _RUNGS + 1)  # the halvings made once each rung fails
     live = np.arange(m if max_iters > 0 else 0)  # the rows in a line search
     while len(live):
-        # gradient step with backtracking: one candidate per live row
-        cand = _project(X[live] + tt[live, None] * lam[live], cap)
-        pv = _p_np(A, cand)
-        up = pv > val[live] + 1e-16
-        won, failed = live[up], live[~up]
+        # gradient step with backtracking: a ladder of candidates per live row
+        L = len(live)
+        steps = tt[live, None] * scale
+        Xl, lamL, vl = X[live], lam[live], val[live]
+        V = Xl[:, None] + steps[:, :, None] * lamL[:, None]
+        cand = _project(V.reshape(L * _RUNGS, n), cap)
+        pv = _p_np(A, cand).reshape(L, _RUNGS)
+        D = cand - np.repeat(Xl, _RUNGS, axis=0)
+        stop = _cannot_gain(A, np.repeat(lamL, _RUNGS, axis=0),
+                            np.repeat(vl, _RUNGS), D).reshape(L, _RUNGS)
+        up = pv > vl[:, None] + 1e-16
+        # a rung is decisive when it gains, the stop rule fires there, or the
+        # halving after it reaches the 1e-20 guard or the 60-halving cap
+        decisive = (up | stop | (steps * 0.5 < 1e-20)
+                    | (halvings[live, None] + after >= 60))
+        ends = decisive.any(axis=1)
+        rows = np.flatnonzero(ends)
+        rung = decisive[rows].argmax(axis=1)
+        gains = up[rows, rung]
+        won = live[rows[gains]]
         if len(won):
-            X[won], val[won], t[won] = cand[up], pv[up], tt[won] * 2.0
-            lam[won] = _grad_np(A, cand[up])
+            wr, wj = rows[gains], rung[gains]
+            best = cand[wr * _RUNGS + wj]
+            X[won], val[won], t[won] = best, pv[wr, wj], steps[wr, wj] * 2.0
+            lam[won] = _grad_np(A, best)
             progressed[won] = True
-        stop = _cannot_gain(A, lam[failed], val[failed], cand[~up] - X[failed])
-        halve = failed[~stop]
-        tt[halve] *= 0.5
-        halvings[halve] += 1
-        more = (tt[halve] >= 1e-20) & (halvings[halve] < 60)
+        ended = live[rows]
+        live = live[~ends]
+        tt[live] *= 0.5 ** _RUNGS
+        halvings[live] += _RUNGS
         # pairwise transfer step for the rows whose search ended
-        ended = np.concatenate([won, failed[stop], halve[~more]])
-        live = halve[more]
         if not len(ended):
             continue
         Xe = X[ended]
@@ -427,7 +471,12 @@ class LagrangianEstimate:
 
 
 def _starts(G: Hypergraph, restarts: int, seed: int) -> Iterator[np.ndarray]:
-    """The uniform start, the greedy-support starts, then the seeded ones."""
+    """The uniform start, the greedy-support starts, then the seeded ones.
+
+    A seeded start is the flat Dirichlet draw of ``default_rng([seed, k])``,
+    bit for bit: numpy draws it as standard exponentials (the gamma variates
+    of shape 1), sums them from the left and scales by the sum's reciprocal,
+    as done here without the general gamma path."""
     n = G.n
     yield np.full(n, 1.0 / n)
     for sup in _greedy_supports(G):
@@ -435,7 +484,8 @@ def _starts(G: Hypergraph, restarts: int, seed: int) -> Iterator[np.ndarray]:
         v[list(sup)] = 1.0 / len(sup)
         yield v
     for k in range(restarts):
-        yield np.random.default_rng([seed, k]).dirichlet(np.ones(n))
+        e = np.random.default_rng([seed, k]).standard_exponential(n)
+        yield e * (1.0 / np.cumsum(e)[-1])
 
 
 def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,

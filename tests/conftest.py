@@ -207,6 +207,23 @@ def colex_dfs_oracle(n: int, r: int, forbidden: ForbiddenPredicate, *,
                         nodes, elapsed)
 
 
+def refill_rounds_oracle(state, cands, rng, rounds: int):
+    """``extremal._refill_rounds`` with a full pass every round: each round
+    drops one or two random edges with probability 0.35 (none from the empty
+    graph), then tries every candidate in a random order."""
+    current = state.current
+    for _ in range(rounds):
+        if current and rng.random() < 0.35:
+            drop = rng.sample(sorted(current), min(1 + (rng.random() < 0.3),
+                                                   len(current)))
+            for e in drop:
+                state.remove(e)
+        for e in rng.sample(cands, len(cands)):
+            if e not in current and state.can_add(e):
+                state.add(e)
+        yield current
+
+
 def colex_lex_leader(G: Hypergraph) -> Hypergraph:
     """The relabelling of G whose 0/1 vector over the candidates in colex
     order is largest, first position most significant, found by trying all
@@ -412,10 +429,12 @@ def serial_cannot_gain(A, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
     return float((lam - A.r * val) @ d) + higher <= 1e-16
 
 
-def serial_ascend(A, x0: np.ndarray, cap: float,
-                  max_iters: int) -> tuple[np.ndarray, float]:
+def serial_ascend(A, x0: np.ndarray, cap: float, max_iters: int,
+                  searches: Optional[list] = None) -> tuple[np.ndarray, float]:
     """One ascent from x0 on its own; each row of the lockstep engine must
-    take exactly these steps."""
+    take exactly these steps.  Each line search appends to ``searches`` the
+    number of candidates it tried and how it ended: "gain", "stop" (the stop
+    rule), "cap" (60 halvings) or "guard" (a step below 1e-20)."""
     x = serial_project(np.asarray(x0, dtype=float), cap)
     val = serial_p(A, x)
     lam = serial_grad(A, x)  # the gradient at x, recomputed whenever x moves
@@ -424,19 +443,26 @@ def serial_ascend(A, x0: np.ndarray, cap: float,
         progressed = False
         # gradient step with backtracking
         tt = t
-        for _ in range(60):
+        for c in range(1, 61):
             cand = serial_project(x + tt * lam, cap)
             pv = serial_p(A, cand)
             if pv > val + 1e-16:
                 x, val, t = cand, pv, tt * 2.0
                 lam = serial_grad(A, x)
                 progressed = True
+                end = "gain"
                 break
             if serial_cannot_gain(A, lam, val, cand - x):
+                end = "stop"
                 break
             tt *= 0.5
             if tt < 1e-20:
+                end = "guard"
                 break
+        else:
+            end = "cap"
+        if searches is not None:
+            searches.append((c, end))
         # pairwise transfer step, in place: x is a projection owned here
         if serial_transfer(A, x, lam, cap, _TOL):
             lam = serial_grad(A, x)

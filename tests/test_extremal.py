@@ -34,9 +34,11 @@ from turanlag.extremal import (
     SearchResult,
     _colex_candidates,
     _exhaust,
+    _refill_rounds,
 )
 
-from conftest import brute_is_cancellative, colex_dfs_oracle, colex_lex_leader
+from conftest import (brute_is_cancellative, colex_dfs_oracle, colex_lex_leader,
+                      refill_rounds_oracle)
 
 
 def k3():
@@ -425,6 +427,44 @@ def test_local_search_witness_free():
                  FamilyPredicate(single_edge(3), 4)):
         res = local_search_lower(7, 3, pred, seed=3, iters=120)
         assert pred.is_free(res.witness)
+
+
+@pytest.mark.parametrize("pred, n, r", [
+    (SubgraphPredicate(k3()), 7, 2),
+    (SubgraphPredicate(generalized_triangle(3)), 6, 3),
+    (FamilyPredicate(single_edge(3), 4), 6, 3),
+    (SigmaPredicate(3), 6, 3),
+    (CancellativePredicate(), 6, 3),
+], ids=["clique", "subgraph", "family", "sigma", "cancellative"])
+@pytest.mark.parametrize("seeded", [False, True], ids=["empty", "seeded"])
+def test_refill_rounds_match_a_full_pass_every_round(pred, n, r, seeded):
+    # a round that drops nothing skips its pass over a maximal set: every
+    # yielded set and the random stream are those of a pass every round,
+    # from fewer can_add calls
+    start = []
+    if seeded:
+        start = next(T.edge_list for parts in range(r, n + 1)
+                     if pred.is_free(T := turan_hypergraph(n, r, parts).graph) and T.edges)
+    cands = _colex_candidates(n, r)
+    calls = {}
+    for seed in range(10):
+        runs = []
+        for refill in (_refill_rounds, refill_rounds_oracle):
+            state = pred.state(n, r)
+            for e in start:
+                state.add(e)
+            can_add = state.can_add
+
+            def counted(e, refill=refill, can_add=can_add):
+                calls[refill] = calls.get(refill, 0) + 1
+                return can_add(e)
+
+            state.can_add = counted
+            rng = random.Random(seed)
+            runs.append(([set(edges) for edges in refill(state, cands, rng, 40)],
+                         rng.getstate()))
+        assert runs[0] == runs[1]
+    assert calls[_refill_rounds] < calls[refill_rounds_oracle]
 
 
 # -- incremental states agree with the standalone predicates ---------------------

@@ -35,7 +35,7 @@ from turanlag import (
 from turanlag.extremal import SubgraphPredicate, _colex_candidates, _refill_rounds
 from turanlag.lagrangian import (
     _arrays, _ascend, _cannot_gain, _dots, _grad_np,
-    _greedy_supports, _p_np, _project, _residual, _transfer,
+    _greedy_supports, _p_np, _project, _residual, _starts, _transfer,
 )
 
 from conftest import (
@@ -215,6 +215,19 @@ def test_restarts_used_counts_the_starts():
     assert lagrangian(Hypergraph(4, 3, [])).restarts_used == 0
 
 
+def test_seeded_starts_are_flat_dirichlet_draws():
+    # the seeded starts skip numpy's gamma path but keep its bits
+    for n in (1, 2, 3, 5, 8, 13, 21, 33):
+        g = Hypergraph(n, 1, [(0,)])
+        first = 1 + len(_greedy_supports(g))
+        for seed in range(10):
+            starts = list(_starts(g, 12, seed))[first:]
+            assert len(starts) == 12
+            for k, x in enumerate(starts):
+                want = np.random.default_rng([seed, k]).dirichlet(np.ones(n))
+                assert x.tobytes() == want.tobytes()
+
+
 def estimate_bytes(est):
     return (f64(est.value), np.array(est.weights.weights).tobytes(), est.restarts_used,
             est.converged, f64(est.gradient_residual), est.beta, est.cap_binds)
@@ -304,11 +317,11 @@ def test_project_corners():
                          ids=["K5(3)", "C5"])
 def test_line_search_stops_at_a_stationary_start(g, monkeypatch):
     # uniform weights are stationary here: every candidate fails, and the
-    # search ends at the first one instead of halving 60 times
+    # search ends in its first tick instead of halving 60 times
     calls = []
 
     def counting(V, cap):
-        calls.extend([cap] * len(V))  # one projection per row
+        calls.append(len(V))  # one call per tick, whatever its ladder
         return _project(V, cap)
 
     monkeypatch.setattr(LAGRANGIAN, "_project", counting)
@@ -455,18 +468,47 @@ def lockstep_inputs(draw):
 # 60-halving cap and [0.01, 0.8, 0.14] a later one at the 1e-20 guard
 SINGLE_EDGE_ROWS = (single_edge(3), 1.0, np.array([[1 / 3] * 3, [0.01, 0.8, 0.14],
                                                     [0.03, 0.06, 0.39], [0.01, 0.8, 0.14]]), 50)
+# with the stop rule off, its last search ends at the 1e-20 guard after 50
+# candidates, on the second rung of a ladder of three
+GUARD_ROWS = (single_edge(3), 1.0, np.array([[0.36, 0.04, 0.6]]), 50)
+
+
+def serial_searches(inputs) -> list:
+    """(candidates tried, how it ended) for each line search of the serial
+    ascents from the rows of a lockstep input."""
+    g, cap, X0, max_iters = inputs
+    searches = []
+    for row in X0:
+        serial_ascend(_arrays(g), row, cap, max_iters, searches)
+    return searches
+
+
+def test_ladder_examples_end_searches_on_every_rung(monkeypatch):
+    # with the stop rule off, the two examples end line searches on each rung
+    # of a first ladder and past it, at the 60-halving cap, and at the 1e-20
+    # guard part-way through a ladder, on its first and its second rung
+    monkeypatch.setattr(CONFTEST, "serial_cannot_gain", lambda A, lam, val, d: False)
+    K = LAGRANGIAN._RUNGS
+    ends = {(end, (c - 1) % K + 1, c > K)
+            for inputs in (SINGLE_EDGE_ROWS, GUARD_ROWS) for c, end in serial_searches(inputs)}
+    assert {("gain", j, later) for j in range(1, K + 1) for later in (False, True)} <= ends
+    assert ("cap", (60 - 1) % K + 1, True) in ends
+    assert {("guard", 1, True), ("guard", 2, True)} <= ends
 
 
 @given(lockstep_inputs(), st.booleans())
 @example(SINGLE_EDGE_ROWS, False)
 @example(SINGLE_EDGE_ROWS, True)
+@example(GUARD_ROWS, False)
 @settings(max_examples=120, deadline=None)
 def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
     # every row takes the steps of a lone ascent, whatever tick the other
-    # rows stop at and for whatever reason: the same points, and as many
-    # projections and gradients.  The stop rule ends nearly every failed line
-    # search; with it off in both engines, searches also end at the
-    # 60-halving cap and, in about 2% of ascents, at the 1e-20 guard
+    # rows stop at and for whatever reason: the same points, as many
+    # gradients, and a ladder of K projections for every K candidates, or
+    # fewer, that a line search of the lone ascent tries.  The stop rule ends
+    # nearly every failed line search; with it off in both engines, searches
+    # also end at the 60-halving cap and, in about 2% of ascents, at the 1e-20
+    # guard
     g, cap, X0, max_iters = inputs
     A = _arrays(g)
     work = collections.Counter()
@@ -490,11 +532,14 @@ def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
         count(CONFTEST, "serial_project", ("project", "serial"), lambda v, cap: 1)
         count(CONFTEST, "serial_grad", ("grad", "serial"), lambda A, x: 1)
         X, vals = _ascend(A, X0.copy(), cap, max_iters)
+        searches = []
         for row, x, val in zip(X0, X, vals):
-            want, want_val = serial_ascend(A, row, cap, max_iters)
+            want, want_val = serial_ascend(A, row, cap, max_iters, searches)
             assert x.tobytes() == want.tobytes() and f64(val) == f64(want_val)
-    for kind in ("project", "grad"):
-        assert work[kind, "lockstep"] == work[kind, "serial"]
+    K = LAGRANGIAN._RUNGS
+    past = sum(K * -(-c // K) - c for c, _ in searches)  # rungs past each search's end
+    assert work["project", "lockstep"] == work["project", "serial"] + past
+    assert work["grad", "lockstep"] == work["grad", "serial"]
 
 
 def test_project_rows_resolve_apart():
