@@ -82,9 +82,9 @@ def turan_hypergraph(n: int, r: int, num_parts: int) -> PartitionedHypergraph:
         start += s
     edges = []
     for pick in itertools.combinations(range(num_parts), r):
-        for combo in itertools.product(*(parts[i] for i in pick)):
-            edges.append(tuple(sorted(combo)))
-    return PartitionedHypergraph(Hypergraph(n, r, edges), tuple(parts))
+        # pick is sorted and the parts ascend, so every transversal is sorted
+        edges.extend(itertools.product(*(parts[i] for i in pick)))
+    return PartitionedHypergraph(Hypergraph._trusted(n, r, edges), tuple(parts))
 
 
 def generalized_triangle(r: int) -> Hypergraph:
@@ -95,7 +95,7 @@ def generalized_triangle(r: int) -> Hypergraph:
     e1 = tuple(range(r))
     e2 = tuple(range(r - 1)) + (r,)
     e3 = (r - 1,) + tuple(range(r, 2 * r - 1))
-    return Hypergraph(2 * r - 1, r, [e1, e2, e3])
+    return Hypergraph._trusted(2 * r - 1, r, [e1, e2, e3])
 
 
 class _ThreeEdgeState:
@@ -229,7 +229,7 @@ def expanded_clique_with_embedded(F: Hypergraph, p: int) -> ExpandedClique:
         nxt += F.r - 2
         pads[(i, j)] = pad
         edges.append(tuple(sorted((i, j) + pad)))
-    return ExpandedClique(Hypergraph(nxt, F.r, edges), tuple(range(p)), pads)
+    return ExpandedClique(Hypergraph._trusted(nxt, F.r, edges), tuple(range(p)), pads)
 
 
 def enlargement(T: Hypergraph, r_target: int) -> Hypergraph:
@@ -240,7 +240,7 @@ def enlargement(T: Hypergraph, r_target: int) -> Hypergraph:
     if r_target < 2:
         raise ValueError("target uniformity must be at least 2")
     d = tuple(range(T.n, T.n + r_target - 2))
-    return Hypergraph(T.n + r_target - 2, r_target, [e + d for e in T.edge_list])
+    return Hypergraph._trusted(T.n + r_target - 2, r_target, [e + d for e in T.edge_list])
 
 
 def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Embedding]:
@@ -274,11 +274,11 @@ def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Emb
 
 
 def complete_hypergraph(m: int, r: int) -> Hypergraph:
-    return Hypergraph(m, r, itertools.combinations(range(m), r))
+    return Hypergraph._trusted(m, r, itertools.combinations(range(m), r))
 
 
 def single_edge(r: int) -> Hypergraph:
-    return Hypergraph(r, r, [tuple(range(r))])
+    return Hypergraph._trusted(r, r, [tuple(range(r))])
 
 
 def path_graph(k: int) -> Hypergraph:
@@ -340,4 +340,4 @@ def random_hypergraph(n: int, r: int, *, edge_count: Optional[int] = None,
         edges = [e for e in cands if rng.random() < density]
     else:
         raise ValueError("provide edge_count or density")
-    return Hypergraph(n, r, edges)
+    return Hypergraph._trusted(n, r, edges)

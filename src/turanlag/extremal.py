@@ -459,10 +459,10 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
         if below.exact:
             lo = below.value
         if (below.value > best
-                and forbidden.is_free(Hypergraph(k, r, below.witness.edges))):
+                and forbidden.is_free(Hypergraph._trusted(k, r, below.witness.edges))):
             best, best_edges = below.value, set(below.witness.edges)
     if best >= (m if k <= r else lo * k // (k - r)):  # the ceiling holds
-        return SearchResult(best, Hypergraph(k, r, best_edges), True, 1,
+        return SearchResult(best, Hypergraph._trusted(k, r, best_edges), True, 1,
                             time.perf_counter() - t0)
 
     cands = _colex_candidates(k, r)
@@ -530,7 +530,7 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
                 avail[v] += 1
 
     dfs(0, 0, True)
-    return SearchResult(best, Hypergraph(k, r, best_edges), not aborted, nodes,
+    return SearchResult(best, Hypergraph._trusted(k, r, best_edges), not aborted, nodes,
                         time.perf_counter() - t0)
 
 
@@ -593,7 +593,7 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
     for edges in _refill_rounds(state, cands, rng, iters):
         if len(edges) > best:
             best, best_set = len(edges), set(edges)
-    return SearchResult(best, Hypergraph(n, r, best_set), False, iters,
+    return SearchResult(best, Hypergraph._trusted(n, r, best_set), False, iters,
                         time.perf_counter() - t0)
 
 
@@ -640,7 +640,7 @@ def kernel_clean(G: Hypergraph, p: int, d: int) -> Hypergraph:
                 es.discard(e)
                 if len(es) == threshold:
                     stack.append(D)
-    return Hypergraph(G.n, G.r, edges)
+    return Hypergraph._trusted(G.n, G.r, edges)
 
 
 @dataclass(frozen=True)

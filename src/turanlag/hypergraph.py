@@ -4,6 +4,14 @@ Vertices are dense integer labels 0..n-1; isolated vertices are representable
 (n may exceed the support of the edge set).  Edges are stored as sorted tuples
 inside a frozenset, so membership tests are O(1) and every Hypergraph value is
 immutable, hashable, and safe to share across threads.
+
+Edges are validated once, where they enter the library: the public
+constructor ``Hypergraph(n, r, edges)`` (which ``hgio`` parses into) sorts,
+dedupes and range-checks every edge.  An edge set the library built itself
+goes through the private ``Hypergraph._trusted``, which checks only n and r.
+Its callers must pass edges that are sorted tuples of exactly r distinct ints
+in 0..n-1; duplicates collapse as in any set.  The differential test in
+``tests/test_properties.py`` holds every such producer to that contract.
 """
 
 from __future__ import annotations
@@ -40,6 +48,13 @@ def falling_factorial(m: int, r: int) -> int:
     return math.perm(m, r)
 
 
+def _check_sizes(n: int, r: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if r < 1:
+        raise ValueError("uniformity must be at least 1")
+
+
 def _as_edge(e: Iterable[int], r: int, n: int) -> Edge:
     t = tuple(sorted(e))
     if len(t) != r or len(set(t)) != len(t):
@@ -53,9 +68,11 @@ def _as_edge(e: Iterable[int], r: int, n: int) -> Edge:
 class Hypergraph:
     """Immutable r-uniform hypergraph on vertex labels 0..n-1.
 
-    Any iterable of iterables is accepted for ``edges``; each edge is
-    normalized to a sorted tuple and validated (exactly r distinct vertices,
-    all in range).  Duplicate edges collapse silently, as sets do.
+    The constructor is the validating boundary: any iterable of iterables is
+    accepted for ``edges``; each edge is normalized to a sorted tuple and
+    validated (exactly r distinct vertices, all in range).  Duplicate edges
+    collapse silently, as sets do.  Edge sets the library built itself skip
+    the per-edge checks through ``_trusted``.
     """
 
     n: int
@@ -63,12 +80,20 @@ class Hypergraph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if self.r < 1:
-            raise ValueError("uniformity must be at least 1")
+        _check_sizes(self.n, self.r)
         norm = frozenset(_as_edge(e, self.r, self.n) for e in self.edges)
         object.__setattr__(self, "edges", norm)
+
+    @classmethod
+    def _trusted(cls, n: int, r: int, edges: Iterable[Edge]) -> "Hypergraph":
+        """The graph with exactly these edges, stored as given: the caller
+        guarantees sorted tuples of r distinct ints in 0..n-1."""
+        _check_sizes(n, r)
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "r", r)
+        object.__setattr__(G, "edges", frozenset(edges))
+        return G
 
     # -- basic views ---------------------------------------------------
 
@@ -110,7 +135,7 @@ class Hypergraph:
         if any(v < 0 or v >= self.n for v in ss):
             raise ValueError("link set has out-of-range vertices")
         new_edges = [tuple(v for v in e if v not in ss) for e in self.edges if ss.issubset(e)]
-        return Hypergraph(self.n, self.r - len(ss), new_edges)
+        return Hypergraph._trusted(self.n, self.r - len(ss), new_edges)
 
     def shadow(self, p: int) -> frozenset[VertexSet]:
         """The p-shadow: all p-sets contained in some edge."""
@@ -133,24 +158,34 @@ class Hypergraph:
         """Subgraph of edges lying entirely inside ``verts``.
 
         With relabel=True the surviving vertices are renumbered 0..k-1 in
-        ascending original order.
+        ascending original order, which keeps every edge sorted.
         """
         vs = sorted(set(verts))
+        if vs and (vs[0] < 0 or vs[-1] >= self.n):
+            raise ValueError("induced set has out-of-range vertices")
         inside = set(vs)
         kept = [e for e in self.edges if inside.issuperset(e)]
         if not relabel:
-            return Hypergraph(self.n, self.r, kept)
+            return Hypergraph._trusted(self.n, self.r, kept)
         pos = {v: i for i, v in enumerate(vs)}
-        return Hypergraph(len(vs), self.r, [tuple(sorted(pos[v] for v in e)) for e in kept])
+        return Hypergraph._trusted(len(vs), self.r, [tuple(pos[v] for v in e) for e in kept])
 
     def relabel(self, mapping) -> "Hypergraph":
-        """Apply an injective relabeling (dict or sequence old -> new)."""
-        if not isinstance(mapping, dict):
-            mapping = {i: m for i, m in enumerate(mapping)}
-        return Hypergraph(self.n, self.r, [tuple(sorted(mapping[v] for v in e)) for e in self.edges])
+        """Apply a relabeling (dict or sequence old -> new) that sends
+        0..n-1 to distinct values in 0..n-1; anything else raises ValueError."""
+        try:
+            image = [mapping[v] for v in range(self.n)]
+        except (KeyError, IndexError):
+            raise ValueError(f"relabeling must map every vertex of 0..{self.n - 1}") from None
+        if sorted(image) != list(range(self.n)):
+            raise ValueError(f"relabeling must send 0..{self.n - 1} to distinct values in range")
+        return Hypergraph._trusted(self.n, self.r,
+                                   [tuple(sorted(image[v] for v in e)) for e in self.edges])
 
     def with_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
-        return Hypergraph(self.n, self.r, list(self.edges) + [tuple(e) for e in extra])
+        """This graph plus the edges ``extra``, which are validated."""
+        return Hypergraph._trusted(self.n, self.r,
+                                   self.edges.union(_as_edge(e, self.r, self.n) for e in extra))
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Hypergraph(n={self.n}, r={self.r}, edges={len(self.edges)})"
@@ -172,11 +207,9 @@ def blowup(L: Hypergraph, sizes: Iterable[int]) -> Hypergraph:
     for s in sizes:
         offsets.append(offsets[-1] + s)
     classes = [range(offsets[i], offsets[i + 1]) for i in range(L.n)]
-    edges = []
-    for e in L.edges:
-        for combo in itertools.product(*(classes[i] for i in e)):
-            edges.append(tuple(sorted(combo)))
-    return Hypergraph(offsets[-1], L.r, edges)
+    # e is sorted and the blocks ascend, so every transversal is sorted
+    return Hypergraph._trusted(offsets[-1], L.r, [
+        combo for e in L.edges for combo in itertools.product(*(classes[i] for i in e))])
 
 
 # -- vertex bitmasks ---------------------------------------------------

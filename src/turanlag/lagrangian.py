@@ -672,7 +672,7 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
             hosts = _refill_rounds(state, cands, random.Random(seed * 1000003 + t),
                                    _DENSITY_ITERS)
         for edges in hosts:
-            G = Hypergraph(t, r, edges)
+            G = Hypergraph._trusted(t, r, edges)
             evaluated += 1
             est = lagrangian(G, restarts=_DENSITY_RESTARTS, seed=seed)
             if est.value > best_val + 1e-12:

@@ -183,9 +183,10 @@ class _Classes:
 
     def expand(self, lab: dict) -> list:
         """The vertex edges, with lab[P] the labels of P's members: the
-        transversals of every class edge."""
+        transversals of every class edge, each sorted (the class edge is a
+        frozenset, and members of different classes interleave)."""
         get = lab.__getitem__
-        return [t for E in self.cedges for t in itertools.product(*map(get, E))]
+        return [tuple(sorted(t)) for E in self.cedges for t in itertools.product(*map(get, E))]
 
 
 def equivalence_classes(G: Hypergraph) -> list[VertexSet]:
@@ -213,7 +214,7 @@ def symmetrize(G: Hypergraph, v: int, u: int) -> Hypergraph:
         raise ValueError(f"cannot symmetrize covered pair {{{u}, {v}}}")
     st = _Classes(G)
     st.clone((v,), u)
-    return Hypergraph(G.n, G.r, st.expand(st.members))
+    return Hypergraph._trusted(G.n, G.r, st.expand(st.members))
 
 
 class CoreRepresentatives(NamedTuple):
@@ -290,7 +291,7 @@ def _compact(st: _Classes, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
         lab = {P: [] for P in lab}
         for i, v in enumerate(kept):
             lab[part[v]].append(i)
-    return Hypergraph(len(kept), r, st.expand(lab)), kept
+    return Hypergraph._trusted(len(kept), r, st.expand(lab)), kept
 
 
 def _run(G: Hypergraph, af: Fraction) -> SymmetrizationOutcome:
@@ -401,4 +402,4 @@ def intermediate_graphs(G: Hypergraph, trace: SymmetrizationTrace):
     (deleted vertices simply lose their edges)."""
     st = _Classes(G)
     for _ in _steps(st, trace):
-        yield Hypergraph(G.n, G.r, st.expand(st.members))
+        yield Hypergraph._trusted(G.n, G.r, st.expand(st.members))

@@ -349,7 +349,7 @@ def _fan_free_corpus(seed: int):
                 break
             if st.can_add(e):
                 st.add(e)
-        out.append(Hypergraph(n, 3, st.current))
+        out.append(Hypergraph._trusted(n, 3, st.current))
     return out
 
 
@@ -379,7 +379,7 @@ def _check_blowup_bound(seed: int):
         for e in cands:
             if st.can_add(e) and rng.random() < 0.8:
                 st.add(e)
-        L = Hypergraph(nl, 3, st.current)
+        L = Hypergraph._trusted(nl, 3, st.current)
         sizes = [rng.randint(1, 5) for _ in range(nl)]
         while sum(sizes) > 30:
             sizes[sizes.index(max(sizes))] -= 1

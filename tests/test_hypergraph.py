@@ -36,6 +36,14 @@ def test_edges_normalized_and_deduped():
     assert len(g.edges) == 2
 
 
+def test_trusted_constructor_still_checks_sizes():
+    with pytest.raises(ValueError):
+        Hypergraph._trusted(-1, 2, [])
+    with pytest.raises(ValueError):
+        Hypergraph._trusted(3, 0, [])
+    assert Hypergraph._trusted(3, 2, [(0, 1)]) == Hypergraph(3, 2, [(1, 0)])
+
+
 def test_isolated_vertices_representable():
     g = Hypergraph(10, 3, [(0, 1, 2)])
     assert g.n == 10 and g.degrees[9] == 0
@@ -72,6 +80,37 @@ def test_link_errors():
         g.link([0, 1, 2])
     with pytest.raises(ValueError):
         g.link([7])
+
+
+# -- induced, relabel, with_edges -------------------------------------------
+
+
+def test_induced_rejects_out_of_range_vertices():
+    g = Hypergraph(3, 2, [(0, 1), (1, 2)])
+    for relabel in (False, True):
+        with pytest.raises(ValueError):
+            g.induced([0, 1, 7], relabel=relabel)
+        with pytest.raises(ValueError):
+            g.induced([-1, 0], relabel=relabel)
+    assert g.induced([2, 1], relabel=True) == Hypergraph(2, 2, [(0, 1)])
+    assert g.induced([0, 1]) == Hypergraph(3, 2, [(0, 1)])
+
+
+def test_relabel_rejects_a_mapping_that_is_not_a_permutation():
+    g = Hypergraph(3, 2, [(0, 1), (1, 2)])
+    for bad in ({0: 0, 1: 1, 2: 0}, [0, 1, 3], [0, 1, -1], {0: 1, 1: 0}, [2, 1]):
+        with pytest.raises(ValueError):
+            g.relabel(bad)
+    assert g.relabel({0: 2, 1: 0, 2: 1}).edge_list == ((0, 1), (0, 2))
+    assert g.relabel([1, 0, 2]) == Hypergraph(3, 2, [(0, 1), (0, 2)])
+
+
+def test_with_edges_validates_the_new_edges():
+    g = Hypergraph(4, 2, [(0, 1)])
+    assert g.with_edges([(3, 2), [1, 0]]).edge_list == ((0, 1), (2, 3))
+    for bad in ([(0, 4)], [(1, 1)], [(0, 1, 2)], [(-1, 0)]):
+        with pytest.raises(ValueError):
+            g.with_edges(bad)
 
 
 # -- shadow ----------------------------------------------------------------

@@ -19,7 +19,9 @@ from turanlag import (
     SigmaPredicate,
     SubgraphPredicate,
     blowup,
+    brute_force_ex,
     complete_hypergraph,
+    core_representatives,
     contains_family_member,
     contains_sigma_member,
     contains_subhypergraph,
@@ -34,15 +36,22 @@ from turanlag import (
     poly_value,
     grad,
     is_cancellative,
+    intermediate_graphs,
     kernel_clean,
+    lagrangian_density_search,
+    local_search_lower,
+    random_hypergraph,
+    replay_trace,
     run_plain,
     run_with_cleaning,
     single_edge,
     symmetrize,
+    turan_hypergraph,
 )
 
 from turanlag.hypergraph import (_anchored_plans, _base_plan, _bits, _edge_masks,
                                  _embed, _pair_masks)
+from turanlag.verify import _fan_free_corpus
 
 from conftest import (backtracking_embedding, brute_contains, brute_family,
                       brute_is_cancellative, brute_matching, brute_sigma,
@@ -265,6 +274,88 @@ def test_kernel_clean_commutes_with_relabelling(g, data):
     for d in range(1, g.r):
         for p in range(4):
             assert kernel_clean(g.relabel(perm), p, d) == kernel_clean(g, p, d).relabel(perm)
+
+
+# -- trusted producers ---------------------------------------------------------
+# Edge sets the library builds itself skip the per-edge checks
+# (``Hypergraph._trusted``), so each producer must return exactly what the
+# validating constructor makes of its own edges.
+
+
+def assert_as_validated(H):
+    """H equals the validated construction of its edges, and every edge is a
+    sorted tuple of exactly r distinct ints."""
+    assert H == Hypergraph(H.n, H.r, H.edges)
+    for e in H.edges:
+        assert type(e) is tuple and len(e) == H.r, e
+        assert all(type(v) is int for v in e) and list(e) == sorted(set(e)), e
+
+
+@given(sparse_or_dense(8, (2, 3, 4)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_producers_match_validated_construction(g, data):
+    produced = [run_plain(g).result]
+    for alpha in (0, Fraction(1, 10), Fraction(1, 2)):
+        out = run_with_cleaning(g, alpha)
+        produced += [out.result, replay_trace(g, out.trace).result,
+                     *intermediate_graphs(g, out.trace),
+                     core_representatives(out.result).quotient]
+    produced.append(core_representatives(g).quotient)
+    uncovered = [pr for pr in itertools.combinations(range(g.n), 2)
+                 if pr not in g.covered_pairs]
+    if uncovered:
+        u, v = data.draw(st.sampled_from(uncovered), label="pair")
+        produced += [symmetrize(g, v, u), symmetrize(g, u, v)]
+    produced += [kernel_clean(g, p, d) for d in range(1, g.r) for p in range(3)]
+    verts = data.draw(st.lists(st.integers(0, g.n - 1), unique=True), label="verts")
+    produced += [g.induced(verts), g.induced(verts, relabel=True)]
+    S = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.r - 1),
+                  label="S")
+    produced.append(g.link(S))
+    sizes = data.draw(st.lists(st.integers(1, 2), min_size=g.n, max_size=g.n),
+                      label="sizes")
+    produced.append(blowup(g, sizes))
+    produced.append(g.relabel(data.draw(st.permutations(range(g.n)), label="perm")))
+    cands = list(itertools.combinations(range(g.n), g.r))
+    extra = data.draw(st.lists(st.sampled_from(cands).flatmap(st.permutations).map(tuple),
+                               max_size=3), label="extra")
+    produced.append(g.with_edges(extra))
+    parts = data.draw(st.integers(g.r, g.n + 1), label="parts")
+    produced.append(turan_hypergraph(g.n, g.r, parts).graph)
+    for H in produced:
+        assert_as_validated(H)
+
+
+@given(hypergraphs(max_n=5, rs=(2, 3, 4)), st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_search_witnesses_match_validated_construction(f, extra):
+    n = min(f.n + extra, 6)
+    for pred in (SubgraphPredicate(f), CancellativePredicate()):
+        if not pred.is_free(Hypergraph(n, f.r, [])):
+            continue
+        assert_as_validated(brute_force_ex(n, f.r, pred).witness)
+        assert_as_validated(local_search_lower(n, f.r, pred, seed=1, iters=30).witness)
+
+
+@pytest.mark.parametrize("F, t_max", [(path_graph(3), 5), (complete_hypergraph(3, 2), 5),
+                                      (generalized_triangle(3), 5)])
+def test_density_witness_matches_validated_construction(F, t_max):
+    res = lagrangian_density_search(F, t_max)
+    assert res.witness.edges
+    assert_as_validated(res.witness)
+
+
+def test_constructions_and_corpora_match_validated_construction():
+    graphs = [complete_hypergraph(6, 3), single_edge(4), generalized_triangle(4),
+              random_hypergraph(7, 3, edge_count=12, rng=1),
+              random_hypergraph(6, 4, density=0.5, rng=2), enlargement(path_graph(4), 4),
+              expanded_clique_with_embedded(generalized_triangle(3), 5).graph,
+              expanded_clique_with_embedded(path_graph(3), 4).graph]
+    graphs += [turan_hypergraph(n, r, parts).graph
+               for n in range(7) for r in (2, 3) for parts in (r, r + 1, 5)]
+    graphs += _fan_free_corpus(0)
+    for H in graphs:
+        assert_as_validated(H)
 
 
 @given(hypergraphs(rs=(1, 2, 3, 4, 5)))
