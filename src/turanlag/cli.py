@@ -230,8 +230,7 @@ def _cmd_search(args) -> int:
                                       iters=args.iters) for n in sizes)
     else:
         # one pass solves every size up to HI; the rows start at LO
-        results = (res for res in _solve_sizes(sizes[-1], args.r, pred,
-                                               args.budget_secs, args.seed)
+        results = (res for res in _solve_sizes(sizes[-1], args.r, pred, args.budget_secs)
                    if res.witness.n >= sizes.start)
     if args.sweep:
         all_exact = True
@@ -318,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="randomized lower bound instead of the exact search")
     e.add_argument("--budget-secs", type=float, default=None)
     e.add_argument("--iters", type=int, default=2000)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=int, default=0,
+                   help="seeds --heuristic only; the exact search runs no random code")
     e.add_argument("--json", action="store_true")
     e.set_defaults(fn=_cmd_search)
 

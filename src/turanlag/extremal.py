@@ -20,12 +20,14 @@ from the size below.  Every predicate here is closed under deleting a
 vertex, so a free G on k vertices has e(G) - d(v) = e(G - v) <= ex(k-1)
 for each vertex v; a size that ran out of time gives no bound, and C(k-1, r)
 stands in for ex(k-1).
-  * Seed: the (k-1) witness plus an isolated vertex replaces the presearch's
-    incumbent when it has more edges and the predicate accepts it (a
-    pattern with isolated vertices can reject it).
+  * Seed: the (k-1) witness plus an isolated vertex replaces the incumbent
+    when it has more edges and the predicate accepts it (a pattern with
+    isolated vertices can reject it).
   * Ceiling: averaging over v gives ex(k) <= floor(ex(k-1) * k / (k - r))
     (Katona, Nemetz and Simonovits 1964; C(k, r) for k <= r).  An incumbent
-    that reaches it is exact, and no DFS runs.
+    that reaches it is exact: no graph on k vertices has more edges.  If
+    the seeds reach it, no DFS runs; if the DFS's incumbent reaches it, the
+    DFS stops there, as every subtree left holds nothing better.
   * Degree bound: a graph with more than best edges gives every vertex
     degree at least need = best + 1 - ex(k-1).  avail[v], v's degree plus
     its undecided candidates, bounds the degree of v in every completion.
@@ -37,9 +39,8 @@ The plain counting bound (included + remaining <= best) is tested at each
 exclude child too; an include child keeps its parent's sum and avail
 against the same incumbent, so it always passes.  Once best >= ex(k-1),
 need >= 1: every vertex must be covered, which subsumes pinning vertex 0.
-Each size starts from a heuristic incumbent so the bounds bite at once: the
-best free balanced multipartite graph, and at n a presearch of 400
-local-search rounds from it.
+Each size starts from the best free balanced multipartite graph as its
+incumbent, so the bounds bite at once.  The search runs no random code.
 
 The DFS visits one labelling per isomorphism class, or a few: a lex-leader
 cut.  Read a graph as its 0/1 vector over the candidates in colex order;
@@ -59,8 +60,9 @@ largest, and the DFS keeps only subtrees that can hold a leader.
   * The first candidate.  A graph with an edge has a relabelling that
     holds {0, ..., r - 1}, so its leader holds it; the exclude child of
     the first candidate holds no leader but the empty graph, which never
-    beats the incumbent.  (This stands in for the vertex-0 pin where the
-    seed from below is not free and need stays below 1.)
+    beats the incumbent and covers no pair.  (This stands in for the
+    vertex-0 pin where the seed from below is not free and need stays
+    below 1.)
 A leader passes every such comparison.  Freeness does not depend on
 labels, and the counting, degree and ceiling bounds cut only subtrees in
 which no graph beats the incumbent, so the leader of any graph with more
@@ -69,6 +71,10 @@ those of the DFS without the cut, and only the witness (the first the DFS
 reaches) and the node count move.  A cut include child is not a node, like
 one that can_add refuses; the exclude child of the first candidate counts
 one node, like one that fails a bound.
+
+One DFS, ``_leader_dfs``, keeps the cut, can_add and the node count; the
+exact search (``_exhaust``) and the density search's hosts
+(``_covering_hosts``) each pass it their own test of the exclude child.
 """
 
 from __future__ import annotations
@@ -117,7 +123,6 @@ __all__ = [
 ]
 
 EXACT_EDGE_CAP = 64
-_PRESEARCH_ITERS = 400  # local-search rounds for the exact search's incumbent
 _FAMILY_CHECK_LIMIT = 10  # family_free_subgraph checks outputs up to this order
 
 
@@ -409,23 +414,25 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
     keeping one labelling per isomorphism class or a few; refuses when
     C(n, r) exceeds the hard cap.  The sizes 0, ..., n are solved in turn,
     each with the bound and witness of the size below (see the module
-    docstring), so a call does the work of a sweep up to n.
+    docstring), so a call does the work of a sweep up to n.  The search runs
+    no random code: ``seed`` is accepted and ignored, kept only for callers
+    that still pass it.
 
     nodes_explored counts the nodes of the search at n only; the sizes
-    below are not in it.  A size closed by its ceiling counts one node, its
-    root.  The DFS counts each call, and each exclude child that fails the
-    counting or the degree bound or is the first candidate's, which gets no
-    call; an include child that the lex-leader cut or can_add refuses is
-    not counted.  A time budget is one deadline for all sizes; each size
-    reads it at the first call once 4096 of its own nodes have passed since
-    its last reading.  Once it has passed, the result is a best-so-far
-    bound with exact=False instead of exhausting.
+    below are not in it.  A size closed by its ceiling before the DFS counts
+    one node, its root.  The DFS counts each call, and each exclude child
+    that fails the counting or the degree bound or is the first candidate's,
+    which gets no call; an include child that the lex-leader cut or can_add
+    refuses is not counted.  A time budget is one deadline for all sizes;
+    each size reads it at the first call once 4096 of its own nodes have
+    passed since its last reading.  Once it has passed, the result is a
+    best-so-far bound with exact=False instead of exhausting.
     """
-    return list(_solve_sizes(n, r, forbidden, max_seconds, seed))[-1]
+    return list(_solve_sizes(n, r, forbidden, max_seconds))[-1]
 
 
 def _solve_sizes(n: int, r: int, forbidden: ForbiddenPredicate,
-                 max_seconds: Optional[float], seed: int) -> Iterator[SearchResult]:
+                 max_seconds: Optional[float]) -> Iterator[SearchResult]:
     """Yield brute_force_ex's result for each size k = 0, ..., n, elapsed
     counted from the start of the pass; sizes below r close at ceiling 0."""
     m = math.comb(n, r)
@@ -438,13 +445,82 @@ def _solve_sizes(n: int, r: int, forbidden: ForbiddenPredicate,
     deadline = None if max_seconds is None else t0 + max_seconds
     res = None
     for k in range(n + 1):
-        # raises ValueError when not even the empty graph is free.  Below n,
-        # the witness from below and the multipartite seeds stand in for the
-        # presearch's rounds, which cost more there than they save
-        inc = local_search_lower(k, r, forbidden, seed=seed,
-                                 iters=_PRESEARCH_ITERS if k == n else 0)
+        # the multipartite seeds; raises ValueError when not even the empty
+        # graph is free
+        inc = local_search_lower(k, r, forbidden, iters=0)
         res = _exhaust(k, r, forbidden, inc, res, t0, deadline)
         yield res
+
+
+class _Stop(Exception):
+    """Raised by a hook of ``_leader_dfs`` to end the whole walk at once."""
+
+
+def _leader_dfs(k: int, r: int, state, avail: list, enter, keep,
+                deadline: Optional[float] = None) -> tuple[int, bool]:
+    """Walk the subset tree over the colex candidates on k vertices, include
+    child first, on the predicate state, keeping only subtrees that can hold
+    a lex leader (see the module docstring).  Return the node count and
+    whether the deadline, read as ``brute_force_ex`` says, stopped the walk.
+
+    A node is a call at candidate index i, with ``count`` of the first i
+    candidates in the state; i == C(k, r) is a leaf.  ``enter(i, count)``
+    runs at each node an include child reached and at each leaf, and
+    returns True to end the node.  The exclude child of e = cands[i] is
+    tried when ``keep(i, e, count)`` holds, with avail lowered at e: the
+    caller's list, from C(k-1, r-1) per vertex, stays each vertex's degree
+    plus its undecided candidates.  A hook may raise _Stop to end the walk,
+    leaving the state as it is.
+    """
+    cands = _colex_candidates(k, r)
+    m = len(cands)
+    # steps[i]: cands[i] = T + {j}; its partner T + {j - 1} when j - 1 is
+    # not in T (so decided earlier), else None; and whether cands[i] opens
+    # the block of j
+    steps = [(e, e[:-1] + (e[-1] - 1,) if e[-1] and e[-1] - 1 not in e else None,
+              i == 0 or e[-1] != cands[i - 1][-1]) for i, e in enumerate(cands)]
+    current, can_add, s_add, s_remove = state.current, state.can_add, state.add, state.remove
+    nodes = 0
+    next_check = 4096  # the node count at which the deadline is next read
+    aborted = False
+
+    def dfs(i: int, count: int, tied: bool, rose: bool) -> None:
+        nonlocal nodes, next_check, aborted
+        nodes += 1
+        if deadline is not None and nodes >= next_check:
+            next_check = nodes + 4096
+            if time.perf_counter() > deadline:
+                aborted = True
+                raise _Stop
+        # an exclude child keeps its parent's count, so before the leaf only
+        # a node that an include child reached can bring news
+        if (rose or i == m) and (enter(i, count) or i == m):
+            return
+        e, p, opens = steps[i]
+        tied = tied or opens
+        pinned = tied and p is not None  # e, p decide the swap of j - 1 and j
+        held = pinned and p in current
+        if (held or not pinned) and can_add(e):
+            s_add(e)
+            dfs(i + 1, count + 1, tied, True)
+            s_remove(e)
+        if held:
+            tied = False  # excluding e makes the swapped vector smaller
+        # at i = 0 the exclude child holds no leader but the empty graph
+        if i == 0 or not keep(i, e, count):
+            nodes += 1
+        else:
+            for v in e:
+                avail[v] -= 1
+            dfs(i + 1, count, tied, False)
+            for v in e:
+                avail[v] += 1
+
+    try:
+        dfs(0, 0, True, False)
+    except _Stop:
+        pass
+    return nodes, aborted
 
 
 def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
@@ -461,77 +537,79 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
         if (below.value > best
                 and forbidden.is_free(Hypergraph._trusted(k, r, below.witness.edges))):
             best, best_edges = below.value, set(below.witness.edges)
-    if best >= (m if k <= r else lo * k // (k - r)):  # the ceiling holds
+    ceiling = m if k <= r else lo * k // (k - r)
+    if best >= ceiling:
         return SearchResult(best, Hypergraph._trusted(k, r, best_edges), True, 1,
                             time.perf_counter() - t0)
 
-    cands = _colex_candidates(k, r)
-    # partner[i]: T + {j - 1} for cands[i] = T + {j} with j - 1 not in T
-    # (decided earlier), else None; first[i]: cands[i] opens the block of j
-    partner = [e[:-1] + (e[-1] - 1,) if e[-1] and e[-1] - 1 not in e else None
-               for e in cands]
-    first = [i == 0 or e[-1] != cands[i - 1][-1] for i, e in enumerate(cands)]
     state = forbidden.state(k, r)
-    current, can_add, s_add, s_remove = state.current, state.can_add, state.add, state.remove
-    # avail[v]: v's degree plus its undecided candidates, so the most degree
-    # any completion can give v.  A graph with more than best edges gives
-    # each vertex at least need = best + 1 - lo.  Below the ceiling the root
-    # meets it: every vertex has C(k-1, r-1) >= ceiling - lo >= need.
+    current = state.current
+    # a graph with more than best edges gives each vertex at least
+    # need = best + 1 - lo.  Below the ceiling the root meets it: every
+    # vertex has C(k-1, r-1) >= ceiling - lo >= need
     avail = [math.comb(k - 1, r - 1)] * k
     need = best + 1 - lo
 
-    nodes = 0
-    next_check = 4096  # the node count at which the deadline is next read
-    aborted = False
-
-    def dfs(i: int, count: int, tied: bool) -> None:
-        nonlocal nodes, next_check, best, best_edges, need, aborted
-        nodes += 1
-        if deadline is not None and nodes >= next_check:
-            next_check = nodes + 4096
-            if time.perf_counter() > deadline:
-                aborted = True
-                return
+    def enter(i: int, count: int) -> bool:
+        nonlocal best, best_edges, need
         if count > best:
-            best = count
-            best_edges = set(current)
-            need = best + 1 - lo
-            if min(avail) < need:
-                return  # some vertex falls short in every completion
-        if i == m:
-            return
-        e = cands[i]
-        p = partner[i]
-        tied = tied or first[i]
-        pinned = tied and p is not None  # e, p decide the swap of j - 1 and j
-        if (not pinned or p in current) and can_add(e):
-            s_add(e)
-            dfs(i + 1, count + 1, tied)
-            s_remove(e)
-        if aborted:
-            return
-        if pinned and p in current:
-            tied = False  # excluding e makes the swapped vector smaller
-        # the exclude child lowers avail only at e; at i = 0 it holds no
-        # leader but the empty graph
-        short = i == 0 or count + (m - i - 1) <= best
-        if not short:
-            for v in e:
-                if avail[v] <= need:
-                    short = True
-                    break
-        if short:
-            nodes += 1  # the exclude child fails a bound on entry
-        else:
-            for v in e:
-                avail[v] -= 1
-            dfs(i + 1, count, tied)
-            for v in e:
-                avail[v] += 1
+            best, best_edges, need = count, set(current), count + 1 - lo
+            if best >= ceiling:
+                raise _Stop  # nothing beats it: the size is exact
+            return min(avail) < need  # some vertex falls short in every completion
+        return False
 
-    dfs(0, 0, True)
+    def keep(i: int, e: Edge, count: int) -> bool:
+        # the exclude child lowers avail only at e
+        if count + (m - i - 1) <= best:
+            return False
+        for v in e:
+            if avail[v] <= need:
+                return False
+        return True
+
+    nodes, aborted = _leader_dfs(k, r, state, avail, enter, keep, deadline)
     return SearchResult(best, Hypergraph._trusted(k, r, best_edges), not aborted, nodes,
                         time.perf_counter() - t0)
+
+
+def _covering_hosts(k: int, r: int, forbidden: ForbiddenPredicate) -> list[frozenset]:
+    """The maximal predicate-free r-graphs on k vertices that cover every
+    pair: the lex leader of each isomorphism class, with a few other
+    labellings.
+
+    The leader DFS's exclude child of e is cut when some pair of e is
+    covered by no current edge and by no later candidate that can_add
+    accepts now.  can_add only loses candidates deeper in the tree, as the
+    predicate is monotone, so the subtree holds no graph that covers the
+    pair.  A pair's last candidate is either included or excluded with the
+    pair covered, so every leaf covers every pair; the leaves to which no
+    candidate can be added are returned.  Relabelling keeps freeness,
+    maximality and pair covering, and neither cut drops a leader.
+    """
+    cands = _colex_candidates(k, r)
+    m = len(cands)
+    state = forbidden.state(k, r)
+    current, can_add = state.current, state.can_add
+    # split[i]: for each pair of cands[i], the candidates through it before i
+    # and those after i
+    split = [tuple((tuple(c for c in cands[:i] if a in c and b in c),
+                    tuple(c for c in cands[i + 1:] if a in c and b in c))
+                   for a, b in itertools.combinations(e, 2))
+             for i, e in enumerate(cands)]
+    hosts = []
+
+    def enter(i: int, count: int) -> bool:
+        if i == m and not any(e not in current and can_add(e) for e in cands):
+            hosts.append(frozenset(current))
+        return False
+
+    def keep(i: int, e: Edge, count: int) -> bool:
+        return all(any(c in current for c in before) or any(map(can_add, after))
+                   for before, after in split[i])
+
+    _leader_dfs(k, r, state, [math.comb(k - 1, r - 1)] * k, enter, keep)
+    return hosts
 
 
 def _refill_rounds(state, cands, rng, rounds: int) -> Iterator[set]:

@@ -67,11 +67,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .extremal import SubgraphPredicate, _colex_candidates, _refill_rounds
+from .extremal import (ForbiddenPredicate, SubgraphPredicate, _colex_candidates,
+                       _covering_hosts, _refill_rounds)
 from .hypergraph import (Hypergraph, VertexSet, _bits, _cliques, _pair_masks,
                          falling_factorial)
 
@@ -634,43 +635,50 @@ class DensitySearchResult(NamedTuple):
     evaluated: int
 
 
-def lagrangian_density_search(F: Hypergraph, t_max: int, *,
+def lagrangian_density_search(forbidden: Union[ForbiddenPredicate, Hypergraph],
+                              t_max: int, *, r: Optional[int] = None,
                               seed: int = 0) -> DensitySearchResult:
-    """Lower bound on the Lagrangian density of F: max lambda(G) over F-free
-    hosts on at most t_max vertices.
+    """Lower bound on the Lagrangian density of a forbidden configuration:
+    max lambda(G) over predicate-free r-graphs G on at most t_max vertices.
 
-    Hosts with exactly t vertices are searched for each t <= t_max on the
-    incremental state of ``SubgraphPredicate(F)``, the one the exact Turan
-    search uses.  Two generators yield the state's live edge set, one host
-    at a time: ``_density_dfs`` every maximal F-free graph while
-    C(t, r) <= 25, beyond that ``_refill_rounds`` (``local_search_lower``'s
-    rule) the graph after each of 151 rounds from the empty graph.  One loop
-    builds each host, gives it an 8-restart ``lagrangian`` and keeps the best.
-    ``exact`` records whether every host size was exhausted (the value is a
-    lower bound either way).
+    ``forbidden`` is a predicate, with ``r`` given, or a pattern F, read as
+    ``SubgraphPredicate(F)`` with r = F.r.  It suffices to search the hosts
+    that cover every pair: some optimal weighting of G has a support S on
+    which every pair is covered (Frankl and Rodl 1984, "Hypergraphs do not
+    jump"), and G[S] lies in a maximal free graph on |S| vertices, which
+    covers pairs too and has at least its Lagrangian.  While
+    C(t, r) <= 25, ``extremal._covering_hosts`` gives these hosts on t
+    vertices, one labelling per isomorphism class or a few; beyond that
+    ``_refill_rounds`` (``local_search_lower``'s rule) gives the graph after
+    each of 151 rounds from the empty graph.  One loop builds each host,
+    gives it an 8-restart ``lagrangian`` and keeps the best.  ``exact``
+    records whether every host size was exhausted (the value is a lower
+    bound either way).
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if t_max < F.r:
+    if isinstance(forbidden, Hypergraph):
+        r = forbidden.r if r is None else r
+    elif r is None:
+        raise ValueError("a forbidden predicate needs the uniformity r")
+    if t_max < r:
         raise ValueError("t_max must be at least the uniformity")
-    r = F.r
     best_val, best_wit = 0.0, Hypergraph(t_max, r, [])
     evaluated, exact = 0, True
-    if F.n == 0:
-        # the empty pattern embeds in every host: no F-free host exists
-        return DensitySearchResult(best_val, best_wit, exact, evaluated)
-    pred = SubgraphPredicate(F)
+    if isinstance(forbidden, Hypergraph):
+        if forbidden.n == 0:
+            # the empty pattern embeds in every host: no F-free host exists
+            return DensitySearchResult(best_val, best_wit, exact, evaluated)
+        forbidden = SubgraphPredicate(forbidden)
     for t in range(r, t_max + 1):
-        if not pred.is_free(Hypergraph(t, r, [])):
-            continue  # F (edgeless or tiny) already embeds in t isolated vertices
-        cands = _colex_candidates(t, r)
-        state = pred.state(t, r)
+        if not forbidden.is_free(Hypergraph(t, r, [])):
+            continue  # the configuration already sits in t isolated vertices
         if math.comb(t, r) <= _DENSITY_EXHAUSTIVE_CAP:
-            hosts = _density_dfs(state, cands)
+            hosts = _covering_hosts(t, r, forbidden)
         else:
             exact = False
-            hosts = _refill_rounds(state, cands, random.Random(seed * 1000003 + t),
-                                   _DENSITY_ITERS)
+            hosts = _refill_rounds(forbidden.state(t, r), _colex_candidates(t, r),
+                                   random.Random(seed * 1000003 + t), _DENSITY_ITERS)
         for edges in hosts:
             G = Hypergraph._trusted(t, r, edges)
             evaluated += 1
@@ -678,22 +686,6 @@ def lagrangian_density_search(F: Hypergraph, t_max: int, *,
             if est.value > best_val + 1e-12:
                 best_val, best_wit = est.value, G
     return DensitySearchResult(best_val, best_wit, exact, evaluated)
-
-
-def _density_dfs(state, cands, i: int = 0) -> Iterator[set]:
-    """Yield the state's live edge set at every maximal predicate-free graph
-    that adds to it only candidates from index i on, in include-first order."""
-    if i == len(cands):
-        # a graph that is not maximal is skipped: its superset leaf covers it
-        if not any(e not in state.current and state.can_add(e) for e in cands):
-            yield state.current
-        return
-    e = cands[i]
-    if state.can_add(e):
-        state.add(e)
-        yield from _density_dfs(state, cands, i + 1)
-        state.remove(e)
-    yield from _density_dfs(state, cands, i + 1)
 
 
 # -- stability probe ----------------------------------------------------

@@ -134,7 +134,7 @@ class VerifyReport:
 def _check_mantel(seed: int):
     k3 = complete_hypergraph(3, 2)
     measured, expected = {}, {}
-    for n, res in enumerate(_solve_sizes(7, 2, SubgraphPredicate(k3), None, seed)):
+    for n, res in enumerate(_solve_sizes(7, 2, SubgraphPredicate(k3), None)):
         if n < 3:
             continue
         measured[n] = res.value
@@ -150,7 +150,7 @@ def _check_mantel(seed: int):
 
 def _check_cancellative(seed: int):
     measured, expected = {}, {5: 4, 6: 8}
-    for n, res in enumerate(_solve_sizes(6, 3, CancellativePredicate(), None, seed)):
+    for n, res in enumerate(_solve_sizes(6, 3, CancellativePredicate(), None)):
         if n < 5:
             continue
         measured[n] = res.value

@@ -22,7 +22,6 @@ from turanlag import (
     SymmetrizationTrace,
 )
 from turanlag.extremal import (
-    _PRESEARCH_ITERS,
     EXACT_EDGE_CAP,
     ExactSearchRefused,
     ForbiddenPredicate,
@@ -31,6 +30,8 @@ from turanlag.extremal import (
     local_search_lower,
 )
 from turanlag.lagrangian import _SUPPORT_EPS, _TOL
+
+_PRESEARCH_ITERS = 400  # colex_dfs_oracle's local-search rounds for its incumbent
 
 
 def brute_contains(G: Hypergraph, F: Hypergraph) -> bool:
@@ -222,6 +223,23 @@ def refill_rounds_oracle(state, cands, rng, rounds: int):
             if e not in current and state.can_add(e):
                 state.add(e)
         yield current
+
+
+def density_dfs_oracle(state, cands, i: int = 0):
+    """Yield the state's live edge set at every maximal predicate-free graph
+    that adds to it only candidates from index i on, in include-first order:
+    every labelling, pair-covering or not, with no cut."""
+    if i == len(cands):
+        # a graph that is not maximal is skipped: its superset leaf covers it
+        if not any(e not in state.current and state.can_add(e) for e in cands):
+            yield state.current
+        return
+    e = cands[i]
+    if state.can_add(e):
+        state.add(e)
+        yield from density_dfs_oracle(state, cands, i + 1)
+        state.remove(e)
+    yield from density_dfs_oracle(state, cands, i + 1)
 
 
 def colex_lex_leader(G: Hypergraph) -> Hypergraph:

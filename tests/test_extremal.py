@@ -120,8 +120,8 @@ def test_exact_search_cap():
 
 
 def test_budget_abort():
-    # K_4^(3)-free: the sizes below 7 finish in at most 249 nodes each, so
-    # they never read the deadline, and n=7 needs 56,133 nodes to exhaust.
+    # K_4^(3)-free: the sizes below 7 finish in at most 126 nodes each, so
+    # they never read the deadline, and n=7 needs 56,662 nodes to exhaust.
     # A zero budget stops the n=7 search at its first call once 4096 of its
     # nodes are counted.  Between two calls the DFS unwinds through at most
     # one level per candidate, and each level counts at most one exclude
@@ -145,9 +145,10 @@ PINNED = [
     # the ceiling floor(4 * 6 / 3) = 8
     (6, 3, SigmaPredicate(3), 8, 5_630, 1),
     (6, 3, SubgraphPredicate(generalized_triangle(3)), 10, 5_556, 466),
-    # the oracle's vertex-0 pin at work: without it the count is 307; here
-    # the ceiling floor(2 * 6 / 4) = 3
-    (6, 2, SubgraphPredicate(path_graph(3)), 3, 268, 1),
+    # the oracle's vertex-0 pin at work: without it the count is 307.  The
+    # seeds hold 2 edges, below the ceiling floor(2 * 6 / 4) = 3, so the
+    # search runs until its incumbent reaches the ceiling
+    (6, 2, SubgraphPredicate(path_graph(3)), 3, 268, 16),
     (6, 4, CancellativePredicate(), 4, 1_155, 146),
     # ex(7) = 3 sits one below the ceiling floor(3 * 7 / 5) = 4
     (7, 2, SubgraphPredicate(path_graph(3)), 3, 1_028, 55),
@@ -305,6 +306,33 @@ def test_k4_3_free_n7():
     assert len(res.witness.edges) == 23 and pred.is_free(res.witness)
 
 
+def test_k4_3_free_n8_stops_at_the_ceiling():
+    # ex(7) = 23 gives the ceiling floor(23 * 8 / 5) = 36, and the DFS
+    # stops at the first incumbent that reaches it; exhausting the tree
+    # instead takes 10,451,373 nodes
+    pred = SubgraphPredicate(complete_hypergraph(4, 3))
+    res = brute_force_ex(8, 3, pred)
+    assert res.exact and (res.value, res.nodes_explored) == (36, 13_707)
+    assert len(res.witness.edges) == 36 and pred.is_free(res.witness)
+
+
+@pytest.mark.parametrize("n, r, pred", [
+    (6, 2, SubgraphPredicate(path_graph(3))),
+    (6, 3, SubgraphPredicate(complete_hypergraph(4, 3))),
+], ids=["P3", "K4^(3)"])
+def test_incumbent_reaching_ceiling_mid_dfs_is_exact(n, r, pred):
+    # the seeds sit below the ceiling from ex(n - 1), so the root does not
+    # close the size; the DFS reaches the ceiling and stops there, with the
+    # value and the exact flag of the oracle that exhausts its tree
+    below = brute_force_ex(n - 1, r, pred)
+    ceiling = below.value * n // (n - r)
+    assert max(below.value, local_search_lower(n, r, pred, iters=0).value) < ceiling
+    res = brute_force_ex(n, r, pred)
+    assert res.exact and res.value == ceiling and res.nodes_explored > 1
+    old = colex_dfs_oracle(n, r, pred)
+    assert (res.value, res.exact) == (old.value, old.exact)
+
+
 def test_size_below_out_of_time_gives_no_bound():
     # with the size below inexact, C(6, 2) stands in for ex(6), the ceiling
     # is C(7, 2) and the DFS runs; taking its value 9 as ex(6) would close
@@ -327,10 +355,17 @@ def test_seed_with_isolated_vertex_must_be_free():
     assert [colex_dfs_oracle(n, 3, pred).value for n in range(3, 8)] == [1, 4, 0, 0, 0]
 
 
+def test_no_free_graph_raises():
+    # two isolated vertices sit in the empty graph on two vertices, so the
+    # size k = 2 has no free graph at all
+    with pytest.raises(ValueError, match="no predicate-free graph"):
+        brute_force_ex(4, 2, SubgraphPredicate(Hypergraph(2, 2, [])))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_root_fails_counting_bound_when_presearch_holds_every_edge(n):
-    # K_6-free on at most 5 vertices: the presearch finds K_n, and the root
-    # alone is counted
+    # K_6-free on at most 5 vertices: the multipartite seed with n parts is
+    # K_n, and the root alone is counted
     res = brute_force_ex(n, 2, SubgraphPredicate(complete_hypergraph(6, 2)))
     assert res.exact and res.nodes_explored == 1
     assert res.value == math.comb(n, 2)

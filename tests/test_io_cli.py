@@ -306,7 +306,8 @@ def test_cli_negative_seed_exits_2_with_one_line(command, tmp_path, capsys):
 
 
 def test_cli_search_accepts_negative_seed(capsys):
-    # the presearch seeds only random.Random
+    # --seed seeds only the heuristic's random.Random; the exact search
+    # runs no random code
     assert main(["search", "--n", "4", "--r", "2", "--seed", "-1",
                  "--forbid", "subgraph:complete:n=3,r=2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 4

@@ -20,6 +20,7 @@ from turanlag import (
     enlargement,
     f_r_eval,
     falling_factorial,
+    generalized_triangle,
     grad,
     lagrangian,
     lagrangian_constrained,
@@ -32,7 +33,10 @@ from turanlag import (
     stability_probe,
     turan_hypergraph,
 )
-from turanlag.extremal import SubgraphPredicate, _colex_candidates, _refill_rounds
+from turanlag.extremal import (
+    CancellativePredicate, FamilyPredicate, SigmaPredicate, SubgraphPredicate,
+    _colex_candidates, _covering_hosts, _refill_rounds,
+)
 from turanlag.lagrangian import (
     _arrays, _ascend, _cannot_gain, _dots, _grad_np,
     _greedy_supports, _p_np, _project, _residual, _starts, _transfer,
@@ -40,8 +44,9 @@ from turanlag.lagrangian import (
 
 from conftest import (
     _fr_derivative_numerator, _poly_sign, add_at_gradient, bisection_capped_projection,
-    brute_contains, enumerate_mad, exact_poly_value, serial_ascend, serial_cannot_gain, serial_grad,
-    serial_p, serial_project, serial_transfer, sort_simplex_projection,
+    brute_contains, colex_lex_leader, density_dfs_oracle, enumerate_mad, exact_poly_value,
+    serial_ascend, serial_cannot_gain, serial_grad, serial_p, serial_project, serial_transfer,
+    sort_simplex_projection,
 )
 
 LAGRANGIAN = importlib.import_module("turanlag.lagrangian")
@@ -839,13 +844,68 @@ def test_density_local_considers_maximal_free_graphs():
 
 def test_density_search_local_level():
     # C(8, 2) = 28 > 25 candidates: the t = 8 level runs the local search; a
-    # P3-free 2-graph is a matching, so omega <= 2 and the density is 1/2
+    # P3-free 2-graph is a matching, so omega <= 2 and the density is 1/2.
+    # Below t = 8 only K_2 is a matching that covers pairs: one host, and
+    # 151 rounds at t = 8
     P3 = path_graph(3)
     res = lagrangian_density_search(P3, 8, seed=0)
     assert not res.exact
     assert abs(res.best_value - 0.5) <= 1e-9
-    assert res.evaluated == 142 + 151
+    assert res.evaluated == 1 + 151
     assert SubgraphPredicate(P3).is_free(res.witness)
+
+
+# (label, r, predicate, largest host order, r! lambda of the best host):
+# every level is exhaustive
+COVERING_CASES = [
+    ("K3", 2, SubgraphPredicate(complete_hypergraph(3, 2)), 5, 1 / 2),
+    ("K4", 2, SubgraphPredicate(complete_hypergraph(4, 2)), 5, 2 / 3),
+    ("P3", 2, SubgraphPredicate(path_graph(3)), 5, 1 / 2),
+    ("F5", 3, SubgraphPredicate(generalized_triangle(3)), 5, 3 / 8),
+    ("edge-p4", 3, FamilyPredicate(single_edge(3), 4), 6, 2 / 9),
+    ("sigma3", 3, SigmaPredicate(3), 5, 2 / 9),
+    ("cancellative3", 3, CancellativePredicate(), 5, 2 / 9),
+    ("cancellative4", 4, CancellativePredicate(), 5, 3 / 32),
+]
+
+
+@pytest.mark.parametrize("r, pred, top, value", [c[1:] for c in COVERING_CASES],
+                         ids=[c[0] for c in COVERING_CASES])
+def test_covering_hosts_match_labelled_oracle(r, pred, top, value):
+    # the host mode keeps a leader of every isomorphism class of maximal free
+    # graphs that cover pairs, and nothing else; the density search over them
+    # reaches the largest Lagrangian of every labelled maximal host
+    best = 0.0
+    for t in range(r, top + 1):
+        hosts = [Hypergraph(t, r, edges) for edges in _covering_hosts(t, r, pred)]
+        labelled = [Hypergraph(t, r, set(edges)) for edges in
+                    density_dfs_oracle(pred.state(t, r), _colex_candidates(t, r))]
+        covering = [G for G in labelled if len(G.covered_pairs) == math.comb(t, 2)]
+        assert ({colex_lex_leader(G).edges for G in hosts}
+                == {colex_lex_leader(G).edges for G in covering}), t
+        assert len(hosts) <= len(covering)
+        best = max([best] + [lagrangian(G, restarts=8).value for G in labelled])
+    res = lagrangian_density_search(pred, top, r=r)
+    assert res.exact and abs(res.best_value - best) <= 1e-12
+    assert abs(res.best_value - value) <= 1e-12 and pred.is_free(res.witness)
+
+
+def test_density_search_predicate_needs_r():
+    with pytest.raises(ValueError, match="uniformity r"):
+        lagrangian_density_search(SigmaPredicate(3), 5)
+
+
+@pytest.mark.parametrize("t", [5, 6, 7, 8])
+def test_star_closed_form(t):
+    # S_t, the triples through vertex 0, is F5-free and covers pairs.  Its
+    # Lagrangian is max x (1 - x)^2 / 2 * (1 - 1/(t-1)) at x = 1/3, so
+    # 3! lambda(S_t) = 4(t-2)/(9(t-1)): 10/27 < 3/8 at t = 7, 8/21 > 3/8 at
+    # t = 8.  So the density search's 3/8 for F5 is a lower bound that
+    # holds only up to t = 7
+    S = Hypergraph(t, 3, [(0, a, b) for a, b in itertools.combinations(range(1, t), 2)])
+    assert SubgraphPredicate(generalized_triangle(3)).is_free(S)
+    assert len(S.covered_pairs) == math.comb(t, 2)
+    assert abs(lagrangian(S).value - 4 * (t - 2) / (9 * (t - 1))) <= 1e-9
 
 
 def test_density_search_zero_vertex_pattern():
