@@ -123,6 +123,7 @@ __all__ = [
 ]
 
 EXACT_EDGE_CAP = 64
+_HOST_NODE_BUDGET = 1 << 18  # leader-DFS nodes per host size in _covering_hosts
 _FAMILY_CHECK_LIMIT = 10  # family_free_subgraph checks outputs up to this order
 
 
@@ -457,11 +458,13 @@ class _Stop(Exception):
 
 
 def _leader_dfs(k: int, r: int, state, avail: list, enter, keep,
-                deadline: Optional[float] = None) -> tuple[int, bool]:
+                deadline: Optional[float] = None, budget=math.inf) -> tuple[int, bool]:
     """Walk the subset tree over the colex candidates on k vertices, include
     child first, on the predicate state, keeping only subtrees that can hold
     a lex leader (see the module docstring).  Return the node count and
-    whether the deadline, read as ``brute_force_ex`` says, stopped the walk.
+    whether the deadline or the node budget stopped the walk; both are read
+    where ``brute_force_ex`` says, so a walk ends complete or at the first
+    reading at or past ``budget`` nodes.
 
     A node is a call at candidate index i, with ``count`` of the first i
     candidates in the state; i == C(k, r) is a leaf.  ``enter(i, count)``
@@ -481,15 +484,15 @@ def _leader_dfs(k: int, r: int, state, avail: list, enter, keep,
               i == 0 or e[-1] != cands[i - 1][-1]) for i, e in enumerate(cands)]
     current, can_add, s_add, s_remove = state.current, state.can_add, state.add, state.remove
     nodes = 0
-    next_check = 4096  # the node count at which the deadline is next read
+    next_check = 4096  # the node count at which the limits are next read
     aborted = False
 
     def dfs(i: int, count: int, tied: bool, rose: bool) -> None:
         nonlocal nodes, next_check, aborted
         nodes += 1
-        if deadline is not None and nodes >= next_check:
+        if nodes >= next_check:
             next_check = nodes + 4096
-            if time.perf_counter() > deadline:
+            if nodes >= budget or deadline is not None and time.perf_counter() > deadline:
                 aborted = True
                 raise _Stop
         # an exclude child keeps its parent's count, so before the leaf only
@@ -573,10 +576,11 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
                         time.perf_counter() - t0)
 
 
-def _covering_hosts(k: int, r: int, forbidden: ForbiddenPredicate) -> list[frozenset]:
+def _covering_hosts(k: int, r: int, forbidden: ForbiddenPredicate) -> tuple[list, bool]:
     """The maximal predicate-free r-graphs on k vertices that cover every
-    pair: the lex leader of each isomorphism class, with a few other
-    labellings.
+    pair, as frozensets: the lex leader of each isomorphism class, with a
+    few other labellings; and whether the walk ended within
+    ``_HOST_NODE_BUDGET`` nodes.  A stopped walk returns the hosts it found.
 
     The leader DFS's exclude child of e is cut when some pair of e is
     covered by no current edge and by no later candidate that can_add
@@ -608,15 +612,16 @@ def _covering_hosts(k: int, r: int, forbidden: ForbiddenPredicate) -> list[froze
         return all(any(c in current for c in before) or any(map(can_add, after))
                    for before, after in split[i])
 
-    _leader_dfs(k, r, state, [math.comb(k - 1, r - 1)] * k, enter, keep)
-    return hosts
+    _, aborted = _leader_dfs(k, r, state, [math.comb(k - 1, r - 1)] * k, enter, keep,
+                             budget=_HOST_NODE_BUDGET)
+    return hosts, not aborted
 
 
 def _refill_rounds(state, cands, rng, rounds: int) -> Iterator[set]:
-    """Yield the state's live edge set after each of ``rounds`` rounds: drop
-    one or two random edges with probability 0.35 (none from the empty
-    graph), then add, in a random order, each candidate that keeps it free.
-    Between rounds only this generator changes the state.
+    """``local_search_lower``'s loop.  Yield the state's live edge set after
+    each of ``rounds`` rounds, each of which drops one or two random edges
+    with probability 0.35 (none from the empty graph), then adds, in a random
+    order, each candidate that keeps it free.  Only this changes the state.
 
     The predicate is monotone, so a candidate that fails during a pass fails
     on every superset; after a pass the set is maximal, and a round that

@@ -56,7 +56,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         edges.append(e)
     if header is None:
         raise ParseError(1, "missing header line 'n r'")
-    return Hypergraph(n, r, edges)
+    return Hypergraph._trusted(n, r, edges)  # every edge is checked above
 
 
 def serialize_hypergraph(G: Hypergraph) -> str:

@@ -6,9 +6,10 @@ inside a frozenset, so membership tests are O(1) and every Hypergraph value is
 immutable, hashable, and safe to share across threads.
 
 Edges are validated once, where they enter the library: the public
-constructor ``Hypergraph(n, r, edges)`` (which ``hgio`` parses into) sorts,
-dedupes and range-checks every edge.  An edge set the library built itself
-goes through the private ``Hypergraph._trusted``, which checks only n and r.
+constructor ``Hypergraph(n, r, edges)`` sorts, dedupes and range-checks
+every edge, and ``hgio`` checks each parsed edge with its line.  Edge sets
+the library built or checked itself go through the private
+``Hypergraph._trusted``, which checks only n and r.
 Its callers must pass edges that are sorted tuples of exactly r distinct ints
 in 0..n-1; duplicates collapse as in any set.  The differential test in
 ``tests/test_properties.py`` holds every such producer to that contract.

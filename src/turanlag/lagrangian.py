@@ -64,15 +64,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .extremal import (ForbiddenPredicate, SubgraphPredicate, _colex_candidates,
-                       _covering_hosts, _refill_rounds)
+from .extremal import ForbiddenPredicate, SubgraphPredicate, _covering_hosts
 from .hypergraph import (Hypergraph, VertexSet, _bits, _cliques, _pair_masks,
                          falling_factorial)
 
@@ -97,11 +95,7 @@ _SUPPORT_EPS = 1e-9
 _TOL = 1e-9  # KKT residual at which an ascent counts as converged
 _MAX_ITERS = 5000  # gradient iterations per ascent
 
-# Lagrangian-density search: ascent restarts per host, refill rounds per host
-# order (the first a plain fill), and the largest C(t, r) searched exhaustively
-_DENSITY_RESTARTS = 8
-_DENSITY_ITERS = 151
-_DENSITY_EXHAUSTIVE_CAP = 25
+_DENSITY_RESTARTS = 8  # ascent restarts per host in the Lagrangian-density search
 
 
 # -- weight vectors -----------------------------------------------------
@@ -629,6 +623,9 @@ def motzkin_straus_reference(G: Hypergraph) -> float:
 
 
 class DensitySearchResult(NamedTuple):
+    """The best ascent value, its host, whether every host order's walk
+    ended within the node budget, and the number of hosts evaluated."""
+
     best_value: float
     witness: Hypergraph
     exact: bool
@@ -646,13 +643,12 @@ def lagrangian_density_search(forbidden: Union[ForbiddenPredicate, Hypergraph],
     that cover every pair: some optimal weighting of G has a support S on
     which every pair is covered (Frankl and Rodl 1984, "Hypergraphs do not
     jump"), and G[S] lies in a maximal free graph on |S| vertices, which
-    covers pairs too and has at least its Lagrangian.  While
-    C(t, r) <= 25, ``extremal._covering_hosts`` gives these hosts on t
-    vertices, one labelling per isomorphism class or a few; beyond that
-    ``_refill_rounds`` (``local_search_lower``'s rule) gives the graph after
-    each of 151 rounds from the empty graph.  One loop builds each host,
-    gives it an 8-restart ``lagrangian`` and keeps the best.  ``exact``
-    records whether every host size was exhausted (the value is a lower
+    covers pairs too and has at least its Lagrangian.  For each t from r to
+    t_max, ``extremal._covering_hosts`` gives these hosts on t vertices, one
+    labelling per isomorphism class or a few, from a leader DFS of at most
+    ``extremal._HOST_NODE_BUDGET`` nodes.  Each host, also one a stopped walk
+    found, gets an 8-restart ``lagrangian``, and the best is kept.  ``exact``
+    records whether every walk ended within the budget (the value is a lower
     bound either way).
     """
     if seed < 0:
@@ -673,12 +669,8 @@ def lagrangian_density_search(forbidden: Union[ForbiddenPredicate, Hypergraph],
     for t in range(r, t_max + 1):
         if not forbidden.is_free(Hypergraph(t, r, [])):
             continue  # the configuration already sits in t isolated vertices
-        if math.comb(t, r) <= _DENSITY_EXHAUSTIVE_CAP:
-            hosts = _covering_hosts(t, r, forbidden)
-        else:
-            exact = False
-            hosts = _refill_rounds(forbidden.state(t, r), _colex_candidates(t, r),
-                                   random.Random(seed * 1000003 + t), _DENSITY_ITERS)
+        hosts, finished = _covering_hosts(t, r, forbidden)
+        exact = exact and finished
         for edges in hosts:
             G = Hypergraph._trusted(t, r, edges)
             evaluated += 1

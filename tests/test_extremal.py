@@ -37,8 +37,8 @@ from turanlag.extremal import (
     _refill_rounds,
 )
 
-from conftest import (brute_is_cancellative, colex_dfs_oracle, colex_lex_leader,
-                      refill_rounds_oracle)
+from conftest import (brute_contains, brute_is_cancellative, colex_dfs_oracle,
+                      colex_lex_leader, refill_rounds_oracle)
 
 
 def k3():
@@ -500,6 +500,20 @@ def test_refill_rounds_match_a_full_pass_every_round(pred, n, r, seeded):
                          rng.getstate()))
         assert runs[0] == runs[1]
     assert calls[_refill_rounds] < calls[refill_rounds_oracle]
+
+
+def test_refill_rounds_yield_maximal_free_graphs():
+    # after its pass each round's set is maximal: every candidate left out
+    # makes a copy of the pattern
+    cands = _colex_candidates(8, 2)
+    seen = [Hypergraph(8, 2, edges) for edges in
+            _refill_rounds(SubgraphPredicate(k3()).state(8, 2), cands,
+                           random.Random(0), 20)]
+    assert len(seen) == 20
+    for G in seen:
+        assert not brute_contains(G, k3())
+        assert all(brute_contains(G.with_edges([e]), k3())
+                   for e in cands if e not in G.edges)
 
 
 # -- incremental states agree with the standalone predicates ---------------------

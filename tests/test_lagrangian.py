@@ -35,7 +35,7 @@ from turanlag import (
 )
 from turanlag.extremal import (
     CancellativePredicate, FamilyPredicate, SigmaPredicate, SubgraphPredicate,
-    _colex_candidates, _covering_hosts, _refill_rounds,
+    _colex_candidates, _covering_hosts,
 )
 from turanlag.lagrangian import (
     _arrays, _ascend, _cannot_gain, _dots, _grad_np,
@@ -44,11 +44,12 @@ from turanlag.lagrangian import (
 
 from conftest import (
     _fr_derivative_numerator, _poly_sign, add_at_gradient, bisection_capped_projection,
-    brute_contains, colex_lex_leader, density_dfs_oracle, enumerate_mad, exact_poly_value,
+    colex_lex_leader, density_dfs_oracle, enumerate_mad, exact_poly_value,
     serial_ascend, serial_cannot_gain, serial_grad, serial_p, serial_project, serial_transfer,
     sort_simplex_projection,
 )
 
+EXTREMAL = importlib.import_module("turanlag.extremal")
 LAGRANGIAN = importlib.import_module("turanlag.lagrangian")
 CONFTEST = importlib.import_module("conftest")
 
@@ -827,32 +828,38 @@ def test_density_search_k4_runs_on_clique_state():
     assert res.exact
 
 
-def test_density_local_considers_maximal_free_graphs():
-    # the density search's local level runs the exact search's refill rule
-    # from the empty graph: each round yields one maximal free host
-    k3 = complete_hypergraph(3, 2)
-    cands = _colex_candidates(8, 2)
-    seen = [Hypergraph(8, 2, edges) for edges in
-            _refill_rounds(SubgraphPredicate(k3).state(8, 2), cands,
-                           random.Random(0), 20)]
-    assert len(seen) == 20
-    for G in seen:
-        assert not brute_contains(G, k3)
-        assert all(brute_contains(G.with_edges([e]), k3)
-                   for e in cands if e not in G.edges)
-
-
-def test_density_search_local_level():
-    # C(8, 2) = 28 > 25 candidates: the t = 8 level runs the local search; a
-    # P3-free 2-graph is a matching, so omega <= 2 and the density is 1/2.
-    # Below t = 8 only K_2 is a matching that covers pairs: one host, and
-    # 151 rounds at t = 8
+def test_density_search_matchings_on_eight_vertices():
+    # a P3-free 2-graph is a matching, so omega <= 2 and the density is 1/2.
+    # Only K_2 is a matching that covers pairs, so it is the one host, and
+    # every size's walk finishes, C(8, 2) = 28 candidates included
     P3 = path_graph(3)
     res = lagrangian_density_search(P3, 8, seed=0)
-    assert not res.exact
+    assert res.exact and res.evaluated == 1
     assert abs(res.best_value - 0.5) <= 1e-9
-    assert res.evaluated == 1 + 151
     assert SubgraphPredicate(P3).is_free(res.witness)
+
+
+def test_density_search_f5_reaches_the_star_at_eight_vertices():
+    # the star S_8 is F5-free, covers pairs and has 3! lambda = 4*6/(9*7) =
+    # 8/21 > 3/8 (test_star_closed_form); the t = 8 walk finds it and ends
+    res = lagrangian_density_search(generalized_triangle(3), 8)
+    assert res.exact
+    assert abs(res.best_value - 8 / 21) <= 1e-9
+    assert SubgraphPredicate(generalized_triangle(3)).is_free(res.witness)
+    assert res.witness.n == 8 and len(res.witness.edges) == 21
+
+
+def test_density_search_budget_stops_the_walk(monkeypatch):
+    # F5 at t = 8 needs 10,439 nodes; a budget of 4096 stops the walk at its
+    # first reading, so the result is a lower bound, flagged, and the same
+    # on every call
+    monkeypatch.setattr(EXTREMAL, "_HOST_NODE_BUDGET", 4096)
+    F5 = generalized_triangle(3)
+    res = lagrangian_density_search(F5, 8)
+    assert not res.exact
+    assert SubgraphPredicate(F5).is_free(res.witness)
+    assert res.best_value >= 3 / 8 - 1e-12
+    assert lagrangian_density_search(F5, 8) == res
 
 
 # (label, r, predicate, largest host order, r! lambda of the best host):
@@ -869,6 +876,24 @@ COVERING_CASES = [
 ]
 
 
+@pytest.mark.parametrize("r, pred, t", [
+    (2, SubgraphPredicate(path_graph(3)), 8),
+    (4, CancellativePredicate(), 7),
+], ids=["P3-t8", "cancellative4-t7"])
+def test_covering_hosts_match_labelled_oracle_past_25_candidates(r, pred, t):
+    # C(t, r) = 28 and 35: the walk finishes within the budget and keeps the
+    # leader of every labelled maximal host that covers pairs.  Here there is
+    # none: the oracle's 105 and 3,122 maximal hosts all leave a pair
+    # uncovered, and the walk must not invent one
+    hosts, finished = _covering_hosts(t, r, pred)
+    assert finished
+    labelled = [Hypergraph(t, r, set(edges)) for edges in
+                density_dfs_oracle(pred.state(t, r), _colex_candidates(t, r))]
+    covering = [G for G in labelled if len(G.covered_pairs) == math.comb(t, 2)]
+    assert ({colex_lex_leader(Hypergraph(t, r, edges)).edges for edges in hosts}
+            == {colex_lex_leader(G).edges for G in covering})
+
+
 @pytest.mark.parametrize("r, pred, top, value", [c[1:] for c in COVERING_CASES],
                          ids=[c[0] for c in COVERING_CASES])
 def test_covering_hosts_match_labelled_oracle(r, pred, top, value):
@@ -877,7 +902,9 @@ def test_covering_hosts_match_labelled_oracle(r, pred, top, value):
     # reaches the largest Lagrangian of every labelled maximal host
     best = 0.0
     for t in range(r, top + 1):
-        hosts = [Hypergraph(t, r, edges) for edges in _covering_hosts(t, r, pred)]
+        found, finished = _covering_hosts(t, r, pred)
+        assert finished
+        hosts = [Hypergraph(t, r, edges) for edges in found]
         labelled = [Hypergraph(t, r, set(edges)) for edges in
                     density_dfs_oracle(pred.state(t, r), _colex_candidates(t, r))]
         covering = [G for G in labelled if len(G.covered_pairs) == math.comb(t, 2)]

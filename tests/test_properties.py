@@ -49,6 +49,7 @@ from turanlag import (
     turan_hypergraph,
 )
 
+from turanlag.hgio import parse_hypergraph, serialize_hypergraph
 from turanlag.hypergraph import (_anchored_plans, _base_plan, _bits, _edge_masks,
                                  _embed, _pair_masks)
 from turanlag.verify import _fan_free_corpus
@@ -322,6 +323,7 @@ def test_graph_producers_match_validated_construction(g, data):
     produced.append(g.with_edges(extra))
     parts = data.draw(st.integers(g.r, g.n + 1), label="parts")
     produced.append(turan_hypergraph(g.n, g.r, parts).graph)
+    produced.append(parse_hypergraph(serialize_hypergraph(g)))
     for H in produced:
         assert_as_validated(H)
 
@@ -338,7 +340,8 @@ def test_search_witnesses_match_validated_construction(f, extra):
 
 
 @pytest.mark.parametrize("F, t_max", [(path_graph(3), 5), (complete_hypergraph(3, 2), 5),
-                                      (generalized_triangle(3), 5)])
+                                      (generalized_triangle(3), 5),
+                                      (generalized_triangle(3), 7)])
 def test_density_witness_matches_validated_construction(F, t_max):
     res = lagrangian_density_search(F, t_max)
     assert res.witness.edges
