@@ -11,9 +11,8 @@ indexes live (the edge bitmasks, the degrees and the covered-pair adjacency
 with pair counts), and run plans compiled once per pattern: the subgraph
 state seeds the anchored plans, repeats collapsed, with e, so it searches
 only copies with a pattern edge on e; the family state runs the base plan
-in the cores through a pair of e.  K_t in 2-graphs has its own bitmask
-state; the sigma and cancellative families share
-``constructions._ThreeEdgeState`` with the one-shot checks.
+in the cores through a pair of e.  The sigma and cancellative families
+share ``constructions._ThreeEdgeState`` with the one-shot checks.
 
 The search solves the sizes 0, ..., n in turn and takes three things
 from the size below.  Every predicate here is closed under deleting a
@@ -167,50 +166,10 @@ class SubgraphPredicate(ForbiddenPredicate):
     def state(self, n: int, r: int):
         if r != self.pattern.r:
             raise ValueError("predicate uniformity mismatch")
-        t = _complete_two_graph_order(self.pattern)
-        if t is not None:
-            return _CliqueState(n, t)
         return _SubgraphState(n, self.plans)
 
     def describe(self) -> str:
         return f"subgraph(n={self.pattern.n},r={self.pattern.r},e={len(self.pattern.edges)})"
-
-
-def _complete_two_graph_order(F: Hypergraph) -> Optional[int]:
-    """t when F is exactly a complete 2-graph K_t without isolated vertices."""
-    if F.r != 2 or F.n < 2:
-        return None
-    if any(d == 0 for d in F.degrees):
-        return None
-    return F.n if len(F.edges) == math.comb(F.n, 2) else None
-
-
-class _CliqueState:
-    """Fast path for forbidding K_t in 2-graphs."""
-
-    def __init__(self, n: int, t: int):
-        self.current: set[Edge] = set()
-        self.t = t
-        self.adj = [0] * n
-
-    def can_add(self, e: Edge) -> bool:
-        u, v = e
-        common = self.adj[u] & self.adj[v]
-        if self.t == 3:
-            return common == 0
-        return next(_cliques(self.adj, common, self.t - 2), None) is None
-
-    def add(self, e: Edge) -> None:
-        self.current.add(e)
-        u, v = e
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-
-    def remove(self, e: Edge) -> None:
-        self.current.discard(e)
-        u, v = e
-        self.adj[u] &= ~(1 << v)
-        self.adj[v] &= ~(1 << u)
 
 
 class _EmbedState:

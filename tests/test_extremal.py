@@ -35,6 +35,7 @@ from turanlag.extremal import (
     _colex_candidates,
     _exhaust,
     _refill_rounds,
+    _solve_sizes,
 )
 
 from conftest import (brute_contains, brute_is_cancellative, colex_dfs_oracle,
@@ -165,6 +166,17 @@ def test_nodes_explored_pinned(n, r, pred, value, nodes):
 def test_search_nodes_pinned(n, r, pred, value, nodes):
     res = brute_force_ex(n, r, pred)
     assert res.exact and (res.value, res.nodes_explored) == (value, nodes)
+
+
+@pytest.mark.parametrize("t", range(3, 8))
+def test_complete_two_graph_sweeps_close_at_the_ceiling(t):
+    # Turan's theorem: ex(n, K_t) = |T_2(n, t - 1)|.  The Turan seed reaches
+    # the ceiling from the size below at every n > t, so only n = t runs a DFS
+    pred = SubgraphPredicate(complete_hypergraph(t, 2))
+    for n, res in enumerate(_solve_sizes(11, 2, pred, None)):
+        assert res.exact and res.value == len(turan_hypergraph(n, 2, t - 1).graph.edges), n
+        if n > t:
+            assert res.nodes_explored == 1, n
 
 
 # (label, r, predicate, largest n at which the oracle finishes within 1 s)
@@ -470,7 +482,7 @@ def test_local_search_witness_free():
     (FamilyPredicate(single_edge(3), 4), 6, 3),
     (SigmaPredicate(3), 6, 3),
     (CancellativePredicate(), 6, 3),
-], ids=["clique", "subgraph", "family", "sigma", "cancellative"])
+], ids=["triangle", "subgraph", "family", "sigma", "cancellative"])
 @pytest.mark.parametrize("seeded", [False, True], ids=["empty", "seeded"])
 def test_refill_rounds_match_a_full_pass_every_round(pred, n, r, seeded):
     # a round that drops nothing skips its pass over a maximal set: every

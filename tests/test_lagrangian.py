@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -821,7 +822,7 @@ def test_density_search_single_edge():
     assert res.best_value == 0.0
 
 
-def test_density_search_k4_runs_on_clique_state():
+def test_density_search_k4_free_hosts_reach_the_triangle():
     # K_4-free hosts on 5 vertices: the best is a triangle, 1 - 1/3
     res = lagrangian_density_search(complete_hypergraph(4, 2), 5)
     assert abs(res.best_value - 2 / 3) <= 1e-9
@@ -915,6 +916,14 @@ def test_covering_hosts_match_labelled_oracle(r, pred, top, value):
     res = lagrangian_density_search(pred, top, r=r)
     assert res.exact and abs(res.best_value - best) <= 1e-12
     assert abs(res.best_value - value) <= 1e-12 and pred.is_free(res.witness)
+
+
+def test_density_search_refuses_a_walk_deeper_than_half_the_recursion_limit():
+    # the host walk recurses once per candidate: C(33, 2) = 528 reaches
+    # 1000 // 2 at the default limit, and is refused before any walk
+    assert sys.getrecursionlimit() == 1000
+    with pytest.raises(ValueError, match=r"^C\(33,2\) = 528 "):
+        lagrangian_density_search(complete_hypergraph(3, 2), 33)
 
 
 def test_density_search_predicate_needs_r():

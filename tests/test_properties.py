@@ -378,9 +378,9 @@ EDGE_AND_ISOLATED = Hypergraph(4, 3, [(0, 1, 2)])
 # r = 3 a sigma member is exactly a cancellative violation, and for r = 5 two
 # edges can differ in 4 vertices from n = 7 on
 STATE_CASES = {
-    "K3": (SubgraphPredicate(K3), 2, 6, "_CliqueState",
+    "K3": (SubgraphPredicate(K3), 2, 6, "_SubgraphState",
            lambda g: not brute_contains(g, K3)),
-    "K4": (SubgraphPredicate(K4), 2, 6, "_CliqueState",
+    "K4": (SubgraphPredicate(K4), 2, 6, "_SubgraphState",
            lambda g: not brute_contains(g, K4)),
     "F5": (SubgraphPredicate(F5), 3, 6, "_SubgraphState",
            lambda g: not brute_contains(g, F5)),
