@@ -14,8 +14,9 @@ The driver, ``symmetrize`` and the trace replay run on classes, not on
 vertex edges.  The live vertices are split into classes of twins, each one
 vertex at the start, so the graph is exactly the blowup of its class graph:
 a class edge is the set of classes of an edge, and the edges are the
-transversals of the class edges.  qlinks[P] is the set of D - {P} over the
-class edges D through P.  Two vertices have equal links iff their classes
+transversals of the class edges.  A set of classes is an int mask with bit
+P for class P, and qlinks[P] is the set of masks E ^ (1 << P) over the
+class edges E through P.  Two vertices have equal links iff their classes
 have equal qlinks: a member's link is the set of transversals of the D in
 its class's qlinks, and a transversal determines its classes.  So classes
 of twins need not be merged, and every link comparison compares qlinks.
@@ -26,10 +27,10 @@ class edge through u's class meets a donor's class: u's link is unchanged,
 every donor's link becomes it, and every class stays a set of twins.
 Deleting a vertex takes it out of its class; a class left empty drops its
 class edges.  deg[P], the degree of each member of P, is the sum over D in
-qlinks[P] of the product of the sizes of D, and it and the edge count move
-by k times such products when k members join or leave a class.  Class edges
-only ever go, so the state stays as small as the input; vertex edges are
-expanded only for a graph that is returned.
+qlinks[P] of the product of the sizes of the classes in D, and it and the
+edge count move by k times such products when k members join or leave a
+class.  Class edges only ever go, so the state stays as small as the input;
+vertex edges are expanded only for a graph that is returned.
 
 Every run returns a replayable trace; replaying a trace against the input
 reproduces the output bit-exactly.  A step that names a vertex no longer
@@ -43,6 +44,8 @@ import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from .hypergraph import Hypergraph, VertexSet, blowup
@@ -101,10 +104,11 @@ class _Classes:
     """The live vertices as a blowup of their class graph.
 
     part[v] is the class of live vertex v, members[P] the live vertices of P
-    in ascending order, cedges the class edges, qlinks[P] the set of D - {P}
-    over the class edges D through P, deg[P] the degree of every member of
-    P, and edges the vertex edge count.  A class starts as a single vertex
-    and is named by it.
+    in ascending order, cedges maps each class edge's mask to the tuple of
+    its classes (at the start, the input edge itself), qlinks[P] the set of
+    masks E ^ (1 << P) over the class edges E through P, deg[P] the degree
+    of every member of P, and edges the vertex edge count.  A class starts
+    as a single vertex and is named by it.
     """
 
     __slots__ = ("part", "members", "qlinks", "cedges", "deg", "edges")
@@ -113,39 +117,48 @@ class _Classes:
         self.part = {v: v for v in range(G.n)}
         self.members = {v: [v] for v in range(G.n)}
         self.qlinks = qlinks = {v: set() for v in range(G.n)}
-        self.cedges = set(map(frozenset, G.edges))
-        for E in self.cedges:
-            for x in E:
-                qlinks[x].add(E - {x})
+        self.cedges = cedges = {}
+        bits = [1 << v for v in range(G.n)]
+        for e in G.edges:
+            E = sum(map(bits.__getitem__, e))
+            cedges[E] = e
+            for x in e:
+                qlinks[x].add(E ^ bits[x])
         self.deg = {v: len(q) for v, q in qlinks.items()}
         self.edges = len(G.edges)
 
     def _grow(self, P: int, k: int) -> None:
         """Account for k more members of P (k < 0: fewer): each class edge
-        D + {P} moves deg[R], for R in D, by k times the product of the
-        other sizes in D, and the edge count by k * deg[P]."""
-        members, deg = self.members, self.deg
+        through P moves deg[R], for each other class R in it, by k times the
+        product of the sizes of its classes other than P and R, and the edge
+        count by k * deg[P]."""
+        members, deg, cedges, bit = self.members, self.deg, self.cedges, 1 << P
         for D in self.qlinks[P]:
+            classes = cedges[D | bit]
             p = k
-            for Q in D:
-                p *= len(members[Q])
-            for R in D:
-                deg[R] += p // len(members[R])
+            for Q in classes:
+                if Q != P:
+                    p *= len(members[Q])
+            for R in classes:
+                if R != P:
+                    deg[R] += p // len(members[R])
         self.edges += k * deg[P]
 
     def _drop(self, P: int) -> None:
         """Remove class P and its class edges, counted as _grow(P, -|P|)."""
         members, deg, qlinks, cedges = self.members, self.deg, self.qlinks, self.cedges
-        a, ps = len(members.pop(P)), frozenset((P,))
+        a, bit = len(members.pop(P)), 1 << P
         for D in qlinks.pop(P):
-            E = D | ps
-            cedges.remove(E)
+            E = D | bit
+            classes = cedges.pop(E)
             p = a
-            for Q in D:
-                p *= len(members[Q])
-            for R in D:
-                deg[R] -= p // len(members[R])
-                qlinks[R].remove(E - {R})
+            for Q in classes:
+                if Q != P:
+                    p *= len(members[Q])
+            for R in classes:
+                if R != P:
+                    deg[R] -= p // len(members[R])
+                    qlinks[R].remove(E ^ (1 << R))
         self.edges -= a * deg.pop(P)
 
     def clone(self, donors: Iterable[int], u: int) -> None:
@@ -160,7 +173,8 @@ class _Classes:
             raise ValueError(f"vertex {exc.args[0]} is not live") from None
         if sum(map(len, map(members.__getitem__, classes))) != len(donors):
             raise ValueError(f"donors {sorted(donors)} split a class")
-        if P in classes or not classes.isdisjoint(itertools.chain(*self.qlinks[P])):
+        covered = reduce(or_, self.qlinks[P], 1 << P)
+        if any(covered >> Q & 1 for Q in classes):
             raise ValueError(f"target {u} is a donor or covered with one")
         for Q in classes:
             self._drop(Q)
@@ -183,10 +197,11 @@ class _Classes:
 
     def expand(self, lab: dict) -> list:
         """The vertex edges, with lab[P] the labels of P's members: the
-        transversals of every class edge, each sorted (the class edge is a
-        frozenset, and members of different classes interleave)."""
+        transversals of every class edge, each sorted (members of different
+        classes interleave)."""
         get = lab.__getitem__
-        return [tuple(sorted(t)) for E in self.cedges for t in itertools.product(*map(get, E))]
+        return [tuple(sorted(t)) for classes in self.cedges.values()
+                for t in itertools.product(*map(get, classes))]
 
 
 def equivalence_classes(G: Hypergraph) -> list[VertexSet]:
@@ -268,9 +283,9 @@ def _select_pair(st: _Classes):
     order = [P for _, P in sorted((m[0], P) for P, m in members.items())]
     for P in sorted(order, key=deg.__getitem__, reverse=True):
         dP, qP = deg[P], qlinks[P]
-        neighbours = set().union(*qP)  # classes covered with P
+        covered = reduce(or_, qP, 1 << P)  # P and the classes covered with it
         for Q in order:
-            if deg[Q] <= dP and Q != P and Q not in neighbours and qlinks[Q] != qP:
+            if deg[Q] <= dP and not covered >> Q & 1 and qlinks[Q] != qP:
                 return members[P][0], members[Q][0]
     return None
 

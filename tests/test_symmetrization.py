@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from turanlag import (
     symmetrize,
     turan_hypergraph,
 )
+from turanlag.symmetrization import _Classes, _steps
 
 from conftest import (link_replay_oracle, link_symmetrization_oracle,
                       link_symmetrize_oracle)
@@ -296,6 +298,40 @@ def test_class_state_matches_link_oracle_at_cleanup_size():
                 if (u, v) not in g.covered_pairs)
     assert symmetrize(g, v, u) == link_symmetrize_oracle(g, v, u)
     assert symmetrize(g, u, v) == link_symmetrize_oracle(g, u, v)
+    # labels past one machine word, so class masks of more than 64 bits; no
+    # plain run of the 3-graph, whose output of about 80k edges makes the
+    # oracle slow
+    big = random_hypergraph(130, 3, edge_count=400, rng=random.Random(0))
+    pairs = random_hypergraph(150, 2, edge_count=600, rng=random.Random(0))
+    for g, alpha in ((big, Fraction(1, 100)), (big, Fraction(1, 20)), (pairs, 0)):
+        out = run_with_cleaning(g, alpha) if alpha else run_plain(g)
+        assert out == link_symmetrization_oracle(g, alpha)
+        assert replay_trace(g, out.trace) == link_replay_oracle(g, out.trace)[0]
+
+
+def _assert_class_state_consistent(state):
+    edges = state.expand(state.members)
+    assert state.edges == len(edges)
+    degree = Counter(v for e in edges for v in e)
+    for v, P in state.part.items():
+        assert state.deg[P] == degree[v]
+    qlinks = {P: set() for P in state.members}
+    for E, classes in state.cedges.items():
+        assert E == sum(1 << R for R in classes)
+        for R in classes:
+            qlinks[R].add(E ^ (1 << R))
+    assert state.qlinks == qlinks
+
+
+@given(graphs_with_isolated(), st.sampled_from(ALPHAS))
+@settings(max_examples=80, deadline=None)
+def test_class_state_bookkeeping_after_every_step(g, alpha):
+    """The edge count, every live vertex's degree and the qlinks, read off
+    the class edges, after each step of a driver trace."""
+    state = _Classes(g)
+    _assert_class_state_consistent(state)
+    for _ in _steps(state, run_with_cleaning(g, alpha).trace):
+        _assert_class_state_consistent(state)
 
 
 @given(graphs_with_isolated(), st.randoms(use_true_random=False))
