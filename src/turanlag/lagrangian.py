@@ -37,7 +37,8 @@ blocks of at most ``_BLOCK_ELEMS`` elements of (rows, r, |E|) temporaries,
 ``_RUNGS`` times that for a tick's candidates.
 The rows run in lockstep and never interact: each keeps its own step,
 halving count, iteration count and progress flag, so it takes the steps of
-an ascent run on it alone, bit for bit.
+an ascent run on it alone, bit for bit.  A block's gradient bins (each row's
+vertices offset by its row times n) are built once per block.
 
 One tick of the line search tries a ladder of K = ``_RUNGS`` candidates per
 row, at the steps tt, tt/2, ..., tt/2^(K-1) from the same x, and the row
@@ -179,7 +180,8 @@ def _project(V: np.ndarray, cap: float) -> np.ndarray:
     sort-based simplex projection of the rest onto total 1 - s*cap stays within
     it (Wang & Lu 2015); s = 0 at cap 1 is the simplex projection.  The rest is
     zero when it has no mass left (n*cap <= 1 or s*cap = 1).  Each pass of the
-    s loop runs over the rows not yet resolved."""
+    s loop runs over the rows not yet resolved; when every row fits at s = 0,
+    as in every uncapped call, the first pass returns with no gather."""
     m, n = V.shape
     U = np.sort(V, axis=1)[:, ::-1]
     X = np.empty_like(V)
@@ -188,13 +190,15 @@ def _project(V: np.ndarray, cap: float) -> np.ndarray:
         rest = 1.0 - s * cap
         if s == n or rest <= 0.0:
             break
-        free = U[todo, s:]
+        free = U[todo, s:] if s else U  # at s = 0 every row is open
         css = np.cumsum(free, axis=1) - rest
         cond = free - css / np.arange(1, n - s + 1) > 0
         cond[:, 0] = True  # exactly rest > 0, whatever the rounding
         rho = n - s - 1 - np.argmax(cond[:, ::-1], axis=1)  # the last True
         tau = css[np.arange(len(todo)), rho] / (rho + 1.0)
         fits = free[:, 0] - tau <= cap
+        if not s and fits.all():  # as in every uncapped call
+            return np.maximum(V - tau[:, None], 0.0)
         rows = todo[fits]
         x = np.maximum(V[rows] - tau[fits, None], 0.0)
         X[rows] = np.minimum(x, cap, out=x) if s else x  # clips the s largest
@@ -223,9 +227,15 @@ class _Arrays(NamedTuple):
     n: int
     r: int
     rf: int
+    bins: Optional[np.ndarray] = None  # idx + k*n for the rows k of a block, row after row
+
+    def for_rows(self, m: int) -> "_Arrays":
+        """The same arrays with the bins of m rows."""
+        return self._replace(bins=(self.idx + self.n * np.arange(m)[:, None]).ravel())
 
 
 def _arrays(G: Hypergraph) -> Optional[_Arrays]:
+    """The edge arrays of G, with no gradient bins (see ``_Arrays.for_rows``)."""
     if not G.edges:
         return None
     edges = np.array(G.edge_list, dtype=np.int64)
@@ -249,8 +259,10 @@ def _grad_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
     """The gradient at each row of X.  others[:, j] is the product of the
     other columns of each edge, folded from the left in column order, summed
     per vertex in j-major order by one np.bincount, with the vertices of row k
-    offset by k*n.  The prefix products take one multiply per column: a
-    cumprod along the middle axis folds the same way, but slower."""
+    offset by k*n: the prefix of ``A.bins``, so A must hold the bins of at
+    least m rows (``_Arrays.for_rows``).  The prefix products take one
+    multiply per column: a cumprod along the middle axis folds the same way,
+    but slower."""
     m = len(X)
     cols = X.take(A.idx, axis=1).reshape(m, A.r, len(A.edges))
     others = np.empty_like(cols)
@@ -259,8 +271,7 @@ def _grad_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
         np.multiply(others[:, k - 1], cols[:, k - 1], out=others[:, k])
     for k in range(1, A.r):
         others[:, :k] *= cols[:, k, None]
-    bins = (A.idx + A.n * np.arange(m)[:, None]).ravel()
-    lam = np.bincount(bins, weights=others.ravel(), minlength=m * A.n)
+    lam = np.bincount(A.bins[:others.size], weights=others.ravel(), minlength=m * A.n)
     return A.rf * lam.reshape(m, A.n)
 
 
@@ -270,16 +281,17 @@ def _transfer(A: _Arrays, X: np.ndarray, lam: np.ndarray, cap: float,
     X: from the min-gradient support vertex a to the max-gradient support
     vertex b below the cap, move min(gap / (2 r!), x_a), cut to b's headroom.
     Returns the mask of rows that moved; a row does not when it has no such
-    pair or its gradient gap is within tol / 4."""
+    pair or its gradient gap is within tol / 4.  The gap is read from the
+    masked arrays, so it is -inf when the pool (or the support) is empty; with
+    one support vertex either the pool is empty or a = b."""
     rows = np.arange(len(X))
     support = X > _SUPPORT_EPS
-    pool = support & (X < cap - 1e-12)
-    b = np.where(pool, lam, -np.inf).argmax(axis=1)
-    a = np.where(support, lam, np.inf).argmin(axis=1)
-    gap = lam[rows, b] - lam[rows, a]
+    up = np.where(support & (X < cap - 1e-12), lam, -np.inf)
+    down = np.where(support, lam, np.inf)
+    b, a = up.argmax(axis=1), down.argmin(axis=1)
+    gap = up[rows, b] - down[rows, a]
     d = np.minimum(np.minimum(gap / (2.0 * A.rf), X[rows, a]), cap - X[rows, b])
-    moved = ((support.sum(axis=1) >= 2) & pool.any(axis=1) & (a != b)
-             & (gap > tol * 0.25) & (d > 0))
+    moved = (a != b) & (gap > tol * 0.25) & (d > 0)
     rows, d = rows[moved], d[moved]
     X[rows, a[moved]] -= d
     X[rows, b[moved]] += d
@@ -319,6 +331,7 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
     that progressed below max_iters iterations start the next search."""
     X = _project(X0, cap)
     m, n = X.shape
+    A = A.for_rows(m)
     val = _p_np(A, X)
     lam = _grad_np(A, X)  # the gradient at X, recomputed for each row that moves
     t = np.ones(m)
@@ -367,9 +380,9 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         moved = _transfer(A, Xe, lam[ended], cap, _TOL)
         mv = ended[moved]
         if len(mv):
-            X[mv] = Xe[moved]
-            lam[mv] = _grad_np(A, Xe[moved])
-            nv = _p_np(A, Xe[moved])
+            X[mv] = Xm = Xe[moved]
+            lam[mv] = _grad_np(A, Xm)
+            nv = _p_np(A, Xm)
             progressed[mv] |= nv > val[mv]
             val[mv] = nv
         iters[ended] += 1
@@ -395,8 +408,8 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         live = live[moved]
         if not len(live):
             break
-        X[live] = Xl[moved]
-        lam[live] = _grad_np(A, Xl[moved])
+        X[live] = Xm = Xl[moved]
+        lam[live] = _grad_np(A, Xm)
     return X, _p_np(A, X)
 
 

@@ -134,7 +134,7 @@ def gradient_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_grad_np_matches_add_at_oracle(inputs):
     g, x = inputs
-    A = _arrays(g)
+    A = _arrays(g).for_rows(1)
     assert _grad_np(A, x[None])[0].tobytes() == add_at_gradient(A, x).tobytes()
 
 
@@ -402,7 +402,7 @@ def test_line_search_stop_is_sound(inputs):
     # projected vector's largest entry, so the gain that mass can make at
     # the largest gradient does not count.
     g, cap, x, tt = inputs
-    A = _arrays(g)
+    A = _arrays(g).for_rows(1)
     lam = _grad_np(A, x[None])
     val = _p_np(A, x[None])
     while tt >= 1e-20:
@@ -435,7 +435,7 @@ def test_transfer_step_never_decreases():
         g = random_hypergraph(n, r, density=0.6, rng=rng)
         if not g.edges:
             continue
-        A = _arrays(g)
+        A = _arrays(g).for_rows(1)
         v = np.array([rng.random() for _ in range(n)])
         for cap, x in ((1.0, v / v.sum()), (0.4, project_one(v, 0.4))):
             x = x[None]  # one row, moved in place
@@ -585,20 +585,48 @@ def test_p_np_rows_from_a_strided_block():
             assert f64(val) == f64(serial_p(A, np.ascontiguousarray(x)))
 
 
-@given(graphs_and_caps(max_r=5, max_n=10), st.data())
-@settings(max_examples=150, deadline=None)
-def test_row_primitives_match_serial(inputs, data):
-    g, cap = inputs
-    A = _arrays(g)
+@st.composite
+def row_primitive_inputs(draw):
+    g, cap = draw(graphs_and_caps(max_r=5, max_n=10))
     point = st.lists(st.just(0.0) | st.floats(0, 1), min_size=g.n, max_size=g.n)
-    V = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
+    V = np.array(draw(st.lists(point, min_size=1, max_size=6)))
+    return g, cap, V, draw(st.floats(1e-12, 2.0)), draw(st.sampled_from([0.0, 1e-9]))
+
+
+def _quarter_tol_rows():
+    # one row whose gradient gap is exactly tol / 4, and the same row at the
+    # next smaller tol, where it moves
+    g, V = Hypergraph(4, 2, [(0, 2), (1, 3)]), np.array([[0.3, 0.2, 0.24, 0.26]])
+    lam = serial_grad(_arrays(g), serial_project(V[0], 1.0))
+    tol = 4 * (lam.max() - lam.min())  # every vertex is in the support, below the cap
+    return (g, 1.0, V, 0.5, tol), (g, 1.0, V, 0.5, np.nextafter(tol, 0.0))
+
+
+AT_QUARTER_TOL, BELOW_QUARTER_TOL = _quarter_tol_rows()
+
+
+# rows whose transfer ends only at the emptiness of the pool or at one
+# support vertex (a = b), at a cap where every weight sits, at a gap of 0
+# with tol 0, and at a gap of exactly tol / 4
+@given(row_primitive_inputs())
+@example((Hypergraph(3, 2, [(0, 2), (1, 2)]), 1.0,
+          np.array([[0.0, 0.0, 1.0], [5e-10, 0.0, 1 - 5e-10]]), 0.5, 1e-9))
+@example((Hypergraph(4, 2, [(0, 2), (0, 3), (2, 3)]), 0.5,
+          np.array([[0.0, 0.0, 1.0, 1.0]]), 0.5, 1e-9))
+@example((Hypergraph(3, 2, [(0, 1)]), 1 / 3, np.array([[0.2, 0.5, 0.3]]), 0.5, 1e-9))
+@example((Hypergraph(3, 2, [(0, 2), (1, 2)]), 0.4, np.array([[1.0, 0.2, 1.0]]), 0.5, 0.0))
+@example(AT_QUARTER_TOL)
+@example(BELOW_QUARTER_TOL)
+@settings(max_examples=150, deadline=None)
+def test_row_primitives_match_serial(inputs):
+    g, cap, V, step, tol = inputs
+    A = _arrays(g).for_rows(len(V))
     X = _project(V, cap)
     before = X.copy()
     lam = _grad_np(A, X)
-    D = _project(X + data.draw(st.floats(1e-12, 2.0)) * lam, cap) - X
+    D = _project(X + step * lam, cap) - X
     vals = _p_np(A, X)
     stop = _cannot_gain(A, lam, vals, D)
-    tol = data.draw(st.sampled_from([0.0, 1e-9]))
     moved = _transfer(A, X, lam, cap, tol)  # in place
     for k, x in enumerate(before):
         want = serial_grad(A, x)
