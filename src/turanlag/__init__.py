@@ -66,7 +66,6 @@ from .symmetrization import (
 )
 from .extremal import (
     CancellativePredicate,
-    EXACT_EDGE_CAP,
     ExactSearchRefused,
     FamilyFreeExtraction,
     FamilyPredicate,

@@ -81,6 +81,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -113,7 +114,6 @@ __all__ = [
     "CancellativePredicate",
     "SearchResult",
     "ExactSearchRefused",
-    "EXACT_EDGE_CAP",
     "brute_force_ex",
     "local_search_lower",
     "kernel_clean",
@@ -121,13 +121,12 @@ __all__ = [
     "FamilyFreeExtraction",
 ]
 
-EXACT_EDGE_CAP = 64
 _HOST_NODE_BUDGET = 1 << 18  # leader-DFS nodes per host size in _covering_hosts
 _FAMILY_CHECK_LIMIT = 10  # family_free_subgraph checks outputs up to this order
 
 
 class ExactSearchRefused(ValueError):
-    """Raised when exact mode is requested beyond the candidate-edge cap."""
+    """Raised when C(n, r) candidates are too deep to walk (``_check_walk_depth``)."""
 
 
 # -- predicates -----------------------------------------------------------
@@ -372,7 +371,7 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
 
     Exhausts the 2^C(n,r) subset tree with incremental freeness checks,
     keeping one labelling per isomorphism class or a few; refuses when
-    C(n, r) exceeds the hard cap.  The sizes 0, ..., n are solved in turn,
+    C(n, r) is too deep to walk.  The sizes 0, ..., n are solved in turn,
     each with the bound and witness of the size below (see the module
     docstring), so a call does the work of a sweep up to n.  The search runs
     no random code: ``seed`` is accepted and ignored, kept only for callers
@@ -394,13 +393,9 @@ def brute_force_ex(n: int, r: int, forbidden: ForbiddenPredicate, *,
 def _solve_sizes(n: int, r: int, forbidden: ForbiddenPredicate,
                  max_seconds: Optional[float]) -> Iterator[SearchResult]:
     """Yield brute_force_ex's result for each size k = 0, ..., n, elapsed
-    counted from the start of the pass; sizes below r close at ceiling 0."""
-    m = math.comb(n, r)
-    if m > EXACT_EDGE_CAP:
-        raise ExactSearchRefused(
-            f"C({n},{r}) = {m} exceeds the exact-mode cap of {EXACT_EDGE_CAP}; "
-            "use local_search_lower (--heuristic) for a lower bound"
-        )
+    counted from the start of the pass; sizes below r close at ceiling 0.
+    Refuses, before any size is solved, when C(n, r) is too deep to walk."""
+    _check_walk_depth(n, r)
     t0 = time.perf_counter()
     deadline = None if max_seconds is None else t0 + max_seconds
     res = None
@@ -410,6 +405,17 @@ def _solve_sizes(n: int, r: int, forbidden: ForbiddenPredicate,
         inc = local_search_lower(k, r, forbidden, iters=0)
         res = _exhaust(k, r, forbidden, inc, res, t0, deadline)
         yield res
+
+
+def _check_walk_depth(n: int, r: int) -> None:
+    """Refuse a walk over C(n, r) candidates when it reaches half the
+    recursion limit: ``_leader_dfs`` recurses once per candidate, and the
+    other half is left to the caller's frames and the pattern search."""
+    depth, limit = math.comb(n, r), sys.getrecursionlimit() // 2
+    if depth >= limit:
+        raise ExactSearchRefused(f"C({n},{r}) = {depth} candidates are too deep to walk: "
+                                 f"the lex-leader walk recurses once per candidate "
+                                 f"and needs fewer than half the recursion limit, {limit}")
 
 
 class _Stop(Exception):

@@ -65,14 +65,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .extremal import ForbiddenPredicate, SubgraphPredicate, _covering_hosts
+from .extremal import ForbiddenPredicate, SubgraphPredicate, _check_walk_depth, _covering_hosts
 from .hypergraph import (Hypergraph, VertexSet, _bits, _cliques, _pair_masks,
                          falling_factorial)
 
@@ -663,9 +662,9 @@ def lagrangian_density_search(forbidden: Union[ForbiddenPredicate, Hypergraph],
     ``extremal._HOST_NODE_BUDGET`` nodes.  Each host, also one a stopped walk
     found, gets an 8-restart ``lagrangian``, and the best is kept.  ``exact``
     records whether every walk ended within the budget (the value is a lower
-    bound either way).  The walk recurses once per candidate edge, so a
-    t_max with C(t_max, r) at half the recursion limit or more is refused;
-    the other half is left to the caller's frames and the pattern search.
+    bound either way).  A t_max whose C(t_max, r) candidates are too deep to
+    walk is refused with ``ExactSearchRefused``, by the guard the exact
+    search shares (``extremal._check_walk_depth``).
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -675,11 +674,7 @@ def lagrangian_density_search(forbidden: Union[ForbiddenPredicate, Hypergraph],
         raise ValueError("a forbidden predicate needs the uniformity r")
     if t_max < r:
         raise ValueError("t_max must be at least the uniformity")
-    depth, limit = math.comb(t_max, r), sys.getrecursionlimit() // 2
-    if depth >= limit:
-        raise ValueError(f"C({t_max},{r}) = {depth} candidate edges is too deep for "
-                         f"the host walk, which recurses once per candidate: it "
-                         f"needs fewer than half the recursion limit, {limit}")
+    _check_walk_depth(t_max, r)
     best_val, best_wit = 0.0, Hypergraph(t_max, r, [])
     evaluated, exact = 0, True
     if isinstance(forbidden, Hypergraph):

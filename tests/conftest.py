@@ -22,10 +22,9 @@ from turanlag import (
     SymmetrizationTrace,
 )
 from turanlag.extremal import (
-    EXACT_EDGE_CAP,
-    ExactSearchRefused,
     ForbiddenPredicate,
     SearchResult,
+    _check_walk_depth,
     _colex_candidates,
     local_search_lower,
 )
@@ -145,19 +144,16 @@ def colex_dfs_oracle(n: int, r: int, forbidden: ForbiddenPredicate, *,
 
     Exact maximum edge count of a predicate-free r-graph on n vertices.
 
-    Exhausts the 2^C(n,r) subset tree with incremental freeness checks; refuses
-    when C(n, r) exceeds the hard cap.  A time budget, read at the first
-    call once 4096 nodes have passed since the last reading, makes the
-    result a best-so-far bound with exact=False instead of exhausting.  The
-    root and each exclude child are tested against the counting bound
-    before their call; one that fails it counts as a node without a call.
+    Exhausts the 2^C(n,r) subset tree with incremental freeness checks;
+    refuses, by the library's own guard, when C(n, r) is too deep to walk.
+    A time budget, read at the first call once 4096 nodes have passed since
+    the last reading, makes the result a best-so-far bound with exact=False
+    instead of exhausting.  The root and each exclude child are tested
+    against the counting bound before their call; one that fails it counts
+    as a node without a call.
     """
+    _check_walk_depth(n, r)
     m = math.comb(n, r)
-    if m > EXACT_EDGE_CAP:
-        raise ExactSearchRefused(
-            f"C({n},{r}) = {m} exceeds the exact-mode cap of {EXACT_EDGE_CAP}; "
-            "use local_search_lower (--heuristic) for a lower bound"
-        )
     t0 = time.perf_counter()
     cands = _colex_candidates(n, r)
     # heuristic incumbent so the counting bound prunes from the start; it

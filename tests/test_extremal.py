@@ -29,6 +29,7 @@ from turanlag import (
     turan_hypergraph,
 )
 
+from turanlag import extremal
 from turanlag.extremal import (
     ForbiddenPredicate,
     SearchResult,
@@ -115,9 +116,12 @@ def test_vertexless_pattern_forbids_everything():
         SubgraphPredicate(Hypergraph(0, 2, []))
 
 
-def test_exact_search_cap():
-    with pytest.raises(ExactSearchRefused):
-        brute_force_ex(9, 3, SigmaPredicate(3))
+def test_exact_search_cap(monkeypatch):
+    # the walk recurses once per candidate: C(16, 3) = 560 reaches
+    # 1000 // 2 at the default limit, and is refused before any size
+    monkeypatch.setattr(extremal, "_exhaust", None)  # a size solved would fail
+    with pytest.raises(ExactSearchRefused, match=r"^C\(16,3\) = 560 "):
+        brute_force_ex(16, 3, SigmaPredicate(3))
 
 
 def test_budget_abort():
@@ -308,6 +312,24 @@ def test_cancellative_n8_gives_bollobas_value():
     res = brute_force_ex(8, 3, CancellativePredicate())
     assert res.exact and res.value == 18 == len(turan_hypergraph(8, 3, 3).graph.edges)
     assert len(res.witness.edges) == 18 and brute_is_cancellative(res.witness)
+
+
+@pytest.mark.parametrize("n, r, pred", [
+    (9, 3, CancellativePredicate()),
+    (9, 3, SigmaPredicate(3)),
+    (9, 3, FamilyPredicate(single_edge(3), 4)),
+    (8, 4, CancellativePredicate()),
+    (8, 4, FamilyPredicate(single_edge(4), 5)),
+], ids=["cancellative-9", "sigma-9", "family-edge-4-9", "cancellative-r4-8",
+        "family-edge-5-r4-8"])
+def test_turan_value_closes_at_the_ceiling_past_64_candidates(n, r, pred):
+    # ex(n) = |T_r(n, r)| (Bollobas 1974 for r = 3, Sidorenko 1987 for r = 4;
+    # the family form of ex(n, H^F_p) = |T_r(n, p - 1)| with F an edge).  The
+    # Turan seed reaches the ceiling from ex(n - 1), so the root closes n
+    res = brute_force_ex(n, r, pred)
+    T = turan_hypergraph(n, r, r).graph
+    assert res.exact and res.value == len(T.edges) and res.nodes_explored == 1
+    assert len(res.witness.edges) == res.value and pred.is_free(res.witness)
 
 
 def test_k4_3_free_n7():

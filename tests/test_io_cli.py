@@ -135,10 +135,10 @@ def test_cli_search_exact(capsys):
 
 
 def test_cli_search_refuses_big_exact(capsys):
-    code = main(["search", "--n", "9", "--r", "3", "--forbid", "sigma:r=3"])
+    code = main(["search", "--n", "16", "--r", "3", "--forbid", "sigma:r=3"])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: C(9,3) = 84")
+    assert captured.out == "" and captured.err.startswith("error: C(16,3) = 560")
 
 
 @pytest.mark.parametrize("mode", [["--n", "7"], ["--sweep", "7:7"]],
@@ -249,7 +249,7 @@ def test_cli_usage_error():
      "--iters", "-3"],
     ["search", "--n", "6", "--r", "4", "--forbid", "sigma:r=3", "--heuristic",
      "--iters", "0"],
-    ["search", "--r", "3", "--sweep", "4:9", "--forbid", "cancellative"],
+    ["search", "--r", "3", "--sweep", "4:16", "--forbid", "cancellative"],
 ], ids=["sigma-no-r", "family-no-p", "subgraph-no-r", "sweep-no-hi",
         "sweep-not-int", "sweep-reversed", "sweep-negative", "exact-flag-removed",
         "iters-negative", "sweep-iters-negative", "sigma-uniformity-iters-0",

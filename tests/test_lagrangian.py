@@ -35,8 +35,8 @@ from turanlag import (
     turan_hypergraph,
 )
 from turanlag.extremal import (
-    CancellativePredicate, FamilyPredicate, SigmaPredicate, SubgraphPredicate,
-    _colex_candidates, _covering_hosts,
+    CancellativePredicate, ExactSearchRefused, FamilyPredicate, SigmaPredicate,
+    SubgraphPredicate, _colex_candidates, _covering_hosts, brute_force_ex,
 )
 from turanlag.lagrangian import (
     _arrays, _ascend, _cannot_gain, _dots, _grad_np,
@@ -952,6 +952,17 @@ def test_density_search_refuses_a_walk_deeper_than_half_the_recursion_limit():
     assert sys.getrecursionlimit() == 1000
     with pytest.raises(ValueError, match=r"^C\(33,2\) = 528 "):
         lagrangian_density_search(complete_hypergraph(3, 2), 33)
+
+
+def test_both_walks_refuse_with_one_guard():
+    # the density search and the exact search share the depth guard: the
+    # same exception with the same message at C(33, 2) = 528
+    with pytest.raises(ExactSearchRefused) as exact:
+        brute_force_ex(33, 2, SubgraphPredicate(complete_hypergraph(3, 2)))
+    with pytest.raises(ExactSearchRefused) as density:
+        lagrangian_density_search(complete_hypergraph(3, 2), 33)
+    assert str(exact.value) == str(density.value)
+    assert str(exact.value).startswith("C(33,2) = 528 ")
 
 
 def test_density_search_predicate_needs_r():
