@@ -221,8 +221,7 @@ def _cmd_search(args) -> int:
             raise SpecError(f"--sweep expects LO:HI with 0 <= LO <= HI, "
                             f"got {args.sweep!r}")
     elif args.n is None:
-        print("error: provide --n or --sweep LO:HI", file=sys.stderr)
-        return 2
+        raise SpecError("provide --n or --sweep LO:HI")
     else:
         sizes = range(args.n, args.n + 1)
     if args.heuristic:
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (SpecError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -400,10 +400,7 @@ def _solve_sizes(n: int, r: int, forbidden: ForbiddenPredicate,
     deadline = None if max_seconds is None else t0 + max_seconds
     res = None
     for k in range(n + 1):
-        # the multipartite seeds; raises ValueError when not even the empty
-        # graph is free
-        inc = local_search_lower(k, r, forbidden, iters=0)
-        res = _exhaust(k, r, forbidden, inc, res, t0, deadline)
+        res = _exhaust(k, r, forbidden, _multipartite_seed(k, r, forbidden), res, t0, deadline)
         yield res
 
 
@@ -491,13 +488,13 @@ def _leader_dfs(k: int, r: int, state, avail: list, enter, keep,
     return nodes, aborted
 
 
-def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: SearchResult,
+def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: Hypergraph,
              below: Optional[SearchResult], t0: float,
              deadline: Optional[float]) -> SearchResult:
-    """Solve size k from the incumbent inc and the result for size k - 1,
-    if any; elapsed counts from t0."""
+    """Solve size k from the free incumbent graph inc and the result for
+    size k - 1, if any; elapsed counts from t0."""
     m = math.comb(k, r)
-    best, best_edges = inc.value, set(inc.witness.edges)
+    best, best_edges = len(inc.edges), set(inc.edges)
     lo = math.comb(max(k - 1, 0), r)  # ex(k - 1), or no bound below
     if below is not None:
         if below.exact:
@@ -610,6 +607,21 @@ def _refill_rounds(state, cands, rng, rounds: int) -> Iterator[set]:
         yield current
 
 
+def _multipartite_seed(n: int, r: int, forbidden: ForbiddenPredicate) -> Hypergraph:
+    """The largest predicate-free graph among the empty graph and the
+    balanced multipartite graphs with r to n parts, the first on ties;
+    raises ValueError when not even the empty graph is free."""
+    best = Hypergraph(n, r, [])
+    if not forbidden.is_free(best):
+        # possible only for edgeless patterns fitting inside n vertices
+        raise ValueError("no predicate-free graph exists on this vertex count")
+    for parts in range(r, n + 1):
+        T = turan_hypergraph(n, r, parts).graph
+        if len(T.edges) > len(best.edges) and forbidden.is_free(T):
+            best = T
+    return best
+
+
 def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
                        seed: int = 0, iters: int = 2000) -> SearchResult:
     """Randomized add/remove/refill hill climb; value <= ex(n, predicate).
@@ -620,15 +632,7 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    best_graph = Hypergraph(n, r, [])
-    if not forbidden.is_free(best_graph):
-        # possible only for edgeless patterns fitting inside n vertices
-        raise ValueError("no predicate-free graph exists on this vertex count")
-    for parts in range(r, n + 1):
-        T = turan_hypergraph(n, r, parts).graph
-        if len(T.edges) > len(best_graph.edges) and forbidden.is_free(T):
-            best_graph = T
+    best_graph = _multipartite_seed(n, r, forbidden)
     if iters == 0:
         return SearchResult(len(best_graph.edges), best_graph, False, 0,
                             time.perf_counter() - t0)
@@ -638,7 +642,7 @@ def local_search_lower(n: int, r: int, forbidden: ForbiddenPredicate, *,
     for e in best_graph.edge_list:
         state.add(e)
     best, best_set = len(best_graph.edges), set(best_graph.edges)
-    for edges in _refill_rounds(state, cands, rng, iters):
+    for edges in _refill_rounds(state, cands, random.Random(seed), iters):
         if len(edges) > best:
             best, best_set = len(edges), set(edges)
     return SearchResult(best, Hypergraph._trusted(n, r, best_set), False, iters,

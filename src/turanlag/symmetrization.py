@@ -300,12 +300,9 @@ def _twins(st: _Classes, v: int) -> list[int]:
 def _compact(st: _Classes, r: int) -> tuple[Hypergraph, tuple[int, ...]]:
     """The graph on the live vertices, relabelled 0.. in order, and their labels."""
     kept = tuple(sorted(st.part))
-    lab = st.members
-    if kept and kept[-1] != len(kept) - 1:  # a label below the top is gone
-        part = st.part
-        lab = {P: [] for P in lab}
-        for i, v in enumerate(kept):
-            lab[part[v]].append(i)
+    lab = {P: [] for P in st.members}
+    for i, v in enumerate(kept):
+        lab[st.part[v]].append(i)
     return Hypergraph._trusted(len(kept), r, st.expand(lab)), kept
 
 

@@ -379,9 +379,7 @@ def _check_blowup_bound(seed: int):
             if st.can_add(e) and rng.random() < 0.8:
                 st.add(e)
         L = Hypergraph._trusted(nl, 3, st.current)
-        sizes = [rng.randint(1, 5) for _ in range(nl)]
-        while sum(sizes) > 30:
-            sizes[sizes.index(max(sizes))] -= 1
+        sizes = [rng.randint(1, 5) for _ in range(nl)]  # at most 30 vertices
         n = sum(sizes)
         est = lagrangian(L, restarts=20, seed=seed)
         converged += est.converged

@@ -32,7 +32,6 @@ from turanlag import (
 from turanlag import extremal
 from turanlag.extremal import (
     ForbiddenPredicate,
-    SearchResult,
     _colex_candidates,
     _exhaust,
     _refill_rounds,
@@ -122,6 +121,16 @@ def test_exact_search_cap(monkeypatch):
     monkeypatch.setattr(extremal, "_exhaust", None)  # a size solved would fail
     with pytest.raises(ExactSearchRefused, match=r"^C\(16,3\) = 560 "):
         brute_force_ex(16, 3, SigmaPredicate(3))
+
+
+def test_exact_search_builds_no_random_generator(monkeypatch):
+    # each size starts from the multipartite seeds, not from the hill climb
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact search built a random generator")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    res = brute_force_ex(7, 3, CancellativePredicate())
+    assert (res.value, res.exact) == (12, True)
 
 
 def test_budget_abort():
@@ -298,8 +307,7 @@ def test_lex_leader_passes_every_swap_comparison(r):
         perm = list(range(n))
         rng.shuffle(perm)
         for H in (L, G.relabel(perm)):
-            empty = SearchResult(0, Hypergraph(n, r, []), False, 0, 0.0)
-            res = _exhaust(n, r, _InsideOf(H), empty, None, 0.0, None)
+            res = _exhaust(n, r, _InsideOf(H), Hypergraph(n, r, []), None, 0.0, None)
             kept = _passes_swap_comparisons(H)
             assert res.exact and (res.value == len(H.edges)) == kept, H
             assert res.witness == H or not kept
@@ -373,7 +381,7 @@ def test_size_below_out_of_time_gives_no_bound():
     # K3-free n=7 at the ceiling floor(9 * 7 / 5) = 12 in one node
     k3 = SubgraphPredicate(complete_hypergraph(3, 2))
     six = dataclasses.replace(brute_force_ex(6, 2, k3), exact=False)
-    res = _exhaust(7, 2, k3, local_search_lower(7, 2, k3, iters=0), six, 0.0, None)
+    res = _exhaust(7, 2, k3, local_search_lower(7, 2, k3, iters=0).witness, six, 0.0, None)
     assert (res.value, res.exact) == (12, True) and res.nodes_explored > 1
     assert k3.is_free(res.witness) and len(res.witness.edges) == 12
 
