@@ -1,13 +1,11 @@
-"""Builders and recognizers for the named extremal configurations.
+"""Builders for the named extremal configurations.
 
-Multipartite Turan hypergraphs, generalized triangles and their three-edge
-family, the cancellative condition, expanded cliques with an embedded pattern
-(which subsume expanded cliques and fans), edge enlargements of 2-graphs, and
-the family-membership certificate search.  ``_ThreeEdgeState`` is the one
-engine for the sigma and cancellative families: the exact search keeps it
-as the predicates' incremental state, and ``is_cancellative`` and
-``contains_sigma_member`` add a graph's edges to a fresh one.  A handful of
-small-graph generators (paths, stars, brooms, random trees, random
+Multipartite Turan hypergraphs, generalized triangles, expanded cliques with
+an embedded pattern (which subsume expanded cliques and fans), edge
+enlargements of 2-graphs, and the family-membership certificate search.
+Whether a graph is free of the sigma or the cancellative family is asked of
+``extremal.SigmaPredicate`` and ``extremal.CancellativePredicate``.  A
+handful of small-graph generators (paths, stars, brooms, random trees, random
 hypergraphs) round out the module as conveniences for the CLI and the test
 corpora.
 """
@@ -21,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .hypergraph import (
-    Edge,
     Embedding,
     Hypergraph,
     VertexSet,
@@ -38,8 +35,6 @@ __all__ = [
     "ExpandedClique",
     "turan_hypergraph",
     "generalized_triangle",
-    "is_cancellative",
-    "contains_sigma_member",
     "expanded_clique_with_embedded",
     "enlargement",
     "contains_family_member",
@@ -96,102 +91,6 @@ def generalized_triangle(r: int) -> Hypergraph:
     e2 = tuple(range(r - 1)) + (r,)
     e3 = (r - 1,) + tuple(range(r, 2 * r - 1))
     return Hypergraph._trusted(2 * r - 1, r, [e1, e2, e3])
-
-
-class _ThreeEdgeState:
-    """Bitmask index for three distinct edges A, B, C with A ^ B inside C and
-    |A ^ B| <= max_diff: sigma is max_diff = 2, cancellative max_diff = r.
-
-    |A ^ B| is even, so A and B share at least share = r - max_diff // 2
-    vertices and meet in the bucket of a shared subset of that size.  A new
-    edge e is rejected as the containing edge when a stored pairwise
-    difference is an even subset of e (``diff_count``), and as one of the
-    pair when, for some B in its buckets, a stored edge contains e ^ B
-    (``subset_count`` of the even subsets up to max_diff).  A pair sharing j
-    vertices meets in C(j, share) buckets, on add and on remove alike, so
-    ``diff_count`` holds each difference with that multiplicity.
-    """
-
-    def __init__(self, r: int, max_diff: int):
-        self.current: set[Edge] = set()
-        self.share = r - max_diff // 2
-        self.max_diff = max_diff
-        self.buckets: dict[int, set[int]] = {}
-        self.subset_count: dict[int, int] = {}
-        self.diff_count: dict[int, int] = {}
-        self._prep: dict[Edge, tuple] = {}
-
-    def _prepare(self, e: Edge):
-        got = self._prep.get(e)
-        if got is None:
-            shares = tuple(_bits(s) for s in itertools.combinations(e, self.share))
-            evens = tuple(_bits(s) for k in range(2, self.max_diff + 1, 2)
-                          for s in itertools.combinations(e, k))
-            got = (_bits(e), shares, evens)
-            self._prep[e] = got
-        return got
-
-    def can_add(self, e: Edge) -> bool:
-        em, shares, evens = self._prepare(e)
-        diff_count = self.diff_count
-        for d in evens:
-            if diff_count.get(d, 0):
-                return False
-        subset_count, buckets = self.subset_count, self.buckets
-        for s in shares:
-            for bm in buckets.get(s, ()):
-                if subset_count.get(em ^ bm, 0):
-                    return False
-        return True
-
-    def add(self, e: Edge) -> None:
-        em, shares, evens = self._prepare(e)
-        self.current.add(e)
-        diff_count = self.diff_count
-        for s in shares:
-            bucket = self.buckets.setdefault(s, set())
-            for bm in bucket:
-                d = em ^ bm
-                diff_count[d] = diff_count.get(d, 0) + 1
-            bucket.add(em)
-        for d in evens:
-            self.subset_count[d] = self.subset_count.get(d, 0) + 1
-
-    def remove(self, e: Edge) -> None:
-        em, shares, evens = self._prepare(e)
-        self.current.discard(e)
-        diff_count = self.diff_count
-        for s in shares:
-            bucket = self.buckets[s]
-            bucket.discard(em)
-            for bm in bucket:
-                diff_count[em ^ bm] -= 1
-        for d in evens:
-            self.subset_count[d] -= 1
-
-
-def _three_edge_member(G: Hypergraph, max_diff: int) -> bool:
-    """True iff G has edges A != B and C with A ^ B inside C and
-    |A ^ B| <= max_diff: the edges go into a fresh ``_ThreeEdgeState`` in
-    order, and the first one it refuses completes a member."""
-    state = _ThreeEdgeState(G.r, max_diff)
-    for e in G.edge_list:
-        if not state.can_add(e):
-            return True
-        state.add(e)
-    return False
-
-
-def is_cancellative(G: Hypergraph) -> bool:
-    """No three distinct edges where one contains the symmetric difference of
-    the other two (equivalently: A u B = A u C forces B = C)."""
-    return not _three_edge_member(G, G.r)
-
-
-def contains_sigma_member(G: Hypergraph) -> bool:
-    """True iff some two edges share r-1 vertices and a third edge contains
-    their symmetric difference (the three-edge triangle-like family)."""
-    return _three_edge_member(G, 2)
 
 
 @dataclass(frozen=True)
@@ -266,7 +165,7 @@ def contains_family_member(G: Hypergraph, F: Hypergraph, p: int) -> Optional[Emb
         if mapping is not None:
             covering = {pr: next(e for e in G.edge_list if pr[0] in e and pr[1] in e)
                         for pr in itertools.combinations(core, 2)}
-            return Embedding(mapping, "family-member", core=core, covering=covering)
+            return Embedding(mapping, core, covering)
     return None
 
 

@@ -12,7 +12,7 @@ with pair counts), and run plans compiled once per pattern: the subgraph
 state seeds the anchored plans, repeats collapsed, with e, so it searches
 only copies with a pattern edge on e; the family state runs the base plan
 in the cores through a pair of e.  The sigma and cancellative families
-share ``constructions._ThreeEdgeState`` with the one-shot checks.
+share one bitmask index, ``_ThreeEdgeState``.
 
 The search solves the sizes 0, ..., n in turn and takes three things
 from the size below.  Every predicate here is closed under deleting a
@@ -98,11 +98,8 @@ from .hypergraph import (
     find_embedding,
 )
 from .constructions import (
-    _ThreeEdgeState,
     contains_family_member,
-    contains_sigma_member,
     expanded_clique_with_embedded,
-    is_cancellative,
     turan_hypergraph,
 )
 
@@ -135,12 +132,20 @@ class ExactSearchRefused(ValueError):
 class ForbiddenPredicate:
     """Monotone forbidden-configuration predicate: if G violates it, every
     supergraph does.  ``state(n, r)`` builds the incremental index used by the
-    searches; ``is_free`` is the standalone check."""
+    searches; ``is_free`` is the standalone check, run on that state unless a
+    predicate overrides it."""
 
     kind = "abstract"
 
     def is_free(self, G: Hypergraph) -> bool:
-        raise NotImplementedError
+        """Add G's edges, in edge_list order, to a fresh state; G is free
+        unless can_add refuses one of them."""
+        state = self.state(G.n, G.r)
+        for e in G.edge_list:
+            if not state.can_add(e):
+                return False
+            state.add(e)
+        return True
 
     def state(self, n: int, r: int):
         raise NotImplementedError
@@ -160,6 +165,8 @@ class SubgraphPredicate(ForbiddenPredicate):
         self.plans = _anchored_plans(pattern)
 
     def is_free(self, G: Hypergraph) -> bool:
+        """The whole-graph search: a pattern with no edges is held by a graph
+        with enough vertices, but no added edge completes it."""
         return find_embedding(G, self.pattern) is None
 
     def state(self, n: int, r: int):
@@ -286,6 +293,78 @@ class _FamilyState(_EmbedState):
             self._update(e, -1)
 
 
+class _ThreeEdgeState:
+    """Bitmask index for three distinct edges A, B, C with A ^ B inside C and
+    |A ^ B| <= max_diff: sigma is max_diff = 2, cancellative max_diff = r.
+
+    |A ^ B| is even, so A and B share at least share = r - max_diff // 2
+    vertices and meet in the bucket of a shared subset of that size.  A new
+    edge e is rejected as the containing edge when a stored pairwise
+    difference is an even subset of e (``diff_count``), and as one of the
+    pair when, for some B in its buckets, a stored edge contains e ^ B
+    (``subset_count`` of the even subsets up to max_diff).  A pair sharing j
+    vertices meets in C(j, share) buckets, on add and on remove alike, so
+    ``diff_count`` holds each difference with that multiplicity.
+    """
+
+    def __init__(self, r: int, max_diff: int):
+        self.current: set[Edge] = set()
+        self.share = r - max_diff // 2
+        self.max_diff = max_diff
+        self.buckets: dict[int, set[int]] = {}
+        self.subset_count: dict[int, int] = {}
+        self.diff_count: dict[int, int] = {}
+        self._prep: dict[Edge, tuple] = {}
+
+    def _prepare(self, e: Edge):
+        got = self._prep.get(e)
+        if got is None:
+            shares = tuple(_bits(s) for s in itertools.combinations(e, self.share))
+            evens = tuple(_bits(s) for k in range(2, self.max_diff + 1, 2)
+                          for s in itertools.combinations(e, k))
+            got = (_bits(e), shares, evens)
+            self._prep[e] = got
+        return got
+
+    def can_add(self, e: Edge) -> bool:
+        em, shares, evens = self._prepare(e)
+        diff_count = self.diff_count
+        for d in evens:
+            if diff_count.get(d, 0):
+                return False
+        subset_count, buckets = self.subset_count, self.buckets
+        for s in shares:
+            for bm in buckets.get(s, ()):
+                if subset_count.get(em ^ bm, 0):
+                    return False
+        return True
+
+    def add(self, e: Edge) -> None:
+        em, shares, evens = self._prepare(e)
+        self.current.add(e)
+        diff_count = self.diff_count
+        for s in shares:
+            bucket = self.buckets.setdefault(s, set())
+            for bm in bucket:
+                d = em ^ bm
+                diff_count[d] = diff_count.get(d, 0) + 1
+            bucket.add(em)
+        for d in evens:
+            self.subset_count[d] = self.subset_count.get(d, 0) + 1
+
+    def remove(self, e: Edge) -> None:
+        em, shares, evens = self._prepare(e)
+        self.current.discard(e)
+        diff_count = self.diff_count
+        for s in shares:
+            bucket = self.buckets[s]
+            bucket.discard(em)
+            for bm in bucket:
+                diff_count[em ^ bm] -= 1
+        for d in evens:
+            self.subset_count[d] -= 1
+
+
 class FamilyPredicate(ForbiddenPredicate):
     kind = "family"
 
@@ -296,6 +375,8 @@ class FamilyPredicate(ForbiddenPredicate):
         self.p = p
 
     def is_free(self, G: Hypergraph) -> bool:
+        """The whole-graph search: a core of p <= 1 vertices is held by a
+        graph with p vertices, but no added edge completes it."""
         return contains_family_member(G, self.pattern, self.p) is None
 
     def state(self, n: int, r: int):
@@ -318,11 +399,6 @@ class SigmaPredicate(ForbiddenPredicate):
             raise ValueError("sigma family needs r >= 2")
         self.r = r
 
-    def is_free(self, G: Hypergraph) -> bool:
-        if G.r != self.r:
-            raise ValueError("predicate uniformity mismatch")
-        return not contains_sigma_member(G)
-
     def state(self, n: int, r: int):
         if r != self.r:
             raise ValueError("predicate uniformity mismatch")
@@ -338,14 +414,8 @@ class CancellativePredicate(ForbiddenPredicate):
 
     kind = "cancellative"
 
-    def is_free(self, G: Hypergraph) -> bool:
-        return is_cancellative(G)
-
     def state(self, n: int, r: int):
         return _ThreeEdgeState(r, r)
-
-    def describe(self) -> str:
-        return "cancellative"
 
 
 # -- search results ---------------------------------------------------------

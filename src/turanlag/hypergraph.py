@@ -33,7 +33,6 @@ __all__ = [
     "Embedding",
     "falling_factorial",
     "blowup",
-    "contains_subhypergraph",
     "find_embedding",
     "max_matching",
     "kernel_degree",
@@ -254,18 +253,17 @@ def _cliques(adj: list[int], cand: int, size: int) -> Iterator[VertexSet]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Injective vertex map certifying containment.
+    """Certificate that a host contains a member of a family of expansions.
 
-    kind='subgraph': the image of every pattern edge is a host edge.
-    kind='family-member': ``core`` is a p-set of host vertices whose pairs are
-    all covered in the host and whose induced subgraph contains the pattern;
-    ``covering`` records one witness edge per core pair for auditability.
+    ``mapping`` is an injective pattern-to-host vertex map; ``core`` is a
+    p-set of host vertices whose pairs are all covered in the host and whose
+    induced subgraph holds the mapped pattern; ``covering`` records one
+    witness edge per core pair for auditability.
     """
 
     mapping: dict
-    kind: str
-    core: Optional[VertexSet] = None
-    covering: Optional[dict] = None
+    core: VertexSet
+    covering: dict
 
 
 # The embedding engine.  A pattern F is compiled once into plans: a vertex
@@ -379,16 +377,6 @@ def find_embedding(G: Hypergraph, F: Hypergraph) -> Optional[dict]:
                   _pair_masks(G), (1 << G.n) - 1)
 
 
-def contains_subhypergraph(G: Hypergraph, F: Hypergraph) -> Optional[Embedding]:
-    """First (in fixed search order) copy of F in G, or None.
-
-    Containment is not-necessarily-induced: every pattern edge must map onto a
-    host edge, extra host edges are fine.
-    """
-    mapping = find_embedding(G, F)
-    return None if mapping is None else Embedding(mapping, "subgraph")
-
-
 # -- matching and sunflowers -------------------------------------------
 
 
@@ -424,10 +412,4 @@ def kernel_degree(G: Hypergraph, D: Iterable[int]) -> int:
     Equals the maximum matching of the link of D (petals must be disjoint),
     and 0 when no edge contains D.
     """
-    dd = tuple(sorted(set(D)))
-    if len(dd) >= G.r:
-        raise ValueError(f"kernel degree needs |D| < r, got |D|={len(dd)}, r={G.r}")
-    lk = G.link(dd)
-    if not lk.edges:
-        return 0
-    return max_matching(lk)
+    return max_matching(G.link(D))

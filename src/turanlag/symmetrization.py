@@ -218,15 +218,9 @@ def symmetrize(G: Hypergraph, v: int, u: int) -> Hypergraph:
     """Make v a clone of u: drop v's edges, add {v} + D for D in the link of u.
 
     Requires {u, v} uncovered; edges through both u and v never arise because
-    u's link avoids v by nonadjacency.
+    u's link avoids v by nonadjacency.  ``_Classes.clone`` raises ValueError
+    for a vertex out of range, for u = v and for a covered pair.
     """
-    if u == v:
-        raise ValueError("symmetrize needs two distinct vertices")
-    for w in (u, v):
-        if not 0 <= w < G.n:
-            raise ValueError(f"vertex {w} out of range")
-    if (min(u, v), max(u, v)) in G.covered_pairs:
-        raise ValueError(f"cannot symmetrize covered pair {{{u}, {v}}}")
     st = _Classes(G)
     st.clone((v,), u)
     return Hypergraph._trusted(G.n, G.r, st.expand(st.members))

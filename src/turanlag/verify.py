@@ -28,7 +28,6 @@ from .hypergraph import (
 from .constructions import (
     complete_hypergraph,
     contains_family_member,
-    contains_sigma_member,
     enlargement,
     expanded_clique_with_embedded,
     path_graph,
@@ -163,7 +162,7 @@ def _check_sigma_lower(seed: int):
     ok = True
     for n in range(3, 10):
         t = turan_hypergraph(n, 3, 3).graph
-        free = not contains_sigma_member(t)
+        free = SigmaPredicate(3).is_free(t)
         res = local_search_lower(n, 3, SigmaPredicate(3), seed=seed, iters=0)
         measured[n] = {"free": free, "lower": res.value, "turan": len(t.edges)}
         ok = ok and free and res.value >= len(t.edges)

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from turanlag import (
+    CancellativePredicate,
     Hypergraph,
+    SigmaPredicate,
     complete_hypergraph,
     contains_family_member,
-    contains_sigma_member,
-    contains_subhypergraph,
     enlargement,
     expanded_clique_with_embedded,
+    find_embedding,
     generalized_triangle,
-    is_cancellative,
     path_graph,
     random_hypergraph,
     random_tree,
@@ -77,9 +77,10 @@ def test_generalized_triangle():
 
 
 def test_is_cancellative(t363):
-    assert is_cancellative(t363)
-    assert not is_cancellative(generalized_triangle(3))
-    assert is_cancellative(Hypergraph(5, 3, [(0, 1, 2), (0, 1, 3)]))
+    cancellative = CancellativePredicate()
+    assert cancellative.is_free(t363)
+    assert not cancellative.is_free(generalized_triangle(3))
+    assert cancellative.is_free(Hypergraph(5, 3, [(0, 1, 2), (0, 1, 3)]))
 
 
 def test_cancellative_agrees_with_brute():
@@ -88,7 +89,7 @@ def test_cancellative_agrees_with_brute():
         r = rng.choice((2, 3, 4))
         n = rng.randint(r + 1, 7)
         g = random_hypergraph(n, r, density=rng.uniform(0.2, 0.7), rng=rng)
-        assert is_cancellative(g) == brute_is_cancellative(g)
+        assert CancellativePredicate().is_free(g) == brute_is_cancellative(g)
 
 
 # -- sigma family -------------------------------------------------------------
@@ -96,12 +97,12 @@ def test_cancellative_agrees_with_brute():
 
 def test_contains_sigma():
     for r in range(2, 6):
-        assert contains_sigma_member(generalized_triangle(r))
+        assert not SigmaPredicate(r).is_free(generalized_triangle(r))
     for n in range(3, 10):
-        assert not contains_sigma_member(turan_hypergraph(n, 3, 3).graph)
+        assert SigmaPredicate(3).is_free(turan_hypergraph(n, 3, 3).graph)
     # pairwise small intersections: no two edges share r-1 vertices
     g = Hypergraph(9, 3, [(0, 1, 2), (3, 4, 5), (0, 3, 6)])
-    assert not contains_sigma_member(g)
+    assert SigmaPredicate(3).is_free(g)
 
 
 def test_sigma_witness_is_cancellative_violation():
@@ -111,8 +112,8 @@ def test_sigma_witness_is_cancellative_violation():
         r = rng.choice((2, 3))
         n = rng.randint(r + 1, 7)
         g = random_hypergraph(n, r, density=rng.uniform(0.3, 0.8), rng=rng)
-        if contains_sigma_member(g):
-            assert not is_cancellative(g)
+        if not SigmaPredicate(r).is_free(g):
+            assert not CancellativePredicate().is_free(g)
 
 
 # -- expanded cliques -----------------------------------------------------------
@@ -148,8 +149,8 @@ def test_expanded_clique_of_sharing_pair_is_generalized_triangle():
         h = expanded_clique_with_embedded(L, r + 1).graph
         t = generalized_triangle(r)
         assert h.n == t.n and len(h.edges) == len(t.edges)
-        assert contains_subhypergraph(h, t) is not None
-        assert contains_subhypergraph(t, h) is not None
+        assert find_embedding(h, t) is not None
+        assert find_embedding(t, h) is not None
 
 
 def test_expanded_clique_core_covered():
@@ -217,7 +218,7 @@ def test_family_member_basic():
 
     k4 = complete_hypergraph(4, 3)
     emb2 = contains_family_member(k4, single_edge(3), 4)
-    assert emb2 is not None and emb2.kind == "family-member"
+    assert emb2 is not None and emb2.core == (0, 1, 2, 3)
 
 
 def test_family_member_certificate_is_valid():

@@ -18,7 +18,6 @@ from turanlag import (
     expanded_clique_with_embedded,
     family_free_subgraph,
     generalized_triangle,
-    is_cancellative,
     kernel_clean,
     kernel_degree,
     local_search_lower,
@@ -86,7 +85,7 @@ def test_cancellative_n5_full_enumeration_oracle():
     assert best == 4
     res = brute_force_ex(5, 3, CancellativePredicate())
     assert res.exact and res.value == 4
-    assert is_cancellative(res.witness)
+    assert CancellativePredicate().is_free(res.witness)
 
 
 def test_sigma_equals_cancellative_for_r3():
@@ -96,14 +95,19 @@ def test_sigma_equals_cancellative_for_r3():
         assert a == b
 
 
+def test_sigma_predicate_needs_r_at_least_2():
+    with pytest.raises(ValueError, match="^sigma family needs r >= 2$"):
+        SigmaPredicate(1)
+
+
 def test_cancellative_r4_differs_from_sigma_state():
     # for r = 4 a violation can avoid any (r-1)-sharing pair entirely:
     # A, B with |A ^ B| = 4 contained in a third edge
     g = Hypergraph(6, 4, [(0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5)])
-    assert not is_cancellative(g)
-    from turanlag import contains_sigma_member
-
-    assert not contains_sigma_member(g)
+    assert not CancellativePredicate().is_free(g)
+    assert SigmaPredicate(4).is_free(g)
+    with pytest.raises(ValueError, match="^predicate uniformity mismatch$"):
+        SigmaPredicate(3).is_free(g)
     st = CancellativePredicate().state(6, 4)
     st.add((0, 1, 2, 3))
     st.add((2, 3, 4, 5))
@@ -665,8 +669,7 @@ def test_family_free_subgraph_reports_violation():
     res = family_free_subgraph(g, single_edge(3), 3)
     assert res.checked
     assert res.graph == g
-    assert res.violation is not None
-    assert res.violation.kind == "family-member"
+    assert res.violation is not None and len(res.violation.core) == 4
 
 
 def test_family_free_subgraph_skips_check_beyond_ten_vertices():

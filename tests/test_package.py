@@ -18,3 +18,9 @@ def test_package_namespace_is_the_union_of_the_module_apis():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(turanlag, name) is getattr(mod, name), name
+
+
+def test_lagrangian_module_is_reached_through_importlib():
+    module = importlib.import_module("turanlag.lagrangian")
+    assert isinstance(module, types.ModuleType)
+    assert turanlag.lagrangian is module.lagrangian
