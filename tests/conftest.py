@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from turanlag import (
+    DensitySearchResult,
     Hypergraph,
     SymmetrizationOutcome,
     SymmetrizationStep,
@@ -26,9 +27,10 @@ from turanlag.extremal import (
     SearchResult,
     _check_walk_depth,
     _colex_candidates,
+    _covering_hosts,
     local_search_lower,
 )
-from turanlag.lagrangian import _SUPPORT_EPS, _TOL
+from turanlag.lagrangian import _SUPPORT_EPS, _TOL, lagrangian
 
 _PRESEARCH_ITERS = 400  # colex_dfs_oracle's local-search rounds for its incumbent
 
@@ -238,6 +240,27 @@ def density_dfs_oracle(state, cands, i: int = 0):
     yield from density_dfs_oracle(state, cands, i + 1)
 
 
+def per_host_density_search(forbidden: ForbiddenPredicate, t_max: int, r: int,
+                            seed: int) -> DensitySearchResult:
+    """``lagrangian_density_search`` on a predicate as a loop over its hosts:
+    at each host order the predicate leaves free, an 8-restart ``lagrangian``
+    call per host of ``_covering_hosts``, in order, keeping a value only when
+    it beats the best by more than 1e-12."""
+    best_val, best_wit, exact, evaluated = 0.0, Hypergraph(t_max, r, []), True, 0
+    for t in range(r, t_max + 1):
+        if not forbidden.is_free(Hypergraph(t, r, [])):
+            continue
+        hosts, finished = _covering_hosts(t, r, forbidden)
+        exact = exact and finished
+        for edges in hosts:
+            G = Hypergraph(t, r, edges)
+            evaluated += 1
+            est = lagrangian(G, restarts=8, seed=seed)
+            if est.value > best_val + 1e-12:
+                best_val, best_wit = est.value, G
+    return DensitySearchResult(best_val, best_wit, exact, evaluated)
+
+
 def colex_lex_leader(G: Hypergraph) -> Hypergraph:
     """The relabelling of G whose 0/1 vector over the candidates in colex
     order is largest, first position most significant, found by trying all
@@ -342,19 +365,27 @@ def bisection_capped_projection(v: np.ndarray, cap: float) -> np.ndarray:
     return np.clip(v - hi, 0.0, cap)
 
 
+def one_graph_edges(A) -> np.ndarray:
+    """The (|E|, r) vertex array of the one graph of the library's edge
+    arrays, whose index row lists the vertices column by column."""
+    (idx,) = A.idx
+    return np.ascontiguousarray(idx.reshape(A.r, -1).T)
+
+
 def add_at_gradient(A, x: np.ndarray) -> np.ndarray:
     """Gradient of p_G on the library's edge arrays, one column at a time:
     the product of the other columns by np.delete and np.prod, accumulated
     per vertex by np.add.at.  The vectorized gradient must match it bit for
     bit."""
+    edges = one_graph_edges(A)
     lam = np.zeros(A.n)
-    cols = x[A.edges]
+    cols = x[edges]
     for j in range(A.r):
         if A.r == 1:
-            others = np.ones(len(A.edges))
+            others = np.ones(len(edges))
         else:
             others = np.prod(np.delete(cols, j, axis=1), axis=1)
-        np.add.at(lam, A.edges[:, j], others)
+        np.add.at(lam, edges[:, j], others)
     return A.rf * lam
 
 
@@ -391,13 +422,13 @@ def serial_project(v: np.ndarray, cap: float) -> np.ndarray:
 
 
 def serial_p(A, x: np.ndarray) -> float:
-    return float(A.rf * x[A.edges].prod(axis=1).sum())
+    return float(A.rf * x[one_graph_edges(A)].prod(axis=1).sum())
 
 
 def serial_grad(A, x: np.ndarray) -> np.ndarray:
     """others[j] is the product of the other columns of each edge, folded from
     the left in column order, summed per vertex in j-major order."""
-    idx = A.edges.T.ravel()
+    idx = one_graph_edges(A).T.ravel()
     cols = x[idx].reshape(A.r, -1)
     others = np.empty_like(cols)
     others[0] = 1.0
@@ -439,7 +470,8 @@ def serial_cannot_gain(A, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
     gradient lam at x where p_G(x) = val, can raise p_G by more than 1e-16
     (the stop rule of the lagrangian module docstring)."""
     dd = float(d @ d)
-    higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * (1.0 + math.sqrt(dd)) ** (A.r - 2)
+    size = len(one_graph_edges(A))
+    higher = A.rf * size * math.comb(A.r, 2) * dd * (1.0 + math.sqrt(dd)) ** (A.r - 2)
     return float((lam - A.r * val) @ d) + higher <= 1e-16
 
 

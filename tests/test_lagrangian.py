@@ -40,13 +40,13 @@ from turanlag.extremal import (
 )
 from turanlag.lagrangian import (
     _arrays, _ascend, _cannot_gain, _dots, _grad_np,
-    _greedy_supports, _p_np, _project, _residual, _starts, _transfer,
+    _greedy_supports, _optimize, _p_np, _project, _residual, _starts, _transfer,
 )
 
 from conftest import (
     _fr_derivative_numerator, _poly_sign, add_at_gradient, bisection_capped_projection,
     colex_lex_leader, density_dfs_oracle, enumerate_mad, exact_poly_value,
-    serial_ascend, serial_cannot_gain, serial_grad, serial_p, serial_project, serial_transfer,
+    per_host_density_search, serial_ascend, serial_cannot_gain, serial_grad, serial_p, serial_project, serial_transfer,
     sort_simplex_projection,
 )
 
@@ -228,7 +228,7 @@ def test_seeded_starts_are_flat_dirichlet_draws():
         g = Hypergraph(n, 1, [(0,)])
         first = 1 + len(_greedy_supports(g))
         for seed in range(10):
-            starts = list(_starts(g, 12, seed))[first:]
+            starts = _starts([g], 12, seed)[0][first:]
             assert len(starts) == 12
             for k, x in enumerate(starts):
                 want = np.random.default_rng([seed, k]).dirichlet(np.ones(n))
@@ -265,6 +265,69 @@ def test_block_budget_leaves_estimates_unchanged(g, beta, rows, monkeypatch):
     whole = run()
     monkeypatch.setattr(LAGRANGIAN, "_BLOCK_ELEMS", rows * max(g.r * len(g.edges), g.n))
     assert estimate_bytes(run()) == estimate_bytes(whole)
+
+
+# -- the driver on several graphs ----------------------------------------------
+
+
+def one_call(g, cap, restarts, seed):
+    if cap is None:
+        return lagrangian(g, restarts=restarts, seed=seed)
+    return lagrangian_constrained(g, cap, restarts=restarts, seed=seed)
+
+
+@st.composite
+def graph_lists(draw):
+    # graphs on one n with a few edge counts, so that several share one;
+    # now and then an edgeless graph among them
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, 6))
+    pool = list(itertools.combinations(range(n), r))
+    sizes = draw(st.lists(st.integers(1, len(pool)), min_size=1, max_size=2))
+    graphs = [Hypergraph(n, r, draw(st.permutations(pool))[:draw(st.sampled_from(sizes))])
+              for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        graphs.insert(draw(st.integers(0, len(graphs))), Hypergraph(n, r, []))
+    caps = st.none() | st.sampled_from([1.0, 1 / n])
+    if n > 1:
+        caps |= st.floats(1 / n, 1.0, exclude_max=True)
+    return graphs, draw(caps)
+
+
+@given(graph_lists(), st.sampled_from([0, 1, 8]), st.sampled_from([0, 53]))
+@example(([Hypergraph(4, 3, []), K4_MINUS, Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 3)]),
+           Hypergraph(4, 3, [(0, 1, 2)])], None), 8, 0)
+@example(([cycle(5), Hypergraph(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])], 0.3), 1, 53)
+@settings(max_examples=60, deadline=None)
+def test_driver_gives_each_graph_its_one_graph_estimate(inputs, restarts, seed):
+    # the graphs that share (n, r, |E|) ascend as rows of one block, and
+    # each still gets the estimate of a call on it alone
+    graphs, cap = inputs
+    assert _optimize(graphs, cap, restarts, seed) == [
+        one_call(g, cap, restarts, seed) for g in graphs]
+
+
+def test_driver_blocks_straddle_graphs(monkeypatch):
+    # blocks of 4 rows over three 7-edge graphs with 10, 11 and 16 starts:
+    # rows 8-11 and 20-23 each hold the last starts of one graph and the
+    # first of the next, and every estimate is unchanged
+    graphs = [FANO,
+              Hypergraph(7, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6),
+                                (2, 3, 4), (4, 5, 6)]),
+              Hypergraph(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 4, 5),
+                                (1, 5, 6), (2, 4, 6)])]
+    want = [lagrangian(g, restarts=8, seed=5) for g in graphs]
+    assert [w.restarts_used for w in want] == [10, 11, 16]
+    blocks = []
+
+    def spying(A, X0, cap, max_iters):
+        blocks.append(A.graph)
+        return _ascend(A, X0, cap, max_iters)
+
+    monkeypatch.setattr(LAGRANGIAN, "_BLOCK_ELEMS", 4 * 3 * 7)
+    monkeypatch.setattr(LAGRANGIAN, "_ascend", spying)
+    assert _optimize(graphs, None, 8, 5) == want
+    assert len(blocks) == 10 and [k for k, b in enumerate(blocks) if b is not None] == [2, 5]
 
 
 # -- the capped-simplex projection ---------------------------------------------
@@ -471,6 +534,22 @@ def lockstep_inputs(draw):
     return g, cap, np.array([rows[k] for k in order]), draw(st.sampled_from([1, 2, 3, 50, 5000]))
 
 
+@st.composite
+def lockstep_inputs_across_graphs(draw):
+    # rows of 2 or 3 graphs with one (n, r, |E|) in one block: in place of
+    # the graph, the graphs and the graph of each row
+    g, cap, X0, max_iters = draw(lockstep_inputs())
+    pool = list(itertools.combinations(range(g.n), g.r))
+    others = [Hypergraph(g.n, g.r, draw(st.permutations(pool))[:len(g.edges)])
+              for _ in range(draw(st.integers(1, 2)))]
+    k = len(others) + 1
+    extra = draw(st.lists(st.sampled_from(list(X0)), min_size=k, max_size=k))
+    X0 = np.concatenate([X0, extra])
+    owner = draw(st.permutations(list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=len(X0) - k, max_size=len(X0) - k))))
+    return ([g] + others, np.array(owner)), cap, X0, max_iters
+
+
 # with the stop rule off, the uniform row ends its first search at the
 # 60-halving cap and [0.01, 0.8, 0.14] a later one at the 1e-20 guard
 SINGLE_EDGE_ROWS = (single_edge(3), 1.0, np.array([[1 / 3] * 3, [0.01, 0.8, 0.14],
@@ -503,21 +582,22 @@ def test_ladder_examples_end_searches_on_every_rung(monkeypatch):
     assert {("guard", 1, True), ("guard", 2, True)} <= ends
 
 
-@given(lockstep_inputs(), st.booleans())
+@given(lockstep_inputs() | lockstep_inputs_across_graphs(), st.booleans())
 @example(SINGLE_EDGE_ROWS, False)
 @example(SINGLE_EDGE_ROWS, True)
 @example(GUARD_ROWS, False)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
-    # every row takes the steps of a lone ascent, whatever tick the other
-    # rows stop at and for whatever reason: the same points, as many
-    # gradients, and a ladder of K projections for every K candidates, or
-    # fewer, that a line search of the lone ascent tries.  The stop rule ends
-    # nearly every failed line search; with it off in both engines, searches
-    # also end at the 60-halving cap and, in about 2% of ascents, at the 1e-20
-    # guard
+    # every row takes the steps of a lone ascent on its own graph, whatever
+    # tick the other rows stop at and for whatever reason: the same points,
+    # as many gradients, and a ladder of K projections for every K
+    # candidates, or fewer, that a line search of the lone ascent tries.  The
+    # stop rule ends nearly every failed line search; with it off in both
+    # engines, searches also end at the 60-halving cap and, in about 2% of
+    # ascents, at the 1e-20 guard
     g, cap, X0, max_iters = inputs
-    A = _arrays(g)
+    graphs, owner = ([g], np.zeros(len(X0), dtype=np.int64)) if isinstance(g, Hypergraph) else g
+    A = _arrays(*graphs).rows_of(owner)
     work = collections.Counter()
     with pytest.MonkeyPatch.context() as mp:
         if not stop_rule:
@@ -540,8 +620,8 @@ def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
         count(CONFTEST, "serial_grad", ("grad", "serial"), lambda A, x: 1)
         X, vals = _ascend(A, X0.copy(), cap, max_iters)
         searches = []
-        for row, x, val in zip(X0, X, vals):
-            want, want_val = serial_ascend(A, row, cap, max_iters, searches)
+        for row, x, val, k in zip(X0, X, vals, owner):
+            want, want_val = serial_ascend(_arrays(graphs[k]), row, cap, max_iters, searches)
             assert x.tobytes() == want.tobytes() and f64(val) == f64(want_val)
     K = LAGRANGIAN._RUNGS
     past = sum(K * -(-c // K) - c for c, _ in searches)  # rungs past each search's end
@@ -944,6 +1024,16 @@ def test_covering_hosts_match_labelled_oracle(r, pred, top, value):
     res = lagrangian_density_search(pred, top, r=r)
     assert res.exact and abs(res.best_value - best) <= 1e-12
     assert abs(res.best_value - value) <= 1e-12 and pred.is_free(res.witness)
+
+
+@pytest.mark.parametrize("seed", [0, 53])
+@pytest.mark.parametrize("r, pred, top", [c[1:4] for c in COVERING_CASES],
+                         ids=[c[0] for c in COVERING_CASES])
+def test_density_search_matches_the_per_host_loop(r, pred, top, seed):
+    # the hosts of one order ascend together, and the search keeps what a
+    # separate 8-restart lagrangian call per host would
+    assert (lagrangian_density_search(pred, top, r=r, seed=seed)
+            == per_host_density_search(pred, top, r, seed))
 
 
 def test_density_search_refuses_a_walk_deeper_than_half_the_recursion_limit():
