@@ -610,9 +610,10 @@ def _exhaust(k: int, r: int, forbidden: ForbiddenPredicate, inc: Hypergraph,
 
 def _covering_hosts(k: int, r: int, forbidden: ForbiddenPredicate) -> tuple[list, bool]:
     """The maximal predicate-free r-graphs on k vertices that cover every
-    pair, as frozensets: the lex leader of each isomorphism class, with a
-    few other labellings; and whether the walk ended within
-    ``_HOST_NODE_BUDGET`` nodes.  A stopped walk returns the hosts it found.
+    pair, as frozensets: the lex leader of each isomorphism class the walk
+    reached, once each, in decreasing vector order; and whether the walk
+    ended within ``_HOST_NODE_BUDGET`` nodes.  A stopped walk returns the
+    leaders it found.
 
     The leader DFS's exclude child of e is cut when some pair of e is
     covered by no current edge and by no later candidate that can_add
@@ -620,8 +621,14 @@ def _covering_hosts(k: int, r: int, forbidden: ForbiddenPredicate) -> tuple[list
     predicate is monotone, so the subtree holds no graph that covers the
     pair.  A pair's last candidate is either included or excluded with the
     pair covered, so every leaf covers every pair; the leaves to which no
-    candidate can be added are returned.  Relabelling keeps freeness,
+    candidate can be added are kept.  Relabelling keeps freeness,
     maximality and pair covering, and neither cut drops a leader.
+
+    The include-first walk reaches leaves in decreasing vector order, so the
+    first leaf of each class is its leader, also in a stopped walk.  A leaf
+    is dropped when a kept leaf with its edge count and sorted degrees
+    embeds in it (``find_embedding``): two graphs on k vertices with one
+    edge count are isomorphic exactly when one embeds in the other.
     """
     cands = _colex_candidates(k, r)
     m = len(cands)
@@ -646,7 +653,14 @@ def _covering_hosts(k: int, r: int, forbidden: ForbiddenPredicate) -> tuple[list
 
     _, aborted = _leader_dfs(k, r, state, [math.comb(k - 1, r - 1)] * k, enter, keep,
                              budget=_HOST_NODE_BUDGET)
-    return hosts, not aborted
+    leaders, kept = [], {}
+    for edges in hosts:
+        G = Hypergraph._trusted(k, r, edges)
+        same = kept.setdefault((len(edges), tuple(sorted(G.degrees))), [])
+        if all(find_embedding(G, H) is None for H in same):
+            same.append(G)
+            leaders.append(edges)
+    return leaders, not aborted
 
 
 def _refill_rounds(state, cands, rng, rounds: int) -> Iterator[set]:

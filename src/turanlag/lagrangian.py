@@ -34,14 +34,11 @@ At a stationary x rounding also keeps the first candidate off x, so the test
 
 All starts of one call run together, each as one row of an array, in
 blocks of at most ``_BLOCK_ELEMS`` elements of (rows, r, |E|) temporaries,
-``_RUNGS`` times that for a tick's candidates.  A call on several graphs
-(``_optimize``) stacks the starts of all graphs that share (n, r, |E|), so a
-block may hold rows of several graphs, each row reading its own graph's
-edges.  The rows run in lockstep and never interact: each keeps its own step,
+``_RUNGS`` times that for a tick's candidates.
+The rows run in lockstep and never interact: each keeps its own step,
 halving count, iteration count and progress flag, so it takes the steps of
-an ascent run on it alone, bit for bit.  A one-graph block's gradient bins
-(each row's vertices offset by its row times n) are built once per block; in
-a block of several graphs, the rows of each call read their own bins.
+an ascent run on it alone, bit for bit.  A block's gradient bins (each row's
+vertices offset by its row times n) are built once per block.
 
 One tick of the line search tries a ladder of K = ``_RUNGS`` candidates per
 row, at the steps tt, tt/2, ..., tt/2^(K-1) from the same x, and the row
@@ -66,10 +63,11 @@ capped simplex (see ``_residual``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -223,53 +221,24 @@ _RUNGS = 3
 
 
 class _Arrays(NamedTuple):
-    idx: np.ndarray  # (graphs, r |E|): each graph's edge vertices, column by column
+    edges: np.ndarray  # (E, r) vertex indices
+    idx: np.ndarray  # edges.T.ravel(): the vertices column by column
     n: int
     r: int
     rf: int
-    size: int  # |E|, shared by the graphs
-    graph: Optional[np.ndarray] = None  # each row's graph, for rows of several graphs
-    bins: Optional[np.ndarray] = None  # row k's idx + k*n, row after row
-
-    def rows_of(self, graph: np.ndarray) -> "_Arrays":
-        """The arrays of a block whose row k starts on graph[k]; when every
-        row starts on one graph, the arrays of that graph alone."""
-        if (graph == graph[0]).all():
-            return self._replace(idx=self.idx[graph[:1]])
-        return self._replace(graph=graph)
+    bins: Optional[np.ndarray] = None  # idx + k*n for the rows k of a block, row after row
 
     def for_rows(self, m: int) -> "_Arrays":
-        """The same arrays with the bins of m rows: of any m rows for one
-        graph, of the rows of ``graph`` (m of them) for several."""
-        idx = self.idx if self.graph is None else self.idx[self.graph]
-        return self._replace(bins=(idx + self.n * np.arange(m)[:, None]).ravel())
-
-    def at(self, rows, times: int = 1) -> "_Arrays":
-        """The arrays of the given rows of a block, in order, each row taken
-        ``times`` times.  All rows of one graph read a prefix of the block's
-        bins, so those are kept."""
-        if self.graph is None:
-            return self
-        graph = np.repeat(self.graph[rows], times)
-        return self._replace(graph=graph).for_rows(len(graph))
+        """The same arrays with the bins of m rows."""
+        return self._replace(bins=(self.idx + self.n * np.arange(m)[:, None]).ravel())
 
 
-def _arrays(*graphs: Hypergraph) -> _Arrays:
-    """The edge arrays of graphs that share (n, r, |E|), |E| > 0, with no
-    gradient bins (see ``_Arrays.for_rows``); for several graphs, a block of
-    their starts reads them through ``_Arrays.rows_of``."""
-    G = graphs[0]
-    idx = np.array([np.array(H.edge_list, dtype=np.int64).T.ravel() for H in graphs])
-    return _Arrays(idx, G.n, G.r, math.factorial(G.r), len(G.edges))
-
-
-def _cols(A: _Arrays, X: np.ndarray) -> np.ndarray:
-    """The (rows, r, |E|) block of the edge columns of each row of X, each
-    row's edges column by column.  One graph's rows are gathered along the
-    rows by its index row; rows of several graphs are read from the flat X at
-    their bins (vertex v of row k at k*n + v)."""
-    cols = X.take(A.idx, axis=1) if A.graph is None else X.take(A.bins)
-    return cols.reshape(len(X), A.r, A.size)
+def _arrays(G: Hypergraph) -> Optional[_Arrays]:
+    """The edge arrays of G, with no gradient bins (see ``_Arrays.for_rows``)."""
+    if not G.edges:
+        return None
+    edges = np.array(G.edge_list, dtype=np.int64)
+    return _Arrays(edges, edges.T.ravel(), G.n, G.r, math.factorial(G.r))
 
 
 def _p_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
@@ -280,7 +249,9 @@ def _p_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
     block it leaves is C-contiguous, so each row's edge terms are summed by
     numpy's pairwise sum, as for one vector; the strided X[:, edges] would
     fold them from the left instead."""
-    return A.rf * _cols(A, X).prod(axis=1).sum(axis=1)
+    m = len(X)
+    cols = X.take(A.idx, axis=1).reshape(m, A.r, len(A.edges))
+    return A.rf * cols.prod(axis=1).sum(axis=1)
 
 
 def _grad_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
@@ -288,11 +259,11 @@ def _grad_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
     other columns of each edge, folded from the left in column order, summed
     per vertex in j-major order by one np.bincount, with the vertices of row k
     offset by k*n: the prefix of ``A.bins``, so A must hold the bins of at
-    least m rows of one graph, or those of X's rows (``_Arrays.for_rows``,
-    ``_Arrays.at``).  The prefix products take one multiply per column: a
-    cumprod along the middle axis folds the same way, but slower."""
+    least m rows (``_Arrays.for_rows``).  The prefix products take one
+    multiply per column: a cumprod along the middle axis folds the same way,
+    but slower."""
     m = len(X)
-    cols = _cols(A, X)
+    cols = X.take(A.idx, axis=1).reshape(m, A.r, len(A.edges))
     others = np.empty_like(cols)
     others[:, 0] = 1.0
     for k in range(1, A.r):
@@ -342,7 +313,7 @@ def _cannot_gain(A: _Arrays, lam: np.ndarray, val: np.ndarray,
         grow = (1.0 + np.sqrt(dd)) ** (A.r - 2)
     else:  # the power by the C library, as for one float: numpy's may round apart
         grow = np.array([(1.0 + math.sqrt(v)) ** (A.r - 2) for v in dd.tolist()])
-    higher = A.rf * A.size * math.comb(A.r, 2) * dd * grow
+    higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * grow
     return _dots(lam - A.r * val[:, None], D) + higher <= 1e-16
 
 
@@ -377,7 +348,7 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         Xl, lamL, vl = X[live], lam[live], val[live]
         V = Xl[:, None] + steps[:, :, None] * lamL[:, None]
         cand = _project(V.reshape(L * _RUNGS, n), cap)
-        pv = _p_np(A.at(live, _RUNGS), cand).reshape(L, _RUNGS)
+        pv = _p_np(A, cand).reshape(L, _RUNGS)
         D = cand - np.repeat(Xl, _RUNGS, axis=0)
         stop = _cannot_gain(A, np.repeat(lamL, _RUNGS, axis=0),
                             np.repeat(vl, _RUNGS), D).reshape(L, _RUNGS)
@@ -395,7 +366,7 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
             wr, wj = rows[gains], rung[gains]
             best = cand[wr * _RUNGS + wj]
             X[won], val[won], t[won] = best, pv[wr, wj], steps[wr, wj] * 2.0
-            lam[won] = _grad_np(A.at(won), best)
+            lam[won] = _grad_np(A, best)
             progressed[won] = True
         ended = live[rows]
         live = live[~ends]
@@ -409,9 +380,8 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         mv = ended[moved]
         if len(mv):
             X[mv] = Xm = Xe[moved]
-            Am = A.at(mv)
-            lam[mv] = _grad_np(Am, Xm)
-            nv = _p_np(Am, Xm)
+            lam[mv] = _grad_np(A, Xm)
+            nv = _p_np(A, Xm)
             progressed[mv] |= nv > val[mv]
             val[mv] = nv
         iters[ended] += 1
@@ -429,7 +399,7 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         Y[over] = _project(Y[over], cap)
     diff = (X != Y).any(axis=1)
     X[diff] = Y[diff]
-    lam[diff] = _grad_np(A.at(diff), Y[diff])
+    lam[diff] = _grad_np(A, Y[diff])
     live = np.arange(m)
     for _ in range(300):
         Xl = X[live]
@@ -438,7 +408,7 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         if not len(live):
             break
         X[live] = Xm = Xl[moved]
-        lam[live] = _grad_np(A.at(live), Xm)
+        lam[live] = _grad_np(A, Xm)
     return X, _p_np(A, X)
 
 
@@ -508,77 +478,56 @@ class LagrangianEstimate:
     cap_binds: Optional[bool] = None
 
 
-def _starts(graphs: list[Hypergraph], restarts: int,
-            seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The starts of graphs on n vertices, graph after graph, and the index
-    of each start's graph.  Each graph has the uniform start, its
-    greedy-support starts, then the seeded ones.
+def _starts(G: Hypergraph, restarts: int, seed: int) -> Iterator[np.ndarray]:
+    """The uniform start, the greedy-support starts, then the seeded ones.
 
     A seeded start is the flat Dirichlet draw of ``default_rng([seed, k])``,
     bit for bit: numpy draws it as standard exponentials (the gamma variates
     of shape 1), sums them from the left and scales by the sum's reciprocal,
-    as done here without the general gamma path.  The draws depend only on
-    (n, restarts, seed), so they are drawn once for all graphs."""
-    n = graphs[0].n
-    seeded = []
+    as done here without the general gamma path."""
+    n = G.n
+    yield np.full(n, 1.0 / n)
+    for sup in _greedy_supports(G):
+        v = np.zeros(n)
+        v[list(sup)] = 1.0 / len(sup)
+        yield v
     for k in range(restarts):
         e = np.random.default_rng([seed, k]).standard_exponential(n)
-        seeded.append(e * (1.0 / np.cumsum(e)[-1]))
-    starts, owner = [], []
-    for i, G in enumerate(graphs):
-        mine = [np.full(n, 1.0 / n)]
-        for sup in _greedy_supports(G):
-            v = np.zeros(n)
-            v[list(sup)] = 1.0 / len(sup)
-            mine.append(v)
-        starts += mine + seeded
-        owner += [i] * (len(mine) + restarts)
-    return np.array(starts), np.array(owner)
+        yield e * (1.0 / np.cumsum(e)[-1])
 
 
-def _optimize(graphs: list[Hypergraph], cap: Optional[float], restarts: int,
-              seed: int) -> list[LagrangianEstimate]:
-    """The multistart estimate of each graph, in order.  The graphs that
-    share (n, r, |E|) run together: their starts are stacked, graph after
-    graph, and ascend in blocks of rows (``_ascend``).  Rows never interact,
-    so each graph's estimate is that of a call on it alone, bit for bit."""
+def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
+              seed: int) -> LagrangianEstimate:
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    n = G.n
+    A = _arrays(G)
+    if A is None:
+        return LagrangianEstimate(0.0, WeightVector.uniform(n), 0, True, 0.0,
+                                  beta=cap, cap_binds=None if cap is None else False)
     box = 1.0 if cap is None else cap
-    out: list[Optional[LagrangianEstimate]] = [None] * len(graphs)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, G in enumerate(graphs):
-        if G.edges:
-            groups.setdefault((G.n, G.r, len(G.edges)), []).append(i)
-        else:
-            out[i] = LagrangianEstimate(0.0, WeightVector.uniform(G.n), 0, True, 0.0, beta=cap,
-                                        cap_binds=None if cap is None else False)
-    for (n, r, size), members in groups.items():
-        group = [graphs[i] for i in members]
-        A = _arrays(*group)
-        X0, owner = _starts(group, restarts, seed)
-        rows = max(1, _BLOCK_ELEMS // max(r * size, n))
-        done = [_ascend(A.rows_of(owner[k:k + rows]), X0[k:k + rows], box, _MAX_ITERS)
-                for k in range(0, len(X0), rows)]
-        X = np.concatenate([x for x, _ in done])
-        vals = np.concatenate([v for _, v in done])
-        for j, i in enumerate(members):
-            mine = np.flatnonzero(owner == j)
-            best_x: Optional[np.ndarray] = None
-            best_val = -1.0
-            for x, val in zip(X[mine], vals[mine]):  # in start order
-                if val > best_val + 1e-15:
-                    best_val, best_x = val, x
-            # value and residual at the weights reported, after any renormalization
-            wv = WeightVector(tuple(float(v) for v in best_x))
-            value = poly_value(graphs[i], wv.weights)
-            resid = _residual(graphs[i], wv.weights, value, box)
-            binds = None if cap is None else max(wv.weights) >= cap - 1e-9
-            out[i] = LagrangianEstimate(value, wv, len(mine), resid <= _TOL, resid,
-                                        beta=cap, cap_binds=binds)
-    return out
+
+    starts = _starts(G, restarts, seed)
+    rows = max(1, _BLOCK_ELEMS // max(A.r * len(A.edges), n))
+    used = 0
+    best_x: Optional[np.ndarray] = None
+    best_val = -1.0
+    while block := list(itertools.islice(starts, rows)):
+        used += len(block)
+        X, vals = _ascend(A, np.array(block), box, _MAX_ITERS)
+        for x, val in zip(X, vals):  # in start order
+            if val > best_val + 1e-15:
+                best_val, best_x = val, x
+
+    # value and residual at the weights reported, after any renormalization
+    wv = WeightVector(tuple(float(v) for v in best_x))
+    value = poly_value(G, wv.weights)
+    resid = _residual(G, wv.weights, value, box)
+    binds = None if cap is None else max(wv.weights) >= cap - 1e-9
+    return LagrangianEstimate(value, wv, used, resid <= _TOL, resid,
+                              beta=cap, cap_binds=binds)
 
 
 def lagrangian(G: Hypergraph, *, restarts: int = 50, seed: int = 0) -> LagrangianEstimate:
@@ -589,7 +538,7 @@ def lagrangian(G: Hypergraph, *, restarts: int = 50, seed: int = 0) -> Lagrangia
     a certified lower bound (it is p_G at a feasible point); ``converged``
     reports whether its KKT residual is within 1e-9.
     """
-    return _optimize([G], None, restarts, seed)[0]
+    return _optimize(G, None, restarts, seed)
 
 
 def lagrangian_constrained(G: Hypergraph, beta: float, *, restarts: int = 50,
@@ -605,7 +554,7 @@ def lagrangian_constrained(G: Hypergraph, beta: float, *, restarts: int = 50,
     if not (1.0 / G.n - 1e-12 <= beta <= 1.0 + 1e-12):
         side = "< 1/n" if beta < 1 else "> 1"
         raise ValueError(f"beta must lie in [1/n, 1], got beta {side} with n = {G.n}")
-    return _optimize([G], float(beta), restarts, seed)[0]
+    return _optimize(G, float(beta), restarts, seed)
 
 
 # -- closed forms -------------------------------------------------------
@@ -688,7 +637,8 @@ def motzkin_straus_reference(G: Hypergraph) -> float:
 
 class DensitySearchResult(NamedTuple):
     """The best ascent value, its host, whether every host order's walk
-    ended within the node budget, and the number of hosts evaluated."""
+    ended within the node budget, and the number of hosts evaluated: one
+    per isomorphism class reached."""
 
     best_value: float
     witness: Hypergraph
@@ -708,12 +658,11 @@ def lagrangian_density_search(forbidden: Union[ForbiddenPredicate, Hypergraph],
     which every pair is covered (Frankl and Rodl 1984, "Hypergraphs do not
     jump"), and G[S] lies in a maximal free graph on |S| vertices, which
     covers pairs too and has at least its Lagrangian.  For each t from r to
-    t_max, ``extremal._covering_hosts`` gives these hosts on t vertices, one
-    labelling per isomorphism class or a few, from a leader DFS of at most
-    ``extremal._HOST_NODE_BUDGET`` nodes.  Each host, also one a stopped walk
-    found, gets the value of an 8-restart ``lagrangian``, bit for bit, and the
-    best is kept; the hosts of one order run in one ``_optimize`` call, so
-    those with one edge count share the ascent's blocks.  ``exact``
+    t_max, ``extremal._covering_hosts`` gives these hosts on t vertices, the
+    lex leader of each isomorphism class, from a leader DFS of at most
+    ``extremal._HOST_NODE_BUDGET`` nodes.  Each class, also one a stopped
+    walk found, gets an 8-restart ``lagrangian``, and the best is kept;
+    ``evaluated`` counts the classes.  ``exact``
     records whether every walk ended within the budget (the value is a lower
     bound either way).  A t_max whose C(t_max, r) candidates are too deep to
     walk is refused with ``ExactSearchRefused``, by the guard the exact
@@ -740,9 +689,10 @@ def lagrangian_density_search(forbidden: Union[ForbiddenPredicate, Hypergraph],
             continue  # the configuration already sits in t isolated vertices
         hosts, finished = _covering_hosts(t, r, forbidden)
         exact = exact and finished
-        graphs = [Hypergraph._trusted(t, r, edges) for edges in hosts]
-        evaluated += len(graphs)
-        for G, est in zip(graphs, _optimize(graphs, None, _DENSITY_RESTARTS, seed)):
+        for edges in hosts:
+            G = Hypergraph._trusted(t, r, edges)
+            evaluated += 1
+            est = lagrangian(G, restarts=_DENSITY_RESTARTS, seed=seed)
             if est.value > best_val + 1e-12:
                 best_val, best_wit = est.value, G
     return DensitySearchResult(best_val, best_wit, exact, evaluated)

@@ -365,27 +365,19 @@ def bisection_capped_projection(v: np.ndarray, cap: float) -> np.ndarray:
     return np.clip(v - hi, 0.0, cap)
 
 
-def one_graph_edges(A) -> np.ndarray:
-    """The (|E|, r) vertex array of the one graph of the library's edge
-    arrays, whose index row lists the vertices column by column."""
-    (idx,) = A.idx
-    return np.ascontiguousarray(idx.reshape(A.r, -1).T)
-
-
 def add_at_gradient(A, x: np.ndarray) -> np.ndarray:
     """Gradient of p_G on the library's edge arrays, one column at a time:
     the product of the other columns by np.delete and np.prod, accumulated
     per vertex by np.add.at.  The vectorized gradient must match it bit for
     bit."""
-    edges = one_graph_edges(A)
     lam = np.zeros(A.n)
-    cols = x[edges]
+    cols = x[A.edges]
     for j in range(A.r):
         if A.r == 1:
-            others = np.ones(len(edges))
+            others = np.ones(len(A.edges))
         else:
             others = np.prod(np.delete(cols, j, axis=1), axis=1)
-        np.add.at(lam, edges[:, j], others)
+        np.add.at(lam, A.edges[:, j], others)
     return A.rf * lam
 
 
@@ -422,13 +414,13 @@ def serial_project(v: np.ndarray, cap: float) -> np.ndarray:
 
 
 def serial_p(A, x: np.ndarray) -> float:
-    return float(A.rf * x[one_graph_edges(A)].prod(axis=1).sum())
+    return float(A.rf * x[A.edges].prod(axis=1).sum())
 
 
 def serial_grad(A, x: np.ndarray) -> np.ndarray:
     """others[j] is the product of the other columns of each edge, folded from
     the left in column order, summed per vertex in j-major order."""
-    idx = one_graph_edges(A).T.ravel()
+    idx = A.edges.T.ravel()
     cols = x[idx].reshape(A.r, -1)
     others = np.empty_like(cols)
     others[0] = 1.0
@@ -470,8 +462,7 @@ def serial_cannot_gain(A, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
     gradient lam at x where p_G(x) = val, can raise p_G by more than 1e-16
     (the stop rule of the lagrangian module docstring)."""
     dd = float(d @ d)
-    size = len(one_graph_edges(A))
-    higher = A.rf * size * math.comb(A.r, 2) * dd * (1.0 + math.sqrt(dd)) ** (A.r - 2)
+    higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * (1.0 + math.sqrt(dd)) ** (A.r - 2)
     return float((lam - A.r * val) @ d) + higher <= 1e-16
 
 
