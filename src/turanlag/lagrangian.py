@@ -8,10 +8,24 @@ identities p_G(x) = (1/r) * sum lambda_i x_i and max_i lambda_i >= r * p_G(x).
 
 The ascent runs on the capped simplex {x >= 0, sum x = 1, x <= cap}, at
 cap 1 for an uncapped run: projected gradient with backtracking line search,
-polished by a pairwise weight transfer: moving d = (lam_b - lam_a) / (2 r!)
-from the smallest-gradient support vertex a to the largest-gradient support
-vertex b raises p_G by at least (lam_b - lam_a)^2 / (4 r!), so the move never
-decreases the objective.
+each search followed by a pairwise weight transfer from the smallest-gradient
+support vertex a to the largest-gradient support vertex b below the cap.
+Along e_b - e_a the edge polynomial is exactly quadratic, the weight shifting
+of Frankl & Rodl 1984:
+
+    p_G(x + s(e_b - e_a)) = p_G(x) + gap s - c s^2,
+
+gap = lambda_b - lambda_a, and c = r! sum over the edges through a and b of
+the product of their other weights, the mixed second derivative, at most r!.
+So a move d of at most gap / (2c) gains at least gap d / 2 in exact
+arithmetic.  The final equalization passes move the maximizer,
+d = min(gap / (2c), x_a, cap - x_b), or min(x_a, cap - x_b) when c = 0.  The
+transfer after each line search moves min(gap / (2 r!), x_a, cap - x_b),
+never more: with the maximizer there, small 3-graphs and 2-graphs kept
+progressing through more line-search ticks (a 50-restart call on a single
+3-edge took 19 instead of 10).  That transfer counts as progress only when
+it raises p_G by more than 1e-16, the line search's own bar, so a row whose
+search failed ends its loop instead of iterating on rounding-level gains.
 
 A line search accepts a step that raises p_G by more than 1e-16, halves it
 otherwise (at most 60 times, down to 1e-20), and ends early once a failed
@@ -255,46 +269,80 @@ def _p_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
 
 
 def _grad_np(A: _Arrays, X: np.ndarray) -> np.ndarray:
-    """The gradient at each row of X.  others[:, j] is the product of the
-    other columns of each edge, folded from the left in column order, summed
-    per vertex in j-major order by one np.bincount, with the vertices of row k
-    offset by k*n: the prefix of ``A.bins``, so A must hold the bins of at
-    least m rows (``_Arrays.for_rows``).  The prefix products take one
-    multiply per column: a cumprod along the middle axis folds the same way,
-    but slower."""
+    """The gradient at each row of X (see ``_gradient``)."""
+    return _gradient(A, X, False)[1]
+
+
+def _p_grad(A: _Arrays, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_G and the gradient at each row of X, from one gather (see
+    ``_gradient``); p_G has the bits of ``_p_np``."""
+    return _gradient(A, X, True)
+
+
+def _gradient(A: _Arrays, X: np.ndarray,
+              value: bool) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """The gradient at each row of X, with p_G there when value is set.
+    others[:, j] is the product of the other columns of each edge, folded
+    from the left in column order, summed per vertex in j-major order by one
+    np.bincount, with the vertices of row k offset by k*n: the prefix of
+    ``A.bins``, so A must hold the bins of at least m rows
+    (``_Arrays.for_rows``).  The prefix products take one multiply per
+    column: a cumprod along the middle axis folds the same way, but slower.
+    The last prefix, times the last column, is the product over all r
+    columns folded from the left, as ``_p_np`` takes it."""
     m = len(X)
     cols = X.take(A.idx, axis=1).reshape(m, A.r, len(A.edges))
     others = np.empty_like(cols)
     others[:, 0] = 1.0
     for k in range(1, A.r):
         np.multiply(others[:, k - 1], cols[:, k - 1], out=others[:, k])
+    p = A.rf * (others[:, -1] * cols[:, -1]).sum(axis=1) if value else None
     for k in range(1, A.r):
         others[:, :k] *= cols[:, k, None]
     lam = np.bincount(A.bins[:others.size], weights=others.ravel(), minlength=m * A.n)
-    return A.rf * lam.reshape(m, A.n)
+    return p, A.rf * lam.reshape(m, A.n)
 
 
 def _transfer(A: _Arrays, X: np.ndarray, lam: np.ndarray, cap: float,
-              tol: float) -> np.ndarray:
+              tol: float, exact: bool = False) -> np.ndarray:
     """One pairwise transfer in each row of X, in place, lam the gradient at
     X: from the min-gradient support vertex a to the max-gradient support
-    vertex b below the cap, move min(gap / (2 r!), x_a), cut to b's headroom.
-    Returns the mask of rows that moved; a row does not when it has no such
-    pair or its gradient gap is within tol / 4.  The gap is read from the
-    masked arrays, so it is -inf when the pool (or the support) is empty; with
-    one support vertex either the pool is empty or a = b."""
+    vertex b below the cap.  Along e_b - e_a, p_G(x + s(e_b - e_a)) =
+    p_G(x) + gap s - c s^2, with c = r! times the sum over the edges through
+    a and b of the product of their other weights (``_pair_curvature``).
+    The exact step moves the maximizer gap / (2c), all the way when c = 0;
+    the plain step moves gap / (2 r!), never more, as c <= r!.  Either is cut
+    to x_a and to b's headroom.  Returns the mask of rows that moved; a row
+    does not when it has no such pair or its gradient gap is within tol / 4.
+    The gap is read from the masked arrays, so it is -inf when the pool (or
+    the support) is empty; with one support vertex either the pool is empty
+    or a = b."""
     rows = np.arange(len(X))
     support = X > _SUPPORT_EPS
     up = np.where(support & (X < cap - 1e-12), lam, -np.inf)
     down = np.where(support, lam, np.inf)
     b, a = up.argmax(axis=1), down.argmin(axis=1)
     gap = up[rows, b] - down[rows, a]
-    d = np.minimum(np.minimum(gap / (2.0 * A.rf), X[rows, a]), cap - X[rows, b])
+    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0: no maximizer
+        step = gap / (2.0 * (_pair_curvature(A, X, a, b) if exact else A.rf))
+    d = np.minimum(np.minimum(step, X[rows, a]), cap - X[rows, b])
     moved = (a != b) & (gap > tol * 0.25) & (d > 0)
     rows, d = rows[moved], d[moved]
     X[rows, a[moved]] -= d
     X[rows, b[moved]] += d
     return moved
+
+
+def _pair_curvature(A: _Arrays, X: np.ndarray, a: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """The mixed second derivative of p_G in x_a and x_b at each row of X:
+    r! times the sum over the edges through a and b of the product of their
+    other weights, each folded from the left and summed as ``_p_np`` sums."""
+    cols = X.take(A.idx, axis=1).reshape(len(X), A.r, len(A.edges))
+    at_a, at_b = A.edges.T == a[:, None, None], A.edges.T == b[:, None, None]
+    through = at_a.any(axis=1) & at_b.any(axis=1)
+    cols[at_a | at_b] = 1.0
+    return A.rf * np.where(through, cols.prod(axis=1), 0.0).sum(axis=1)
 
 
 def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -303,18 +351,17 @@ def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return (P[:, None, :] @ Q[:, :, None]).ravel()
 
 
-def _cannot_gain(A: _Arrays, lam: np.ndarray, val: np.ndarray,
-                 D: np.ndarray) -> np.ndarray:
+def _cannot_gain(A: _Arrays, S: np.ndarray, D: np.ndarray) -> np.ndarray:
     """For each row: True when no step shorter than the one that moved x by
-    d, along the gradient lam at x where p_G(x) = val, can raise p_G by more
-    than 1e-16 (the stop rule of the module docstring)."""
+    d, along the gradient lam at x, can raise p_G by more than 1e-16 (the
+    stop rule of the module docstring); S holds lam - r p_G(x)."""
     dd = _dots(D, D)
     if A.r <= 3:  # a power of 0 or 1 (or a factor C(1, 2) = 0) is exact
         grow = (1.0 + np.sqrt(dd)) ** (A.r - 2)
     else:  # the power by the C library, as for one float: numpy's may round apart
         grow = np.array([(1.0 + math.sqrt(v)) ** (A.r - 2) for v in dd.tolist()])
     higher = A.rf * len(A.edges) * math.comb(A.r, 2) * dd * grow
-    return _dots(lam - A.r * val[:, None], D) + higher <= 1e-16
+    return _dots(S, D) + higher <= 1e-16
 
 
 def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
@@ -331,8 +378,7 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
     X = _project(X0, cap)
     m, n = X.shape
     A = A.for_rows(m)
-    val = _p_np(A, X)
-    lam = _grad_np(A, X)  # the gradient at X, recomputed for each row that moves
+    val, lam = _p_grad(A, X)  # the gradient at X, recomputed for each row that moves
     t = np.ones(m)
     tt = np.ones(m)
     halvings = np.zeros(m, dtype=np.int64)
@@ -350,8 +396,8 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         cand = _project(V.reshape(L * _RUNGS, n), cap)
         pv = _p_np(A, cand).reshape(L, _RUNGS)
         D = cand - np.repeat(Xl, _RUNGS, axis=0)
-        stop = _cannot_gain(A, np.repeat(lamL, _RUNGS, axis=0),
-                            np.repeat(vl, _RUNGS), D).reshape(L, _RUNGS)
+        stop = _cannot_gain(A, np.repeat(lamL - A.r * vl[:, None], _RUNGS, axis=0),
+                            D).reshape(L, _RUNGS)
         up = pv > vl[:, None] + 1e-16
         # a rung is decisive when it gains, the stop rule fires there, or the
         # halving after it reaches the 1e-20 guard or the 60-halving cap
@@ -380,9 +426,8 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         mv = ended[moved]
         if len(mv):
             X[mv] = Xm = Xe[moved]
-            lam[mv] = _grad_np(A, Xm)
-            nv = _p_np(A, Xm)
-            progressed[mv] |= nv > val[mv]
+            nv, lam[mv] = _p_grad(A, Xm)
+            progressed[mv] |= nv > val[mv] + 1e-16  # the line search's bar
             val[mv] = nv
         iters[ended] += 1
         again = ended[progressed[ended] & (iters[ended] < max_iters)]
@@ -403,7 +448,7 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
     live = np.arange(m)
     for _ in range(300):
         Xl = X[live]
-        moved = _transfer(A, Xl, lam[live], cap, _TOL)
+        moved = _transfer(A, Xl, lam[live], cap, _TOL, exact=True)
         live = live[moved]
         if not len(live):
             break

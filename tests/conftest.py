@@ -431,11 +431,12 @@ def serial_grad(A, x: np.ndarray) -> np.ndarray:
 
 
 def serial_transfer(A, x: np.ndarray, lam: np.ndarray, cap: float,
-                    tol: float) -> bool:
+                    tol: float, exact: bool = False) -> bool:
     """One pairwise transfer, in place, from the min-gradient support vertex a
     to the max-gradient support vertex b below the cap, lam the gradient at x:
-    move min(gap / (2 r!), x_a), cut to b's headroom.  False when no such pair
-    exists or the gradient gap is within tol / 4."""
+    move the maximizer gap / (2c) of p_G along e_b - e_a (exact; all the way
+    when c = 0) or gap / (2 r!), cut to x_a and to b's headroom.  False when
+    no such pair exists or the gradient gap is within tol / 4."""
     support = np.nonzero(x > _SUPPORT_EPS)[0]
     if len(support) < 2:
         return False
@@ -449,12 +450,22 @@ def serial_transfer(A, x: np.ndarray, lam: np.ndarray, cap: float,
     gap = lam[b] - lam[a]
     if gap <= tol * 0.25:
         return False
-    d = min(gap / (2.0 * A.rf), x[a], cap - x[b])
+    c = serial_curvature(A, x, a, b) if exact else A.rf
+    step = gap / (2.0 * c) if c > 0 else math.inf
+    d = min(step, x[a], cap - x[b])
     if d <= 0:
         return False
     x[a] -= d
     x[b] += d
     return True
+
+
+def serial_curvature(A, x: np.ndarray, a: int, b: int) -> float:
+    """c in p_G(x + s(e_b - e_a)) = p_G(x) + gap s - c s^2: r! times the sum
+    over the edges through a and b of the product of their other weights."""
+    terms = [math.prod(x[v] for v in e if v != a and v != b) if a in e and b in e else 0.0
+             for e in A.edges.tolist()]
+    return float(A.rf * np.array(terms).sum())
 
 
 def serial_cannot_gain(A, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
@@ -500,16 +511,18 @@ def serial_ascend(A, x0: np.ndarray, cap: float, max_iters: int,
             end = "cap"
         if searches is not None:
             searches.append((c, end))
-        # pairwise transfer step, in place: x is a projection owned here
+        # pairwise transfer step, in place: x is a projection owned here; it
+        # progresses only past the line search's bar
         if serial_transfer(A, x, lam, cap, _TOL):
             lam = serial_grad(A, x)
             nv = serial_p(A, x)
-            if nv > val:
+            if nv > val + 1e-16:
                 progressed = True
             val = nv
         if not progressed:
             break
-    # support cleanup with reprojection, then a final equalization pass
+    # support cleanup with reprojection, then the final equalization passes,
+    # each moving to the maximizer along its pair
     y = x.copy()
     y[y < _SUPPORT_EPS] = 0.0
     y = y / y.sum()
@@ -518,7 +531,7 @@ def serial_ascend(A, x0: np.ndarray, cap: float, max_iters: int,
     if not np.array_equal(x, y):
         x, lam = y, serial_grad(A, y)
     for _ in range(300):
-        if not serial_transfer(A, x, lam, cap, _TOL):
+        if not serial_transfer(A, x, lam, cap, _TOL, exact=True):
             break
         lam = serial_grad(A, x)
     val = serial_p(A, x)

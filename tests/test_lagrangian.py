@@ -39,14 +39,15 @@ from turanlag.extremal import (
     SubgraphPredicate, _colex_candidates, _covering_hosts, brute_force_ex,
 )
 from turanlag.lagrangian import (
-    _arrays, _ascend, _cannot_gain, _dots, _grad_np,
-    _greedy_supports, _p_np, _project, _residual, _starts, _transfer,
+    _arrays, _ascend, _cannot_gain, _dots, _grad_np, _greedy_supports,
+    _p_grad, _p_np, _pair_curvature, _project, _residual, _starts, _transfer,
 )
 
 from conftest import (
     _fr_derivative_numerator, _poly_sign, add_at_gradient, bisection_capped_projection,
     colex_lex_leader, density_dfs_oracle, enumerate_mad, exact_poly_value,
-    per_host_density_search, serial_ascend, serial_cannot_gain, serial_grad, serial_p, serial_project, serial_transfer,
+    per_host_density_search, serial_ascend, serial_cannot_gain, serial_curvature, serial_grad,
+    serial_p, serial_project, serial_transfer,
     sort_simplex_projection,
 )
 
@@ -357,13 +358,14 @@ def line_search_inputs(draw):
 
 
 def _counting_gradients(monkeypatch) -> list:
+    # the points of every gradient, alone or with p_G, in the order taken
     calls = []
+    for name in ("_grad_np", "_p_grad"):
+        def counting(A, X, fn=getattr(LAGRANGIAN, name)):
+            calls.extend(X.copy())  # one point per row
+            return fn(A, X)
 
-    def counting(A, X):
-        calls.extend(X.copy())  # one point per row
-        return _grad_np(A, X)
-
-    monkeypatch.setattr(LAGRANGIAN, "_grad_np", counting)
+        monkeypatch.setattr(LAGRANGIAN, name, counting)
     return calls
 
 
@@ -409,7 +411,7 @@ def test_line_search_stop_is_sound(inputs):
         cand = _project(x + tt * lam, cap)
         if _p_np(A, cand)[0] > val[0] + 1e-16:
             return  # accepted: the rule is not consulted
-        if _cannot_gain(A, lam, val, cand - x)[0]:
+        if _cannot_gain(A, lam - g.r * val[:, None], cand - x)[0]:
             break
         tt *= 0.5
     lam = lam[0]
@@ -445,6 +447,69 @@ def test_transfer_step_never_decreases():
                     break
                 assert _p_np(A, x)[0] >= before - 1e-14
                 assert x.min() >= 0.0 and x.max() <= cap + 1e-15
+
+
+def _main_loop_iterations(g, x0, cap, max_iters, monkeypatch) -> list:
+    """The main-loop iterations of a one-row ascent, in order: whether its
+    line search gained and whether its transfer moved and raised p_G at
+    all, and past 1e-16, as the engine compares them."""
+    events = []
+    transfer, grad_np = _transfer, _grad_np
+
+    def logged_transfer(A, X, lam, cap, tol, exact=False):
+        if exact:  # the final passes: the main loop is over
+            return transfer(A, X, lam, cap, tol, exact)
+        before = _p_np(A, X)
+        moved = transfer(A, X, lam, cap, tol, exact)
+        after = _p_np(A, X)
+        events.append((bool(moved[0]), bool(after[0] > before[0]),
+                       bool(after[0] > before[0] + 1e-16)))
+        return moved
+
+    def logged_grad(A, X):  # a line search's accepted candidate
+        events.append("won")
+        return grad_np(A, X)
+
+    monkeypatch.setattr(LAGRANGIAN, "_transfer", logged_transfer)
+    monkeypatch.setattr(LAGRANGIAN, "_grad_np", logged_grad)
+    _ascend(_arrays(g), x0[None], cap, max_iters)
+    iterations, won = [], False
+    for e in events:
+        if e == "won":
+            won = True
+        else:
+            iterations.append((won, *e))
+            won = False
+    return iterations
+
+
+# from the projection of [0.08, 0.95, 0.17], the eighth and last transfer
+# raises p_G by one ulp of 2/9, 2.8e-17, after a line search that did not gain
+ROUNDING_TRANSFER = (single_edge(3), 1.0, np.array([0.08, 0.95, 0.17]), 1.0)
+
+
+@given(line_search_inputs())
+@example(ROUNDING_TRANSFER)
+@settings(max_examples=100, deadline=None)
+def test_transfer_at_rounding_level_ends_the_loop(inputs):
+    # a transfer counts as progress only past 1e-16, the line search's own
+    # acceptance bar: after a search that did not gain, a transfer that
+    # raises p_G by 1e-16 or less ends its row's loop, and one that raises
+    # it by more goes on, below the iteration cap
+    g, cap, x, _ = inputs
+    max_iters = LAGRANGIAN._MAX_ITERS
+    with pytest.MonkeyPatch.context() as mp:
+        iterations = _main_loop_iterations(g, x, cap, max_iters, mp)
+    for k, (won, moved, _, past_bar) in enumerate(iterations, start=1):
+        assert (k < len(iterations)) == ((won or (moved and past_bar)) and k < max_iters)
+
+
+def test_rounding_transfer_example_ends_on_a_rounding_gain(monkeypatch):
+    # the pinned example reaches the case: its last transfer gains in floats,
+    # by no more than 1e-16, after a line search that did not
+    g, cap, x, _ = ROUNDING_TRANSFER
+    *_, last = _main_loop_iterations(g, x, cap, LAGRANGIAN._MAX_ITERS, monkeypatch)
+    assert last == (False, True, True, False)
 
 
 # -- the lockstep engine against the serial ascent ------------------------------
@@ -522,7 +587,7 @@ def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
     with pytest.MonkeyPatch.context() as mp:
         if not stop_rule:
             mp.setattr(LAGRANGIAN, "_cannot_gain",
-                       lambda A, lam, val, D: np.zeros(len(D), dtype=bool))
+                       lambda A, S, D: np.zeros(len(D), dtype=bool))
             mp.setattr(CONFTEST, "serial_cannot_gain", lambda A, lam, val, d: False)
 
         def count(module, name, key, points):
@@ -536,6 +601,7 @@ def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
 
         count(LAGRANGIAN, "_project", ("project", "lockstep"), lambda V, cap: len(V))
         count(LAGRANGIAN, "_grad_np", ("grad", "lockstep"), lambda A, X: len(X))
+        count(LAGRANGIAN, "_p_grad", ("grad", "lockstep"), lambda A, X: len(X))
         count(CONFTEST, "serial_project", ("project", "serial"), lambda v, cap: 1)
         count(CONFTEST, "serial_grad", ("grad", "serial"), lambda A, x: 1)
         X, vals = _ascend(A, X0.copy(), cap, max_iters)
@@ -626,15 +692,74 @@ def test_row_primitives_match_serial(inputs):
     lam = _grad_np(A, X)
     D = _project(X + step * lam, cap) - X
     vals = _p_np(A, X)
-    stop = _cannot_gain(A, lam, vals, D)
+    both = _p_grad(A, X)
+    stop = _cannot_gain(A, lam - g.r * vals[:, None], D)
+    Xe = X.copy()
     moved = _transfer(A, X, lam, cap, tol)  # in place
+    moved_exact = _transfer(A, Xe, lam, cap, tol, exact=True)
     for k, x in enumerate(before):
         want = serial_grad(A, x)
-        assert lam[k].tobytes() == want.tobytes()
-        assert f64(vals[k]) == f64(serial_p(A, x))
+        assert lam[k].tobytes() == want.tobytes() == both[1][k].tobytes()
+        assert f64(vals[k]) == f64(serial_p(A, x)) == f64(both[0][k])
         assert stop[k] == serial_cannot_gain(A, want, serial_p(A, x), D[k])
+        xe = x.copy()
         assert moved[k] == serial_transfer(A, x, want, cap, tol)
         assert X[k].tobytes() == x.tobytes()
+        assert moved_exact[k] == serial_transfer(A, xe, want, cap, tol, exact=True)
+        assert Xe[k].tobytes() == xe.tobytes()
+
+
+@st.composite
+def exact_transfer_inputs(draw):
+    g, cap = draw(graphs_and_caps())
+    point = st.lists(st.just(0.0) | st.floats(0, 1), min_size=g.n, max_size=g.n)
+    return g, cap, project_one(draw(point), cap)
+
+
+# the move stops at the pair's maximizer, at x_a, at b's headroom under a
+# cap, and, with no edge through a and b (c = 0), at x_a
+@given(exact_transfer_inputs())
+@example((Hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)]), 1.0, np.array([0.05, 0.3, 0.35, 0.3])))
+@example((Hypergraph(3, 2, [(0, 1), (1, 2)]), 1.0, np.array([0.1, 0.2, 0.7])))
+@example((Hypergraph(3, 2, [(0, 1), (1, 2)]), 0.48, np.array([0.25, 0.4, 0.35])))
+@example((Hypergraph(4, 2, [(0, 1), (2, 3)]), 1.0, np.array([0.3, 0.1, 0.35, 0.25])))
+@settings(max_examples=200, deadline=None)
+def test_exact_transfer_moves_to_the_pair_maximizer(inputs):
+    # the final passes move min(gap / (2c), x_a, cap - x_b), all the way
+    # when c = 0, counted exactly from the float weights and gradient, to
+    # rounding.  Along e_b - e_a, p_G is exactly p_G(x) + gap s - c s^2 with
+    # the exact gradient's gap, and the move never lowers p_G by more than
+    # the rounding of the two weights it changes
+    g, cap, x = inputs
+    A = _arrays(g).for_rows(1)
+    lam = _grad_np(A, x[None])[0]
+    y = x[None].copy()
+    if not _transfer(A, y, lam[None], cap, LAGRANGIAN._TOL, exact=True)[0]:
+        return
+    y = y[0]
+    support = x > LAGRANGIAN._SUPPORT_EPS
+    b = int(np.where(support & (x < cap - 1e-12), lam, -np.inf).argmax())
+    a = int(np.where(support, lam, np.inf).argmin())
+    rf, xs = math.factorial(g.r), [Fraction(v) for v in x]
+    through = [e for e in g.edge_list if a in e and b in e]
+    c = rf * sum(math.prod(xs[v] for v in e if v not in (a, b)) for e in through)
+    cut = min(xs[a], Fraction(cap) - xs[b])
+    want = min(Fraction(lam[b]) / (2 * c) - Fraction(lam[a]) / (2 * c), cut) if c else cut
+    for moved in (xs[a] - Fraction(y[a]), Fraction(y[b]) - xs[b]):
+        assert abs(moved - want) <= want * Fraction(2.0 ** -40) + Fraction(2.0 ** -53)
+
+    def exact_p(w):
+        return rf * sum(math.prod(w[v] for v in e) for e in g.edge_list)
+
+    def exact_link(i):
+        return rf * sum(math.prod(xs[v] for v in e if v != i) for e in g.edge_list if i in e)
+
+    z = list(xs)
+    z[a], z[b] = z[a] - want, z[b] + want
+    assert exact_p(z) - exact_p(xs) == (exact_link(b) - exact_link(a)) * want - c * want**2
+    drop = exact_poly_value(g, x) - exact_poly_value(g, y)
+    assert drop <= Fraction(float(lam.max())) * Fraction(2.0 ** -52)
+    assert serial_curvature(A, x, a, b) == _pair_curvature(A, x[None], np.array([a]), np.array([b]))[0]
 
 
 def test_cannot_gain_takes_the_c_library_power():
@@ -657,7 +782,7 @@ def test_cannot_gain_takes_the_c_library_power():
     D = np.array([[float.fromhex(v) for v in d] for _, d, _ in rows])
     want = [w for _, _, w in rows]
     assert [serial_cannot_gain(A, l, 0.0, d) for l, d in zip(lam, D)] == want
-    assert _cannot_gain(A, lam, np.zeros(len(rows)), D).tolist() == want
+    assert _cannot_gain(A, lam, D).tolist() == want  # p_G(x) = 0: lam is the shift
 
 
 def test_row_dots_match_matmul():
