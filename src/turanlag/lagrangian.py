@@ -70,9 +70,12 @@ instead of summing pairwise as for one vector, so ``_p_np`` gathers with
 ``X.take``.  An einsum or ``(D * D).sum(axis=1)`` rounds dot products apart
 from ``d @ d``, so ``_dots`` uses a stacked matmul, which matches it.
 
-Reported values are feasible-point evaluations and hence certified lower
-bounds on lambda(G); the convergence flag asserts the KKT residual on the
-capped simplex (see ``_residual``).
+A reported value is p_G evaluated in floats at the reported weights, which
+sum to 1 only to rounding.  It is at most (1 + 2^-53)^(r+1) times the exact
+p_G at those weights (r - 1 products, the fsum and the r! scaling round), so
+it can sit a few ulps above lambda(G); the certified lower bound is the exact
+p_G at the rational point weights / sum(weights).  The convergence flag
+asserts the KKT residual on the capped simplex (see ``_residual``).
 """
 
 from __future__ import annotations
@@ -505,9 +508,9 @@ def _greedy_supports(G: Hypergraph) -> list[tuple[int, ...]]:
 class LagrangianEstimate:
     """Best feasible value found, with its weights and convergence data.
 
-    ``value`` is p_G at ``weights``, so always a certified lower bound on the
-    Lagrangian; ``gradient_residual`` is the KKT violation at ``weights``
-    (``_residual``).
+    ``value`` is p_G at ``weights`` in floats: a lower bound on the
+    Lagrangian up to a few ulps of rounding (see the module docstring);
+    ``gradient_residual`` is the KKT violation at ``weights`` (``_residual``).
     ``restarts_used`` counts the ascents that ran: the uniform start, the
     greedy-support starts and the seeded restarts (0 for an edgeless graph).
     For constrained runs ``beta`` echoes the cap and ``cap_binds`` reports
@@ -580,8 +583,9 @@ def lagrangian(G: Hypergraph, *, restarts: int = 50, seed: int = 0) -> Lagrangia
 
     Starts: uniform weights, uniform weights on greedily grown pairwise-covered
     supports, and ``restarts`` seeded Dirichlet points.  The returned value is
-    a certified lower bound (it is p_G at a feasible point); ``converged``
-    reports whether its KKT residual is within 1e-9.
+    p_G at the returned weights, a lower bound up to a few ulps of rounding
+    (see the module docstring); ``converged`` reports whether its KKT
+    residual is within 1e-9.
     """
     return _optimize(G, None, restarts, seed)
 

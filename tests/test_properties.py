@@ -35,6 +35,8 @@ from turanlag import (
     grad,
     intermediate_graphs,
     kernel_clean,
+    lagrangian,
+    lagrangian_constrained,
     lagrangian_density_search,
     local_search_lower,
     random_hypergraph,
@@ -201,6 +203,25 @@ def test_gradient_identity(gx):
     assert 0.0 <= p <= 1.0 + 1e-12
     if g.edges:
         assert max(lam) >= g.r * p - 1e-12
+
+
+@given(sparse_or_dense(7, (2, 3, 4)), st.one_of(st.none(), st.floats(0.0, 1.0)),
+       st.integers(0, 99))
+@settings(max_examples=60, deadline=None)
+def test_ascent_value_is_p_G_at_its_weights_to_rounding(g, t, seed):
+    """value is p_G at the reported weights up to the r + 1 roundings of its
+    evaluation (r - 1 products, the fsum and the r! scaling), and those
+    weights sum to 1 only to rounding, so value can sit a few ulps above
+    lambda(G): the certified lower side is the rational point's exact p_G."""
+    if t is None:
+        est = lagrangian(g, restarts=4, seed=seed)
+    else:
+        est = lagrangian_constrained(g, 1 / g.n + t * (1 - 1 / g.n), restarts=4, seed=seed)
+    w = [Fraction(v) for v in est.weights.weights]
+    exact = math.factorial(g.r) * sum((math.prod(w[v] for v in e) for e in g.edge_list),
+                                      Fraction(0))
+    assert Fraction(est.value) <= exact * (1 + Fraction(1, 2**53)) ** (g.r + 1)
+    assert abs(math.fsum(est.weights.weights) - 1) <= 1e-12
 
 
 @given(hypergraphs())

@@ -1,19 +1,74 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import turanlag.verify as verify
-from turanlag import PartitionedHypergraph, turan_hypergraph
+from turanlag import (PartitionedHypergraph, SubgraphPredicate, complete_hypergraph,
+                      turan_hypergraph)
 from turanlag.cli import main
-from turanlag.verify import check_names, run_check, run_verify
+from turanlag.verify import CHECKS, check_names, run_check, run_verify
 
 
 def test_suite_names_cover_all_checks():
-    names = check_names("all")
-    assert len(names) == 15 and len(set(names)) == 15
-    partition = sum((check_names(s) for s in ("core", "lagrangian",
-                                              "symmetrization", "extremal")), [])
-    assert sorted(partition) == sorted(names)
+    assert check_names("all") == [
+        "mantel-exact", "cancellative-exact", "sigma3-lower-bound", "turan-size",
+        "motzkin-straus-agreement", "complete-lagrangian", "fr-mr-closed-forms",
+        "gradient-identities", "symmetrization-invariants", "cleaning-contract",
+        "frankl-matching-bound", "kernel-degree-cleanup", "family-free-extraction",
+        "blowup-bound", "stability-probe",
+    ]
+    partition = sum((check_names(s) for s in ("core", "lagrangian", "symmetrization",
+                                              "extremal", "paper")), [])
+    assert sorted(partition) == sorted(name for name, *_ in CHECKS)
+    assert len(set(partition)) == len(CHECKS)
+    assert len(check_names("paper")) == 5
+    assert not set(check_names("paper")) & set(check_names("all"))
+
+
+def test_turan_count_matches_the_turan_graph():
+    for r in (2, 3, 4):
+        for parts in range(r, 7):
+            for n in range(21):
+                want = len(turan_hypergraph(n, r, parts).graph.edges)
+                assert verify._turan_count(n, r, parts) == want, (n, r, parts)
+
+
+@pytest.mark.parametrize("name", check_names("paper"))
+def test_paper_row_expects_the_turan_graph(name, monkeypatch):
+    rows = []
+    real = verify._turan_values
+
+    def recording(forbidden, r, lo, hi, parts):
+        rows.append((r, lo, hi, parts))
+        return real(forbidden, r, lo, hi, parts)
+
+    monkeypatch.setattr(verify, "_turan_values", recording)
+    result = run_check(name)
+    [(r, lo, hi, parts)] = rows
+    assert result.status == "pass" and result.detail == ""
+    assert result.expected == {n: len(turan_hypergraph(n, r, parts).graph.edges)
+                               for n in range(lo, hi + 1)}
+
+
+def test_turan_row_fails_on_a_size_not_exhausted(monkeypatch):
+    def unfinished(hi, r, forbidden, max_seconds):
+        for n in range(hi + 1):
+            yield SimpleNamespace(value=n * n // 4, exact=n < 5)
+
+    monkeypatch.setattr(verify, "_solve_sizes", unfinished)
+    result = run_check("mantel-exact")
+    assert result.status == "fail"
+    assert result.detail == "n=5 not exhausted"
+    assert result.measured == {3: 2, 4: 4, 5: 6}
+
+
+def test_turan_row_with_the_wrong_part_count_fails():
+    k3 = SubgraphPredicate(complete_hypergraph(3, 2))
+    ok, measured, expected, _, detail = verify._turan_values(k3, 2, 3, 7, 3)
+    assert not ok and detail == ""
+    assert measured == {n: (n // 2) * ((n + 1) // 2) for n in range(3, 8)}
+    assert expected[7] == 16 != measured[7]
 
 
 def test_core_suite_passes():
