@@ -30,7 +30,7 @@ from turanlag.extremal import (
     _covering_hosts,
     local_search_lower,
 )
-from turanlag.lagrangian import _SUPPORT_EPS, _TOL, lagrangian
+from turanlag.lagrangian import _RUNGS, _SUPPORT_EPS, _TOL, lagrangian
 
 _PRESEARCH_ITERS = 400  # colex_dfs_oracle's local-search rounds for its incumbent
 
@@ -480,9 +480,15 @@ def serial_cannot_gain(A, lam: np.ndarray, val: float, d: np.ndarray) -> bool:
 def serial_ascend(A, x0: np.ndarray, cap: float, max_iters: int,
                   searches: Optional[list] = None) -> tuple[np.ndarray, float]:
     """One ascent from x0 on its own; each row of the lockstep engine must
-    take exactly these steps.  Each line search appends to ``searches`` the
-    number of candidates it tried and how it ended: "gain", "stop" (the stop
-    rule), "cap" (60 halvings) or "guard" (a step below 1e-20)."""
+    take exactly these steps.  A line search tries the steps t, t/2, ... in
+    ladders of ``_RUNGS``.  Until a candidate gains it ends as soon as the
+    stop rule, the 1e-20 guard or the 60-halving cap fires; once one gains it
+    reads on to the end of that ladder, or to the first candidate where one
+    of them fires, and takes the gaining candidate with the largest p_G, the
+    longest step on a tie.  Each line search appends to ``searches`` the
+    candidate where it first gained or ended, how it ended ("gain", "stop"
+    (the stop rule), "cap" (60 halvings) or "guard" (a step below 1e-20)),
+    and the number of candidates it read."""
     x = serial_project(np.asarray(x0, dtype=float), cap)
     val = serial_p(A, x)
     lam = serial_grad(A, x)  # the gradient at x, recomputed whenever x moves
@@ -490,18 +496,16 @@ def serial_ascend(A, x0: np.ndarray, cap: float, max_iters: int,
     for _ in range(max_iters):
         progressed = False
         # gradient step with backtracking
-        tt = t
+        tt, best, first = t, None, None
         for c in range(1, 61):
             cand = serial_project(x + tt * lam, cap)
             pv = serial_p(A, cand)
-            if pv > val + 1e-16:
-                x, val, t = cand, pv, tt * 2.0
-                lam = serial_grad(A, x)
-                progressed = True
-                end = "gain"
-                break
+            if pv > val + 1e-16 and (best is None or pv > best[1]):
+                best, first = (cand, pv, tt), first or c
             if serial_cannot_gain(A, lam, val, cand - x):
                 end = "stop"
+                break
+            if best is not None and c % _RUNGS == 0:
                 break
             tt *= 0.5
             if tt < 1e-20:
@@ -509,8 +513,14 @@ def serial_ascend(A, x0: np.ndarray, cap: float, max_iters: int,
                 break
         else:
             end = "cap"
+        if best is not None:
+            x, val, step = best
+            t = step * 2.0
+            lam = serial_grad(A, x)
+            progressed = True
+            end = "gain"
         if searches is not None:
-            searches.append((c, end))
+            searches.append((first or c, end, c))
         # pairwise transfer step, in place: x is a projection owned here; it
         # progresses only past the line search's bar
         if serial_transfer(A, x, lam, cap, _TOL):

@@ -426,6 +426,118 @@ def test_line_search_stop_is_sound(inputs):
         tt *= 0.5
 
 
+# -- the best-of-ladder rule --------------------------------------------------
+
+
+def _line_searches(g, x0, cap, max_iters, monkeypatch) -> list:
+    """The line searches of a one-row ascent from x0, in order, each as
+    (x, lam, ticks, taken): the point it starts from, the gradient there,
+    (V, candidates, stop flags) for each of its ticks, and the candidate it
+    took, or None."""
+    K = LAGRANGIAN._RUNGS
+    events = []
+    project, cannot_gain, transfer = _project, _cannot_gain, _transfer
+
+    def logged_project(V, cap):
+        out = project(V, cap)
+        if len(V) == K:  # a tick's ladder; the start and the cleanup project one row
+            events.append(["tick", V.copy(), out.copy()])
+        return out
+
+    def logged_cannot_gain(A, S, D):
+        out = cannot_gain(A, S, D)
+        events[-1].append(out.copy())  # the tick's stop flags
+        return out
+
+    def logged_transfer(A, X, lam, cap, tol, exact=False):
+        if not exact:  # the end of a line search
+            events.append(["transfer"])
+        return transfer(A, X, lam, cap, tol, exact)
+
+    def logged(fn, lam_of):
+        def point(A, X):
+            out = fn(A, X)
+            events.append(["point", X.copy(), lam_of(out).copy()])
+            return out
+        return point
+
+    monkeypatch.setattr(LAGRANGIAN, "_project", logged_project)
+    monkeypatch.setattr(LAGRANGIAN, "_cannot_gain", logged_cannot_gain)
+    monkeypatch.setattr(LAGRANGIAN, "_transfer", logged_transfer)
+    monkeypatch.setattr(LAGRANGIAN, "_grad_np", logged(_grad_np, lambda lam: lam))
+    monkeypatch.setattr(LAGRANGIAN, "_p_grad", logged(_p_grad, lambda out: out[1]))
+    _ascend(_arrays(g), x0[None], cap, max_iters)
+    searches, base, ticks, taken = [], None, [], None
+    for kind, *data in events:
+        if kind == "tick":
+            ticks.append(tuple(data))
+        elif kind == "transfer":
+            searches.append((*base, ticks, None if taken is None else taken[0]))
+            base, ticks, taken = taken or base, [], None
+        elif len(data[0]):  # a gradient; the cleanup may take one of no rows
+            if ticks:
+                taken = data[0][0], data[1][0]
+            else:
+                base = data[0][0], data[1][0]
+    return searches
+
+
+# from the projection of [0.2, 0.19, 0.06, 0.67], the first rung of the
+# first ladder (step 1) gains 0.004 and its second (step 1/2) 0.17
+BEST_NOT_FIRST = (complete_hypergraph(4, 3), 1.0, np.array([0.2, 0.19, 0.06, 0.67]))
+
+
+def test_row_takes_its_best_gaining_rung_and_doubles_that_step(monkeypatch):
+    # the first search takes the second rung, not its first gaining one, and
+    # the next search starts at twice its step, 1, instead of at 2
+    g, cap, x0 = BEST_NOT_FIRST
+    A = _arrays(g)
+    (x, _, ticks, taken), (x2, lam2, later, _), *_ = _line_searches(g, x0, cap, 2, monkeypatch)
+    [(_, cands, _)] = ticks
+    pv, val = _p_np(A, cands), _p_np(A, x[None])[0]
+    gains = pv > val + 1e-16
+    assert gains[0] and np.where(gains, pv, -np.inf).argmax() == 1
+    assert taken.tobytes() == cands[1].tobytes()
+    scale = 0.5 ** np.arange(LAGRANGIAN._RUNGS)
+    assert later[0][0].tobytes() == (x2 + (2.0 * 0.5 * scale)[:, None] * lam2).tobytes()
+
+
+@given(line_search_inputs())
+@example(BEST_NOT_FIRST + (1.0,))
+@example((single_edge(3), 1.0, np.array([0.0, 0.7, 1.0]), 1.0))  # a gain past a stop
+@settings(max_examples=100, deadline=None)
+def test_line_search_takes_a_best_gain_before_any_halt(inputs):
+    # in every line search of an ascent: the ladders run from x at the steps
+    # t, t/2, ..., t twice the step last taken (1 at the start); a candidate
+    # taken gains more than 1e-16, at least as much as the first gaining
+    # rung, and lies at or before the first rung where the stop rule, the
+    # 1e-20 guard or the 60-halving cap fires; a search that takes none ends
+    # on such a rung, with no gain up to it.  No rung of a ladder before the
+    # last gains or halts
+    g, cap, x0, _ = inputs
+    A, K = _arrays(g), LAGRANGIAN._RUNGS
+    with pytest.MonkeyPatch.context() as mp:
+        searches = _line_searches(g, x0, cap, LAGRANGIAN._MAX_ITERS, mp)
+    t = 1.0
+    for x, lam, ticks, taken in searches:
+        steps = t * 0.5 ** np.arange(K * len(ticks))
+        for k, (V, _, _) in enumerate(ticks):
+            assert V.tobytes() == (x + steps[K * k:K * (k + 1), None] * lam).tobytes()
+        cands = np.concatenate([c for _, c, _ in ticks])
+        pv, val = _p_np(A, cands), _p_np(A, x[None])[0]
+        halt = (np.concatenate([stop for *_, stop in ticks]) | (steps * 0.5 < 1e-20)
+                | (np.arange(1, len(steps) + 1) >= 60))
+        first_halt = halt.argmax() if halt.any() else len(steps)
+        gains = pv > val + 1e-16
+        assert not (gains | halt)[:-K].any()  # only the last ladder is decisive
+        if taken is None:
+            assert first_halt < len(steps) and not gains[:first_halt + 1].any()
+            continue
+        j = next(j for j, c in enumerate(cands) if c.tobytes() == taken.tobytes())
+        assert j <= first_halt and pv[j] > val + 1e-16 and pv[j] >= pv[gains.argmax()]
+        t = steps[j] * 2.0
+
+
 # -- the pairwise transfer step -----------------------------------------------
 
 
@@ -483,9 +595,9 @@ def _main_loop_iterations(g, x0, cap, max_iters, monkeypatch) -> list:
     return iterations
 
 
-# from the projection of [0.08, 0.95, 0.17], the eighth and last transfer
+# from the projection of [0.5, 0.25, 0.01], the fifth and last transfer
 # raises p_G by one ulp of 2/9, 2.8e-17, after a line search that did not gain
-ROUNDING_TRANSFER = (single_edge(3), 1.0, np.array([0.08, 0.95, 0.17]), 1.0)
+ROUNDING_TRANSFER = (single_edge(3), 1.0, np.array([0.5, 0.25, 0.01]), 1.0)
 
 
 @given(line_search_inputs())
@@ -537,17 +649,28 @@ def lockstep_inputs(draw):
 
 
 # with the stop rule off, the uniform row ends its first search at the
-# 60-halving cap and [0.01, 0.8, 0.14] a later one at the 1e-20 guard
-SINGLE_EDGE_ROWS = (single_edge(3), 1.0, np.array([[1 / 3] * 3, [0.01, 0.8, 0.14],
-                                                    [0.03, 0.06, 0.39], [0.01, 0.8, 0.14]]), 50)
-# with the stop rule off, its last search ends at the 1e-20 guard after 50
+# 60-halving cap, [0.89, 0.27, 0.99] first gains on the first and the second
+# rung of a second ladder and [0.29, 0.78, 0.25] on the third rung of a later
+# one, and [0.72, 0.56, 0.42] ends its last search at the 1e-20 guard after 55
+# candidates, on the first rung of a ladder of three
+SINGLE_EDGE_ROWS = (single_edge(3), 1.0, np.array([[1 / 3] * 3, [0.89, 0.27, 0.99],
+                                                    [0.29, 0.78, 0.25], [0.72, 0.56, 0.42],
+                                                    [0.89, 0.27, 0.99]]), 50)
+# with the stop rule off, its last search ends at the 1e-20 guard after 56
 # candidates, on the second rung of a ladder of three
-GUARD_ROWS = (single_edge(3), 1.0, np.array([[0.36, 0.04, 0.6]]), 50)
+GUARD_ROWS = (single_edge(3), 1.0, np.array([[0.18, 0.11, 0.83]]), 50)
+# with the stop rule on, the first row ends a search that gained on its first
+# rung at the stop rule on the second, and the second row one at the stop rule
+# on the gaining first rung itself, a gain of rounding size.  So does the
+# third row in its sixth search, whose second rung, past the stop, gains more
+HALT_AFTER_GAIN = (single_edge(3), 1.0, np.array([[0.21, 0.99, 0.34], [0.55, 0.52, 0.1],
+                                                   [0.0, 0.7, 1.0]]), 5000)
 
 
 def serial_searches(inputs) -> list:
-    """(candidates tried, how it ended) for each line search of the serial
-    ascents from the rows of a lockstep input."""
+    """(candidate where it first gained or ended, how it ended, candidates
+    read) for each line search of the serial ascents from the rows of a
+    lockstep input."""
     g, cap, X0, max_iters = inputs
     searches = []
     for row in X0:
@@ -556,22 +679,33 @@ def serial_searches(inputs) -> list:
 
 
 def test_ladder_examples_end_searches_on_every_rung(monkeypatch):
-    # with the stop rule off, the two examples end line searches on each rung
-    # of a first ladder and past it, at the 60-halving cap, and at the 1e-20
-    # guard part-way through a ladder, on its first and its second rung
+    # with the stop rule off, the two examples first gain in line searches on
+    # each rung of a first ladder and past it, and end searches at the
+    # 60-halving cap and at the 1e-20 guard part-way through a ladder, on its
+    # first and its second rung
     monkeypatch.setattr(CONFTEST, "serial_cannot_gain", lambda A, lam, val, d: False)
     K = LAGRANGIAN._RUNGS
     ends = {(end, (c - 1) % K + 1, c > K)
-            for inputs in (SINGLE_EDGE_ROWS, GUARD_ROWS) for c, end in serial_searches(inputs)}
+            for inputs in (SINGLE_EDGE_ROWS, GUARD_ROWS) for c, end, _ in serial_searches(inputs)}
     assert {("gain", j, later) for j in range(1, K + 1) for later in (False, True)} <= ends
     assert ("cap", (60 - 1) % K + 1, True) in ends
     assert {("guard", 1, True), ("guard", 2, True)} <= ends
+
+
+def test_halt_example_ends_searches_after_a_gain():
+    # the stop rule ends a search that gained on the rung after its first
+    # gain and on the gaining rung itself, both short of the ladder's end
+    K = LAGRANGIAN._RUNGS
+    halts = {(c, read) for c, end, read in serial_searches(HALT_AFTER_GAIN)
+             if end == "gain" and read % K}
+    assert {(1, 2), (1, 1)} <= halts
 
 
 @given(lockstep_inputs(), st.booleans())
 @example(SINGLE_EDGE_ROWS, False)
 @example(SINGLE_EDGE_ROWS, True)
 @example(GUARD_ROWS, False)
+@example(HALT_AFTER_GAIN, True)
 @settings(max_examples=120, deadline=None)
 def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
     # every row takes the steps of a lone ascent, whatever tick the other
@@ -610,7 +744,8 @@ def test_lockstep_rows_match_serial_ascent(inputs, stop_rule):
             want, want_val = serial_ascend(A, row, cap, max_iters, searches)
             assert x.tobytes() == want.tobytes() and f64(val) == f64(want_val)
     K = LAGRANGIAN._RUNGS
-    past = sum(K * -(-c // K) - c for c, _ in searches)  # rungs past each search's end
+    # rungs of each search's last ladder past the last candidate it read
+    past = sum(K * -(-c // K) - read for c, _, read in searches)
     assert work["project", "lockstep"] == work["project", "serial"] + past
     assert work["grad", "lockstep"] == work["grad", "serial"]
 
