@@ -22,10 +22,10 @@ arithmetic.  The final equalization passes move the maximizer,
 d = min(gap / (2c), x_a, cap - x_b), or min(x_a, cap - x_b) when c = 0.  The
 transfer after each line search moves min(gap / (2 r!), x_a, cap - x_b),
 never more: with the maximizer there, small 3-graphs and 2-graphs kept
-progressing through more line-search ticks (a 50-restart call on a single
-3-edge took 19 instead of 10).  That transfer counts as progress only when
-it raises p_G by more than 1e-16, the line search's own bar, so a row whose
-search failed ends its loop instead of iterating on rounding-level gains.
+progressing through more line-search ticks.  That transfer counts as
+progress only when it raises p_G by more than 1e-16, the line search's own
+bar, so a row whose search failed ends its loop instead of iterating on
+rounding-level gains.
 
 A line search accepts a step that raises p_G by more than 1e-16, halves it
 otherwise (at most 60 times, down to 1e-20), and ends early once a failed
@@ -50,8 +50,8 @@ All starts of one call run together, each as one row of an array, in
 blocks of at most ``_BLOCK_ELEMS`` elements of (rows, r, |E|) temporaries,
 ``_RUNGS`` times that for a tick's candidates.
 The rows run in lockstep and never interact: each keeps its own step,
-halving count, iteration count and progress flag, so it takes the steps of
-an ascent run on it alone, bit for bit.  A block's gradient bins (each row's
+trial step, iteration count and progress flag, so it takes the steps of an
+ascent run on it alone, bit for bit.  A block's gradient bins (each row's
 vertices offset by its row times n) are built once per block.
 
 One tick of the line search tries a ladder of K = ``_RUNGS`` candidates per
@@ -62,13 +62,11 @@ to the first that halts (that one included), the one with the largest p_G,
 the longer step on a tie, and starts its next search at twice that step.  A
 row with no such rung ends its search when a rung halts, and otherwise
 halves tt K times and goes on.  Taking the longest gaining step instead
-overshoots along the stiffest direction near a maximum, where the KKT
-residual then falls only by about 0.6 per search; with the best rung a
-50-restart call on T_3(10,3) takes 16 ticks instead of 39, and one on the
-Fano plane 17 instead of 45.  More rungs per tick cut few more ticks at a
-higher cost per tick.  Each rung is the candidate a lone search tries at
-that point: x, lambda and p_G(x) do not change within a search, and tt/2^j
-is exact, as tt >= 1e-20 is a normal float.  So a row takes the step of a
+overshoots along the stiffest direction near a maximum, where the rows then
+converge only linearly.  More rungs per tick cut few more ticks at a higher
+cost per tick.  Each rung is the candidate a lone search tries at that
+point: x, lambda and p_G(x) do not change within a search, and tt/2^j is
+exact, as tt >= 1e-20 is a normal float.  So a row takes the step of a
 lone search that reads the same ladders and stops at the first halting rung.
 
 Two numpy forms would break the bit-identity.
@@ -100,7 +98,6 @@ from .hypergraph import (Hypergraph, VertexSet, _bits, _cliques, _pair_masks,
                          falling_factorial)
 
 __all__ = [
-    "WeightVector",
     "LagrangianEstimate",
     "poly_value",
     "grad",
@@ -123,43 +120,7 @@ _MAX_ITERS = 5000  # gradient iterations per ascent
 _DENSITY_RESTARTS = 8  # ascent restarts per host in the Lagrangian-density search
 
 
-# -- weight vectors -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative vertex weights summing to 1 (renormalized on construction)."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = [float(v) for v in self.weights]
-        if any(v < -1e-12 for v in w):
-            raise ValueError("weights must be nonnegative")
-        w = [max(v, 0.0) for v in w]
-        if w:
-            total = math.fsum(w)
-            if total <= 0:
-                raise ValueError("weights must have positive total")
-            if abs(total - 1.0) > 1e-12:
-                w = [v / total for v in w]
-        object.__setattr__(self, "weights", tuple(w))
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        return cls(tuple([1.0 / n] * n)) if n else cls(())
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.weights, dtype=dtype)
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __getitem__(self, i):
-        return self.weights[i]
+# -- exact-ish reference evaluations (compensated summation) ------------
 
 
 def _as_floats(x, n: int) -> list[float]:
@@ -167,9 +128,6 @@ def _as_floats(x, n: int) -> list[float]:
     if len(xs) != n:
         raise ValueError(f"weight vector has length {len(xs)}, expected {n}")
     return xs
-
-
-# -- exact-ish reference evaluations (compensated summation) ------------
 
 
 def poly_value(G: Hypergraph, x) -> float:
@@ -379,11 +337,11 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
     """The ascent from each row of X0; returns the final rows and their values.
 
     The rows run in lockstep and never interact.  Each keeps its own step t,
-    trial step tt, halving count, iteration count and progress flag, and so
-    takes the steps it would take alone.  In one tick every row still in a
-    line search evaluates a ladder of ``_RUNGS`` candidates, at tt, tt/2, ...,
-    and takes the best gaining rung up to its first halting one (see the
-    module docstring), with t twice that rung's step; a row with no such
+    trial step tt, iteration count and progress flag, and so takes the steps
+    it would take alone.  In one tick every row still in a line search
+    evaluates a ladder of ``_RUNGS`` candidates, at tt, tt/2, ..., and takes
+    the best gaining rung up to its first halting one (see the module
+    docstring), with t twice that rung's step; a row with no such
     rung ends its search when a rung halts, and otherwise halves tt
     ``_RUNGS`` times.  The rows whose search ends then take their transfer
     step, and those that progressed below max_iters iterations start the
@@ -394,11 +352,9 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
     val, lam = _p_grad(A, X)  # the gradient at X, recomputed for each row that moves
     t = np.ones(m)
     tt = np.ones(m)
-    halvings = np.zeros(m, dtype=np.int64)
     iters = np.zeros(m, dtype=np.int64)
     progressed = np.zeros(m, dtype=bool)
     scale = 0.5 ** np.arange(_RUNGS)  # exact powers of two
-    after = np.arange(1, _RUNGS + 1)  # the halvings made once each rung fails
     live = np.arange(m if max_iters > 0 else 0)  # the rows in a line search
     while len(live):
         # gradient step with backtracking: a ladder of candidates per live row
@@ -414,8 +370,11 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         # a rung halts when the stop rule fires there or the halving after it
         # reaches the 1e-20 guard or the 60-halving cap; a row takes its best
         # gaining rung up to the first halting one (argmax: the longest step
-        # on a tie), or ends with none when a rung halts
-        halt = stop | (steps * 0.5 < 1e-20) | (halvings[live, None] + after >= 60)
+        # on a tie), or ends with none when a rung halts.  A search starts at
+        # tt = t and only halves it, so after h halvings a step is t / 2^h
+        # exactly (t and the steps are normal floats): the halving after a
+        # rung is the 60th or a later one just when it reaches t / 2^60
+        halt = stop | (steps * 0.5 < 1e-20) | (steps * 0.5 <= t[live, None] * 2.0 ** -60)
         before = np.cumsum(halt, axis=1) > halt  # a rung before this one halts
         score = np.where((pv > vl[:, None] + 1e-16) & ~before, pv, -np.inf)
         gains = score.max(axis=1) > -np.inf
@@ -431,7 +390,6 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         ended = live[ends]
         live = live[~ends]
         tt[live] *= 0.5 ** _RUNGS
-        halvings[live] += _RUNGS
         # pairwise transfer step for the rows whose search ended
         if not len(ended):
             continue
@@ -446,7 +404,6 @@ def _ascend(A: _Arrays, X0: np.ndarray, cap: float,
         iters[ended] += 1
         again = ended[progressed[ended] & (iters[ended] < max_iters)]
         tt[again] = t[again]
-        halvings[again] = 0
         progressed[again] = False
         live = np.concatenate([live, again])
     # support cleanup with reprojection, then the final equalization passes
@@ -522,14 +479,14 @@ class LagrangianEstimate:
     ``value`` is p_G at ``weights`` in floats: a lower bound on the
     Lagrangian up to a few ulps of rounding (see the module docstring);
     ``gradient_residual`` is the KKT violation at ``weights`` (``_residual``).
-    ``restarts_used`` counts the ascents that ran: the uniform start, the
-    greedy-support starts and the seeded restarts (0 for an edgeless graph).
+    ``weights`` sum to 1 to within 1e-12.  ``restarts_used`` counts the
+    ascents that ran, one per start of ``_starts`` (0 for an edgeless graph).
     For constrained runs ``beta`` echoes the cap and ``cap_binds`` reports
     whether the optimum sits on it.
     """
 
     value: float
-    weights: WeightVector
+    weights: tuple[float, ...]
     restarts_used: int
     converged: bool
     gradient_residual: float
@@ -538,15 +495,18 @@ class LagrangianEstimate:
 
 
 def _starts(G: Hypergraph, restarts: int, seed: int) -> Iterator[np.ndarray]:
-    """The uniform start, the greedy-support starts, then the seeded ones.
+    """Uniform weights on each distinct support, then the seeded starts.
 
-    A seeded start is the flat Dirichlet draw of ``default_rng([seed, k])``,
+    The supports are the full vertex set, whose start is np.full(n, 1/n)
+    bit for bit, then the greedy supports (``_greedy_supports``) other than
+    it: on a graph that covers every pair the full set is the only one.  A
+    seeded start is the flat Dirichlet draw of ``default_rng([seed, k])``,
     bit for bit: numpy draws it as standard exponentials (the gamma variates
     of shape 1), sums them from the left and scales by the sum's reciprocal,
     as done here without the general gamma path."""
     n = G.n
-    yield np.full(n, 1.0 / n)
-    for sup in _greedy_supports(G):
+    full = tuple(range(n))
+    for sup in [full] + [s for s in _greedy_supports(G) if s != full]:
         v = np.zeros(n)
         v[list(sup)] = 1.0 / len(sup)
         yield v
@@ -564,7 +524,7 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
     n = G.n
     A = _arrays(G)
     if A is None:
-        return LagrangianEstimate(0.0, WeightVector.uniform(n), 0, True, 0.0,
+        return LagrangianEstimate(0.0, (1.0 / n,) * n if n else (), 0, True, 0.0,
                                   beta=cap, cap_binds=None if cap is None else False)
     box = 1.0 if cap is None else cap
 
@@ -580,23 +540,28 @@ def _optimize(G: Hypergraph, cap: Optional[float], restarts: int,
             if val > best_val + 1e-15:
                 best_val, best_x = val, x
 
-    # value and residual at the weights reported, after any renormalization
-    wv = WeightVector(tuple(float(v) for v in best_x))
-    value = poly_value(G, wv.weights)
-    resid = _residual(G, wv.weights, value, box)
-    binds = None if cap is None else max(wv.weights) >= cap - 1e-9
-    return LagrangianEstimate(value, wv, used, resid <= _TOL, resid,
+    # value and residual at the weights reported; their total is off 1 by
+    # more than 1e-12 only when every weight sits at a cap just below 1/n
+    weights = best_x.tolist()
+    total = math.fsum(weights)
+    if abs(total - 1.0) > 1e-12:
+        weights = [v / total for v in weights]
+    weights = tuple(weights)
+    value = poly_value(G, weights)
+    resid = _residual(G, weights, value, box)
+    binds = None if cap is None else max(weights) >= cap - 1e-9
+    return LagrangianEstimate(value, weights, used, resid <= _TOL, resid,
                               beta=cap, cap_binds=binds)
 
 
 def lagrangian(G: Hypergraph, *, restarts: int = 50, seed: int = 0) -> LagrangianEstimate:
     """Multistart estimate of lambda(G).
 
-    Starts: uniform weights, uniform weights on greedily grown pairwise-covered
-    supports, and ``restarts`` seeded Dirichlet points.  The returned value is
-    p_G at the returned weights, a lower bound up to a few ulps of rounding
-    (see the module docstring); ``converged`` reports whether its KKT
-    residual is within 1e-9.
+    Starts: uniform weights, uniform weights on each other greedily grown
+    pairwise-covered support, and ``restarts`` seeded Dirichlet points.  The
+    returned weights are a tuple of floats; the value is p_G at them, a lower
+    bound up to a few ulps of rounding (see the module docstring);
+    ``converged`` reports whether its KKT residual is within 1e-9.
     """
     return _optimize(G, None, restarts, seed)
 
@@ -790,12 +755,9 @@ def certificate_label(G: Hypergraph, est: LagrangianEstimate) -> str:
     """
     if G.r == 2 and G.n and abs(est.value - motzkin_straus_reference(G)) <= 1e-8:
         return "exact-motzkin-straus"
-    support = [v for v in range(G.n) if G.degrees[v] > 0]
-    m = len(support)
+    m = sum(d > 0 for d in G.degrees)  # the vertices in some edge
     if m >= G.r and len(G.edges) == math.comb(m, G.r):
-        inside = set(support)
-        if all(inside.issuperset(e) for e in G.edges):
-            known = falling_factorial(m, G.r) / m**G.r
-            if abs(est.value - known) <= 1e-9:
-                return "exact-symmetric"
+        known = falling_factorial(m, G.r) / m**G.r
+        if abs(est.value - known) <= 1e-9:
+            return "exact-symmetric"
     return "lower-bound"

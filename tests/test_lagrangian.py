@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from turanlag import (
     Hypergraph,
-    WeightVector,
     blowup,
     certificate_label,
     clique_number,
@@ -139,19 +138,6 @@ def test_grad_np_matches_add_at_oracle(inputs):
     assert _grad_np(A, x[None])[0].tobytes() == add_at_gradient(A, x).tobytes()
 
 
-# -- weight vectors -----------------------------------------------------------
-
-
-def test_weight_vector_normalizes():
-    w = WeightVector((2.0, 2.0))
-    assert w.weights == (0.5, 0.5)
-    assert len(WeightVector.uniform(4)) == 4
-    with pytest.raises(ValueError):
-        WeightVector((-0.5, 1.5))
-    with pytest.raises(ValueError):
-        WeightVector((0.0, 0.0))
-
-
 # -- lagrangian ----------------------------------------------------------------
 
 
@@ -210,14 +196,24 @@ def test_lagrangian_monotone_under_edge_addition():
     assert v2 >= v1 - 1e-9
 
 
+def supports(g):
+    """The supports of the non-seeded starts: the full vertex set, then the
+    other greedy supports."""
+    full = tuple(range(g.n))
+    return [full] + [s for s in _greedy_supports(g) if s != full]
+
+
 def test_restarts_used_counts_the_starts():
+    # K_4^(3) covers every pair: its one greedy support is the full set, and
+    # the uniform start runs once
     rng = random.Random(23)
     graphs = [cycle(5), complete_hypergraph(4, 3),
               random_hypergraph(7, 3, density=0.4, rng=rng)]
+    assert len(supports(complete_hypergraph(4, 3))) == 1
     for g in graphs:
         for restarts in (0, 3):
             est = lagrangian(g, restarts=restarts, seed=0)
-            assert est.restarts_used == 1 + len(_greedy_supports(g)) + restarts
+            assert est.restarts_used == len(supports(g)) + restarts
             capped = lagrangian_constrained(g, 0.4, restarts=restarts, seed=0)
             assert capped.restarts_used == est.restarts_used
     assert lagrangian(Hypergraph(4, 3, [])).restarts_used == 0
@@ -227,7 +223,7 @@ def test_seeded_starts_are_flat_dirichlet_draws():
     # the seeded starts skip numpy's gamma path but keep its bits
     for n in (1, 2, 3, 5, 8, 13, 21, 33):
         g = Hypergraph(n, 1, [(0,)])
-        first = 1 + len(_greedy_supports(g))
+        first = len(supports(g))
         for seed in range(10):
             starts = list(_starts(g, 12, seed))[first:]
             assert len(starts) == 12
@@ -237,7 +233,7 @@ def test_seeded_starts_are_flat_dirichlet_draws():
 
 
 def estimate_bytes(est):
-    return (f64(est.value), np.array(est.weights.weights).tobytes(), est.restarts_used,
+    return (f64(est.value), np.array(est.weights).tobytes(), est.restarts_used,
             est.converged, f64(est.gradient_residual), est.beta, est.cap_binds)
 
 
@@ -965,10 +961,13 @@ def test_constrained_examples():
 
 
 def test_constrained_reports_value_at_its_weights():
-    # below 1/n every weight sits at the cap and WeightVector renormalizes them
+    # below 1/n every weight sits at the cap, and the weights are
+    # renormalized by their fsum
     k3 = complete_hypergraph(3, 2)
     beta = 1 / 3 - 1e-12
     est = lagrangian_constrained(k3, beta, restarts=2, seed=0)
+    assert type(est.weights) is tuple
+    assert abs(math.fsum(est.weights) - 1) <= 1e-12
     assert est.value == poly_value(k3, est.weights)
     assert est.gradient_residual == _residual(k3, est.weights, est.value, beta)
 
@@ -1355,6 +1354,9 @@ def test_certificate_labels():
     k43 = complete_hypergraph(4, 3)
     est2 = lagrangian(k43, restarts=5, seed=0)
     assert certificate_label(k43, est2) == "exact-symmetric"
+    k43_isolated = Hypergraph(6, 3, k43.edges)  # two vertices in no edge
+    est_isolated = lagrangian(k43_isolated, restarts=5, seed=0)
+    assert certificate_label(k43_isolated, est_isolated) == "exact-symmetric"
     g = Hypergraph(5, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
     est3 = lagrangian(g, restarts=5, seed=0)
     assert certificate_label(g, est3) == "lower-bound"

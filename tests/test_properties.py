@@ -217,11 +217,11 @@ def test_ascent_value_is_p_G_at_its_weights_to_rounding(g, t, seed):
         est = lagrangian(g, restarts=4, seed=seed)
     else:
         est = lagrangian_constrained(g, 1 / g.n + t * (1 - 1 / g.n), restarts=4, seed=seed)
-    w = [Fraction(v) for v in est.weights.weights]
+    w = [Fraction(v) for v in est.weights]
     exact = math.factorial(g.r) * sum((math.prod(w[v] for v in e) for e in g.edge_list),
                                       Fraction(0))
     assert Fraction(est.value) <= exact * (1 + Fraction(1, 2**53)) ** (g.r + 1)
-    assert abs(math.fsum(est.weights.weights) - 1) <= 1e-12
+    assert abs(math.fsum(est.weights) - 1) <= 1e-12
 
 
 @given(hypergraphs())
